@@ -16,7 +16,7 @@ from .characteristic import (CharacteristicSample, MismatchedLambda, omega,
 from .eigensolve import (DegeneratePhi, Eigenpair, LostBracket, ScanResult,
                          SuspectedMissedRoot, bracket_scan, build_eigenpair,
                          default_lambda_floor, find_eigenvalues, k_ratio,
-                         norm_identity_residual, normalize, refine_root,
+                         norm_identity_residual, refine_root,
                          validate_floor, weighted_square_integral)
 from .hilbert import (BoundaryForms, ExpansionResult, HElement, expand,
                       gram_matrix, greens_identity_residual, h_inner_product,
@@ -48,7 +48,7 @@ __all__ = [
     "eigenfunction_estimate", "eigenvalue_estimate", "evaluate_potential",
     "expand", "find_eigenvalues", "gram_matrix", "greens_identity_residual",
     "h_inner_product", "integrate_segment", "k_ratio", "leading_omega",
-    "load_problem", "nearest_index", "norm_identity_residual", "normalize",
+    "load_problem", "nearest_index", "norm_identity_residual",
     "omega", "omega_derivative", "omega_per_interval", "omega_samples",
     "picard_phi", "potential_moments", "problem_from_json", "problem_to_json",
     "r1_form", "r1p_form", "r_form_identity_residual", "refine_root",

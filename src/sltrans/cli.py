@@ -58,8 +58,7 @@ class RunConfig:
     command: str
     problem: str
     n_max: int = 10
-    ode_abs: float = 1e-12
-    ode_rel: float = 1e-12
+    ode_tol: float = 1e-12
     root_tol: float = 1e-14
     quad_tol: float = 1e-11
     format: str = "json"
@@ -74,7 +73,7 @@ class RunConfig:
     dump_eigenfunctions: str | None = None
 
     def __post_init__(self):
-        for name in ("ode_abs", "ode_rel", "root_tol", "quad_tol"):
+        for name in ("ode_tol", "root_tol", "quad_tol"):
             if getattr(self, name) <= 0:
                 raise CliError(f"tolerance {name} must be positive")
         if self.n_max < 1:
@@ -106,7 +105,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--problem", required=True, help="problem JSON file")
         sp.add_argument("--nmax", type=int, default=10)
         sp.add_argument("--ode-tol", type=float, default=1e-12,
-                        help="integrator tolerance (absolute and relative)")
+                        help="Magnus step-doubling tolerance (relative)")
         sp.add_argument("--root-tol", type=float, default=1e-14)
         sp.add_argument("--quad-tol", type=float, default=1e-11)
         sp.add_argument("--out", default=None)
@@ -151,8 +150,7 @@ def _config_from_args(args) -> RunConfig:
         command=args.command,
         problem=args.problem,
         n_max=args.nmax,
-        ode_abs=args.ode_tol,
-        ode_rel=args.ode_tol,
+        ode_tol=args.ode_tol,
         root_tol=args.root_tol,
         quad_tol=args.quad_tol,
         format=args.format,
@@ -218,7 +216,7 @@ def _load(config: RunConfig):
 
 def _solve(vp, config: RunConfig):
     return find_eigenvalues(vp, config.n_max, lam_floor=config.lam_floor,
-                            rtol=config.ode_rel, root_rel_tol=config.root_tol)
+                            rtol=config.ode_tol, root_rel_tol=config.root_tol)
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +249,7 @@ def run_solve(config: RunConfig) -> int:
 
 def _check_chain(vp, config, rng) -> dict:
     lams = np.sort(rng.uniform(-20.0, 400.0, size=30))
-    samples = omega_samples(vp, lams, rtol=config.ode_rel)
+    samples = omega_samples(vp, lams, rtol=config.ode_tol)
     measured = max(float(s.chain_residual_rel()) for s in samples)
     return {"measured": measured, "count": len(samples)}
 
@@ -300,8 +298,7 @@ def _check_greens(vp, config, rng) -> dict:
     for _ in range(5):
         la, lb = rng.uniform(-10.0, 300.0, size=2)
         res = greens_identity_residual(vp, float(la), float(lb),
-                                       ode_abs_tol=config.ode_abs,
-                                       ode_rel_tol=config.ode_rel)
+                                       rtol=config.ode_tol)
         worst = max(worst, float(res["residual"]))
     return {"measured": worst, "pairs": 5}
 
@@ -314,13 +311,13 @@ def _check_delta_invariance(vp, config) -> dict:
     n = min(config.n_max, 10)
     base = find_eigenvalues(
         dataclasses.replace(vp.spec, jumps=tuple(1.0 for _ in vp.jumps)), n,
-        rtol=config.ode_rel, root_rel_tol=config.root_tol)
+        rtol=config.ode_tol, root_rel_tol=config.root_tol)
     base_lams = np.array([e.lam for e in base])
     worst = 0.0
     for d1 in (0.5, 2.0, 3.0, vp.jumps[0]):
         jumps = (d1,) + vp.jumps[1:]
         eigs = find_eigenvalues(dataclasses.replace(vp.spec, jumps=jumps), n,
-                                rtol=config.ode_rel, root_rel_tol=config.root_tol)
+                                rtol=config.ode_tol, root_rel_tol=config.root_tol)
         lams = np.array([e.lam for e in eigs])
         worst = max(worst, float(np.max(np.abs(lams - base_lams)
                                         / np.maximum(1.0, np.abs(base_lams)))))
@@ -411,7 +408,7 @@ def run_sweep(config: RunConfig) -> int:
     for v in config.values:
         try:
             spec = _set_param(base, config.param, v)
-            eigs = find_eigenvalues(spec, config.n_max, rtol=config.ode_rel,
+            eigs = find_eigenvalues(spec, config.n_max, rtol=config.ode_tol,
                                     root_rel_tol=config.root_tol,
                                     lam_floor=config.lam_floor)
             for e in eigs:
@@ -487,8 +484,8 @@ def run_expand(config: RunConfig) -> int:
 
 def run_scan(config: RunConfig) -> int:
     vp = _load(config)
-    scan = bracket_scan(vp, config.s_max, config.lam_floor, rtol=config.ode_rel)
-    samples = omega_samples(vp, scan.lams, rtol=config.ode_rel)
+    scan = bracket_scan(vp, config.s_max, config.lam_floor, rtol=config.ode_tol)
+    samples = omega_samples(vp, scan.lams, rtol=config.ode_tol)
     if config.format == "csv":
         if config.out:
             write_scan_csv(samples, config.out)

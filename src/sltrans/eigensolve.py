@@ -29,7 +29,7 @@ from scipy.optimize import brentq
 
 from . import asymptotics
 from .characteristic import omega, omega_derivative
-from .hilbert import r1_form, r1p_form
+from .hilbert import panels_for, r1_form, r1p_form
 from .ode import PiecewiseSolution, shoot_chi, shoot_phi
 from .problem import as_validated, classify_case
 from .quadrature import fixed_quad
@@ -278,10 +278,6 @@ class Eigenpair:
     residuals: dict = field(default_factory=dict)
 
 
-def _panels_for(a: float, b: float, freq: float) -> int:
-    return max(2, int(np.ceil((b - a) * (abs(freq) + 4.0) / 4.0)))
-
-
 def weighted_square_integral(problem, sol, freq: float | None = None) -> float:
     """sum_j w_j int_j u^2 for a piecewise solution."""
     vp = as_validated(problem)
@@ -290,7 +286,7 @@ def weighted_square_integral(problem, sol, freq: float | None = None) -> float:
     total = 0.0
     for j, (a, b) in enumerate(vp.subintervals()):
         val = fixed_quad(lambda x: sol.u(x) ** 2, a, b,
-                         _panels_for(a, b, 2.0 * freq))
+                         panels_for(a, b, 2.0 * freq))
         total += vp.weights[j] * val
     return total
 
@@ -332,6 +328,38 @@ def k_ratio(problem, lam: float, *, phi=None, chi=None,
     return float(k), spread
 
 
+def _norm_terms(vp, lam: float, rtol: float):
+    """Shoot phi and chi at lam and evaluate the closed-form norm identity.
+
+    Returns (phi, terms) with terms as documented in norm_identity_residual.
+    """
+    phi = shoot_phi(vp, lam, rtol=rtol)
+    chi = shoot_chi(vp, lam, rtol=rtol)
+    k, spread = k_ratio(vp, lam, phi=phi, chi=chi)
+    omp = _omega_prime(vp, lam, rtol)
+    u1, du1 = phi.boundary_state("right")
+    r1p_phi = r1p_form(vp, u1, du1)
+    lhs = weighted_square_integral(vp, phi)
+    d2 = vp.delta_sq_prod
+
+    rhs = omp / k - (d2 / k) * r1p_phi
+    rhs_scaled = (d2 / k) * (omp - r1p_phi)
+    res = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    res_scaled = abs(lhs - rhs_scaled) / max(abs(lhs), abs(rhs_scaled), 1e-300)
+    subst = abs(r1p_phi * k - vp.rho) / abs(vp.rho)
+    return phi, {
+        "residual": res,
+        "residual_jump_scaled_variant": res_scaled,
+        "substitution_residual": subst,
+        "lhs": lhs,
+        "rhs": rhs,
+        "k": k,
+        "k_spread": spread,
+        "omega_prime": omp,
+        "r1p_phi": r1p_phi,
+    }
+
+
 def norm_identity_residual(problem, eig_or_lam, *, rtol: float = 1e-12) -> dict:
     """Check the closed-form value of the weighted square integral of phi.
 
@@ -346,31 +374,7 @@ def norm_identity_residual(problem, eig_or_lam, *, rtol: float = 1e-12) -> dict:
     """
     vp = as_validated(problem)
     lam = float(getattr(eig_or_lam, "lam", eig_or_lam))
-    phi = shoot_phi(vp, lam, abs_tol=rtol, rel_tol=rtol)
-    chi = shoot_chi(vp, lam, abs_tol=rtol, rel_tol=rtol)
-    k, spread = k_ratio(vp, lam, phi=phi, chi=chi)
-    omp = _omega_prime(vp, lam, rtol)
-    u1, du1 = phi.boundary_state("right")
-    r1p_phi = r1p_form(vp, u1, du1)
-    lhs = weighted_square_integral(vp, phi)
-    d2 = vp.delta_sq_prod
-
-    rhs = omp / k - (d2 / k) * r1p_phi
-    rhs_scaled = (d2 / k) * (omp - r1p_phi)
-    res = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    res_scaled = abs(lhs - rhs_scaled) / max(abs(lhs), abs(rhs_scaled), 1e-300)
-    subst = abs(r1p_phi * k - vp.rho) / abs(vp.rho)
-    return {
-        "residual": res,
-        "residual_jump_scaled_variant": res_scaled,
-        "substitution_residual": subst,
-        "lhs": lhs,
-        "rhs": rhs,
-        "k": k,
-        "k_spread": spread,
-        "omega_prime": omp,
-        "r1p_phi": r1p_phi,
-    }
+    return _norm_terms(vp, lam, rtol)[1]
 
 
 def _omega_prime(vp, lam: float, rtol: float) -> float:
@@ -378,26 +382,6 @@ def _omega_prime(vp, lam: float, rtol: float) -> float:
         return omega_derivative(vp, lam, rtol=rtol, method="complex")
     except Exception:
         return omega_derivative(vp, lam, rtol=rtol)
-
-
-def normalize(problem, phi: PiecewiseSolution):
-    """Scale phi so (phi, R1'(phi)) has unit norm in the weighted space.
-
-    The sign is pinned too: the first nonzero of (phi(-1), phi'(-1)) comes
-    out positive. Returns (scaled solution, signed scale factor).
-    """
-    vp = as_validated(problem)
-    u1, du1 = phi.boundary_state("right")
-    r1p_phi = r1p_form(vp, u1, du1)
-    nsq = weighted_square_integral(vp, phi) + (vp.delta_sq_prod / vp.rho) * r1p_phi ** 2
-    if nsq <= 0.0 or not np.isfinite(nsq):
-        raise DegeneratePhi(f"norm^2 = {nsq} is not positive")
-    c = 1.0 / np.sqrt(nsq)
-    um, dum = phi.eval(-1.0)
-    lead = um if um != 0.0 else dum
-    if lead < 0:
-        c = -c
-    return phi.scaled(c), c
 
 
 def build_eigenpair(problem, lam: float, *, n: int = -1,
@@ -408,20 +392,13 @@ def build_eigenpair(problem, lam: float, *, n: int = -1,
     lam = float(lam)
     s = float(np.sqrt(lam)) if lam >= 0.0 else None
 
-    phi = shoot_phi(vp, lam, abs_tol=rtol, rel_tol=rtol)
-    chi = shoot_chi(vp, lam, abs_tol=rtol, rel_tol=rtol)
-    k, spread = k_ratio(vp, lam, phi=phi, chi=chi)
-    omp = _omega_prime(vp, lam, rtol)
+    phi, terms = _norm_terms(vp, lam, rtol)
     om_here = float(omega(vp, lam, rtol=rtol))
+    omp = terms["omega_prime"]
+    r1p_phi = terms["r1p_phi"]
 
     u1, du1 = phi.boundary_state("right")
-    r1p_phi = r1p_form(vp, u1, du1)
     r1_phi = r1_form(vp, u1, du1)
-    d2 = vp.delta_sq_prod
-
-    lhs = weighted_square_integral(vp, phi)
-    rhs = omp / k - (d2 / k) * r1p_phi
-    rhs_scaled = (d2 / k) * (omp - r1p_phi)
 
     bc_scale = (abs(lam * vp.beta1p * u1) + abs(vp.beta1 * u1)
                 + abs(lam * vp.beta2p * du1) + abs(vp.beta2 * du1) + 1e-300)
@@ -429,7 +406,7 @@ def build_eigenpair(problem, lam: float, *, n: int = -1,
     left_scale = max(abs(vp.alpha1 * um), abs(vp.alpha2 * dum),
                      abs(um) + abs(dum), 1e-300)
 
-    nsq = lhs + (d2 / vp.rho) * r1p_phi ** 2
+    nsq = terms["lhs"] + (vp.delta_sq_prod / vp.rho) * r1p_phi ** 2
     if nsq <= 0.0 or not np.isfinite(nsq):
         raise DegeneratePhi(f"norm^2 = {nsq} is not positive")
     c = 1.0 / np.sqrt(nsq)
@@ -452,13 +429,12 @@ def build_eigenpair(problem, lam: float, *, n: int = -1,
         "bc_right": abs(lam * r1p_phi + r1_phi) / bc_scale,
         "bc_left": abs(vp.alpha1 * um + vp.alpha2 * dum) / left_scale,
         "transmission": phi.transmission_residual(),
-        "norm_identity": abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300),
-        "norm_identity_jump_scaled_variant":
-            abs(lhs - rhs_scaled) / max(abs(lhs), abs(rhs_scaled), 1e-300),
-        "k_substitution": abs(r1p_phi * k - vp.rho) / abs(vp.rho),
+        "norm_identity": terms["residual"],
+        "norm_identity_jump_scaled_variant": terms["residual_jump_scaled_variant"],
+        "k_substitution": terms["substitution_residual"],
     }
     return Eigenpair(n=n, lam=lam, s=s, phi=phi_n, scalar=c * r1p_phi,
-                     k_ratio=k, k_spread=spread, omega_prime=omp,
+                     k_ratio=terms["k"], k_spread=terms["k_spread"], omega_prime=omp,
                      omega_scale=scale_local, margin=margin,
                      n_formula=n_formula, norm_constant=c,
                      residuals=residuals)

@@ -214,8 +214,7 @@ def gram_matrix(problem, elements, *, n_nodes: int = QUAD_NODES) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def greens_identity_residual(problem, lam_a: float, lam_b: float, *,
-                             ode_abs_tol: float = 1e-12,
-                             ode_rel_tol: float = 1e-12) -> dict:
+                             rtol: float = 1e-12) -> dict:
     """Symmetry defect of the operator on two shot left solutions.
 
     Builds F = (phi_a, R1'(phi_a)) and G likewise for lam_b; both satisfy
@@ -229,11 +228,12 @@ def greens_identity_residual(problem, lam_a: float, lam_b: float, *,
     the left end, the worst interface Wronskian-jump defect, and the
     boundary-form identity defect at x = 1.
     """
+    from .eigensolve import weighted_square_integral
     from .ode import shoot_phi
 
     vp = as_validated(problem)
-    pa = shoot_phi(vp, lam_a, abs_tol=ode_abs_tol, rel_tol=ode_rel_tol)
-    pb = shoot_phi(vp, lam_b, abs_tol=ode_abs_tol, rel_tol=ode_rel_tol)
+    pa = shoot_phi(vp, lam_a, rtol=rtol)
+    pb = shoot_phi(vp, lam_b, rtol=rtol)
     fa = BoundaryForms.of(vp, pa)
     fb = BoundaryForms.of(vp, pb)
     Fa = HElement(f=pa.u, f1=fa.r1p, freq_hint=np.sqrt(abs(lam_a)))
@@ -246,8 +246,8 @@ def greens_identity_residual(problem, lam_a: float, lam_b: float, *,
     afg = lam_a * integral - scal * fa.r1 * fb.r1p
     fag = lam_b * integral - scal * fa.r1p * fb.r1
 
-    na = np.sqrt(max(_weighted_sq(vp, pa, np.sqrt(abs(lam_a))), 0.0))
-    nb = np.sqrt(max(_weighted_sq(vp, pb, np.sqrt(abs(lam_b))), 0.0))
+    na = np.sqrt(max(weighted_square_integral(vp, pa), 0.0))
+    nb = np.sqrt(max(weighted_square_integral(vp, pb), 0.0))
     scale = (max(abs(lam_a), abs(lam_b), 1.0) * na * nb
              + scal * (abs(fa.r1 * fb.r1p) + abs(fa.r1p * fb.r1)) + 1e-300)
 
@@ -285,15 +285,6 @@ def _wronskian_side(pa, pb, x: float, side: str) -> float:
     ua, dua = pa.eval(x, side)
     ub, dub = pb.eval(x, side)
     return ua * dub - dua * ub
-
-
-def _weighted_sq(vp, sol, freq: float) -> float:
-    total = 0.0
-    for j, (a, b) in enumerate(vp.subintervals()):
-        val = fixed_quad(lambda x: sol.u(x) ** 2, a, b,
-                         panels_for(a, b, 2.0 * freq), QUAD_NODES)
-        total += vp.weights[j] * val
-    return total
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,12 @@ at x = -1 from the left boundary condition) and the right solution (started
 at x = 1 from the lambda-dependent right boundary data). Both carry the
 interface jumps so that u(h-0) = delta * u(h+0) and likewise for u'.
 
-Constant-q pieces get exact closed-form trajectories. Variable-q pieces go
-through scipy's adaptive RK45 with dense output (default tolerances 1e-10).
+Both run on the propagation kernel of :mod:`sltrans.propagator`, so dense
+trajectories and the characteristic function share one integrator.
+Constant-q pieces get the exact closed-form transfer. Variable-q pieces take
+the step count the fourth-order Magnus ladder settles on (rtol 1e-12 by
+default), store the state at every step node as the running product of the
+step matrices, and reach a point between nodes with one partial Magnus step.
 A Picard successive-approximation solver of the equivalent Volterra integral
 equations is included as an integrator-independent cross-check.
 """
@@ -14,17 +18,14 @@ equations is included as an integrator-independent cross-check.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .problem import OutOfDomain, ValidatedProblem, as_validated
-from .propagator import NonFiniteState, StepSizeUnderflow, cos_sinc
+from .propagator import (_GAUSS_OFFSETS, NonFiniteState, constant_step,
+                         magnus_ladder, magnus_steps)
 from .quadrature import _gauss_rule
-
-DEFAULT_ABS_TOL = 1e-12
-DEFAULT_REL_TOL = 1e-12
 
 
 class NonConvergence(RuntimeError):
@@ -65,50 +66,68 @@ class ConstantSegment:
 
     def eval(self, x):
         t = np.asarray(x, dtype=float) - self.a
-        C, S = cos_sinc(self.w * t * t)
-        u = C * self.u0 + t * S * self.du0
-        du = self.w * t * S * self.u0 + C * self.du0
-        return u, du
+        return constant_step(self.w, t, self.u0, self.du0)
 
 
-class IvpSegment:
-    """Dense Runge-Kutta trajectory on a piece with variable q."""
+class MagnusSegment:
+    """Dense fourth-order Magnus trajectory on a piece with variable q.
 
-    def __init__(self, a: float, b: float, sol):
-        self.a = a
-        self.b = b
-        self._sol = sol
+    The step count is the one the Magnus ladder accepts for this start
+    state, with the stop test scaled by at least the start state's size.
+    The state at node k (x = a + k h) is the running product of the first
+    k step matrices applied to the start state.
+    """
+
+    def __init__(self, piece, a: float, b: float, lam: float, u0: float,
+                 du0: float, rtol: float):
+        qv, h, _ = magnus_ladder(piece, a, b, lam, u0, du0, rtol=rtol,
+                                 scale_floor=max(1.0, abs(u0), abs(du0)))
+        self.h = h
+        self.piece = piece
+        self.lam_f = np.full((1, 1), lam)
+        n = qv.shape[0]
+        self.nodes = a + h * np.arange(n + 1)
+        # The last node is b itself, so eval(b) returns the chained end state.
+        self.nodes[-1] = b
+        us, dus = [u0], [du0]
+        u, du = u0, du0
+        for e11, e12, e21, e22 in zip(*(e[:, 0].tolist()
+                                        for e in magnus_steps(qv, h, self.lam_f))):
+            u, du = e11 * u + e12 * du, e21 * u + e22 * du
+            us.append(u)
+            dus.append(du)
+        self.node_u = np.array(us)
+        self.node_du = np.array(dus)
+        if not (np.all(np.isfinite(self.node_u)) and np.all(np.isfinite(self.node_du))):
+            raise NonFiniteState("propagation produced non-finite values")
 
     def eval(self, x):
-        y = self._sol(np.asarray(x, dtype=float))
-        return y[0], y[1]
+        xs = np.asarray(x, dtype=float)
+        flat = np.atleast_1d(xs).ravel()
+        # Mirror a backward segment so searchsorted sees increasing nodes.
+        sign = 1.0 if self.h > 0 else -1.0
+        k = np.searchsorted(sign * self.nodes, sign * flat, side="right") - 1
+        k = np.clip(k, 0, len(self.nodes) - 1)
+        t = (flat - self.nodes[k])[:, None]
+        qv = self.piece.evaluate(self.nodes[k][:, None]
+                                 + t * np.asarray(_GAUSS_OFFSETS)[None, :])
+        e11, e12, e21, e22 = (e[:, 0] for e in magnus_steps(qv, t, self.lam_f))
+        u0, du0 = self.node_u[k], self.node_du[k]
+        u = e11 * u0 + e12 * du0
+        du = e21 * u0 + e22 * du0
+        return u.reshape(xs.shape), du.reshape(xs.shape)
 
 
-def _integrate_dense(piece, a: float, b: float, lam: float, init, abs_tol, rel_tol):
+def _integrate_dense(piece, a: float, b: float, lam: float, init, rtol):
     """Dense trajectory over [a, b] (either direction) within one piece."""
     u0, du0 = init
     if piece.is_constant:
         return ConstantSegment(a, b, piece.constant_value - lam, u0, du0)
-
-    def rhs(x, y):
-        return [y[1], (float(piece.evaluate(x)) - lam) * y[0]]
-
-    res = solve_ivp(
-        rhs, (a, b), [u0, du0], method="DOP853",
-        rtol=rel_tol, atol=abs_tol, dense_output=True,
-    )
-    if not res.success:
-        msg = res.message or "integration failed"
-        if "step size" in msg.lower():
-            raise StepSizeUnderflow(msg)
-        raise NonFiniteState(msg)
-    if not np.all(np.isfinite(res.y)):
-        raise NonFiniteState("integrator produced non-finite values")
-    return IvpSegment(a, b, res.sol)
+    return MagnusSegment(piece, a, b, lam, u0, du0, rtol)
 
 
 def integrate_segment(problem, lam: float, interval, init, at: str = "a",
-                      abs_tol: float = DEFAULT_ABS_TOL, rel_tol: float = DEFAULT_REL_TOL):
+                      rtol: float = 1e-12):
     """Integrate one segment lying inside a single subinterval closure.
 
     init is the state at endpoint `at` ('a' or 'b'); integration runs toward
@@ -127,9 +146,9 @@ def integrate_segment(problem, lam: float, interval, init, at: str = "a",
     piece = vp.pieces[vp.subinterval_index(mid)]
     init = StateVector(*init) if not isinstance(init, StateVector) else init
     if at == "a":
-        return _integrate_dense(piece, a, b, lam, (init.u, init.du), abs_tol, rel_tol)
+        return _integrate_dense(piece, a, b, lam, (init.u, init.du), rtol)
     if at == "b":
-        return _integrate_dense(piece, b, a, lam, (init.u, init.du), abs_tol, rel_tol)
+        return _integrate_dense(piece, b, a, lam, (init.u, init.du), rtol)
     raise ValueError("at must be 'a' or 'b'")
 
 
@@ -251,8 +270,7 @@ class PiecewiseSolution:
                     writer.writerow([repr(float(xi)), repr(float(ui)), repr(float(dui))])
 
 
-def shoot_phi(problem, lam: float, *, abs_tol: float = DEFAULT_ABS_TOL,
-              rel_tol: float = DEFAULT_REL_TOL) -> PiecewiseSolution:
+def shoot_phi(problem, lam: float, *, rtol: float = 1e-12) -> PiecewiseSolution:
     """Left solution: starts at x=-1 with (alpha_2, -alpha_1).
 
     Crossing interface i divides the state by delta_i, which enforces the
@@ -265,7 +283,7 @@ def shoot_phi(problem, lam: float, *, abs_tol: float = DEFAULT_ABS_TOL,
     segments, left_states, right_states = [], [], []
     for j, piece in enumerate(vp.pieces):
         left_states.append((u, du))
-        seg = _integrate_dense(piece, bp[j], bp[j + 1], lam, (u, du), abs_tol, rel_tol)
+        seg = _integrate_dense(piece, bp[j], bp[j + 1], lam, (u, du), rtol)
         segments.append(seg)
         ub, dub = seg.eval(bp[j + 1])
         u, du = float(ub), float(dub)
@@ -276,8 +294,7 @@ def shoot_phi(problem, lam: float, *, abs_tol: float = DEFAULT_ABS_TOL,
     return PiecewiseSolution(vp, lam, "left-to-right", segments, left_states, right_states)
 
 
-def shoot_chi(problem, lam: float, *, abs_tol: float = DEFAULT_ABS_TOL,
-              rel_tol: float = DEFAULT_REL_TOL) -> PiecewiseSolution:
+def shoot_chi(problem, lam: float, *, rtol: float = 1e-12) -> PiecewiseSolution:
     """Right solution: starts at x=1 with (b2'*lam + b2, b1'*lam + b1).
 
     Integrates right to left; crossing interface i multiplies the state by
@@ -295,7 +312,7 @@ def shoot_chi(problem, lam: float, *, abs_tol: float = DEFAULT_ABS_TOL,
     right_states = [None] * n_pieces
     for j in range(n_pieces - 1, -1, -1):
         right_states[j] = (u, du)
-        seg = _integrate_dense(vp.pieces[j], bp[j + 1], bp[j], lam, (u, du), abs_tol, rel_tol)
+        seg = _integrate_dense(vp.pieces[j], bp[j + 1], bp[j], lam, (u, du), rtol)
         segments[j] = seg
         ua, dua = seg.eval(bp[j])
         u, du = float(ua), float(dua)

@@ -12,9 +12,10 @@ at many lambda. States are propagated with 2x2 transfer matrices:
   depends on the variation of q rather than on lambda, so large-lambda
   scans stay cheap.
 
-All functions are vectorized over a lambda array. Dense (plottable)
-trajectories live in :mod:`sltrans.ode`; this module intentionally only
-returns states at requested points.
+All functions are vectorized over a lambda array and return states at
+piece ends only. :mod:`sltrans.ode` builds the dense (plottable) trajectories
+of one lambda from the same kernel: :func:`magnus_ladder` picks the step
+count and :func:`magnus_steps` gives the step matrices it chains.
 """
 
 from __future__ import annotations
@@ -96,6 +97,26 @@ def constant_step(w, t, u, du):
     return u_new, du_new
 
 
+def magnus_steps(qvals, h, lam_f):
+    """Entries (e11, e12, e21, e22) of fourth-order Magnus step matrices.
+
+    qvals has shape (n_steps, 2): the potential at the two Gauss nodes of
+    each step. h is the signed step, a scalar or an (n_steps, 1) column.
+    lam_f is a (1, n_lam) row; every entry comes out (n_steps, n_lam).
+    """
+    q1 = qvals[:, 0][:, None]
+    q2 = qvals[:, 1][:, None]
+    wbar = 0.5 * (q1 + q2) - lam_f
+    d = (-(_SQRT3 * h * h / 12.0)) * (q2 - q1)
+    z = d * d + (h * h) * wbar
+    C, S = cos_sinc(z)
+    e11 = C + S * d
+    e22 = C - S * d
+    e12 = S * h + np.zeros_like(C)
+    e21 = S * h * wbar
+    return e11, e12, e21, e22
+
+
 def _magnus_pass(qvals, h, lam, u, du):
     """One sweep of fourth-order Magnus steps.
 
@@ -112,17 +133,7 @@ def _magnus_pass(qvals, h, lam, u, du):
     lam_f = np.reshape(np.broadcast_to(np.asarray(lam), target), (1, -1))
     u0 = np.reshape(np.broadcast_to(np.asarray(u), target), (-1,))
     du0 = np.reshape(np.broadcast_to(np.asarray(du), target), (-1,))
-
-    q1 = qvals[:, 0][:, None]
-    q2 = qvals[:, 1][:, None]
-    wbar = 0.5 * (q1 + q2) - lam_f
-    d = (-(_SQRT3 * h * h / 12.0)) * (q2 - q1)
-    z = d * d + (h * h) * wbar
-    C, S = cos_sinc(z)
-    e11 = C + S * d
-    e22 = C - S * d
-    e12 = S * h + np.zeros_like(C)
-    e21 = S * h * wbar
+    e11, e12, e21, e22 = magnus_steps(qvals, h, lam_f)
 
     while e11.shape[0] > 1:
         m = e11.shape[0]
@@ -155,12 +166,39 @@ def _piece_node_q(piece, x0: float, x1: float, n_steps: int):
     return piece.evaluate(xs), h
 
 
+def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
+                  rtol: float = 1e-12, scale_floor: float = 1.0):
+    """Double the Magnus step count on a variable piece until it settles.
+
+    Passes go from x0 to x1 (x1 < x0 integrates backwards) and stop once the
+    endpoint state moves by at most rtol * max(|u(x1)|, |u'(x1)|,
+    scale_floor). Returns (qvals, h, (u1, du1)) of the accepted pass.
+    """
+    n = max(8, int(np.ceil(16 * abs(x1 - x0))))
+    qv, h = _piece_node_q(piece, x0, x1, n)
+    cur = _magnus_pass(qv, h, lam, u, du)
+    for _ in range(9):
+        n *= 2
+        qv, h = _piece_node_q(piece, x0, x1, n)
+        nxt = _magnus_pass(qv, h, lam, u, du)
+        scale = np.maximum(np.maximum(np.abs(nxt[0]), np.abs(nxt[1])), scale_floor)
+        gap = np.maximum(np.abs(nxt[0] - cur[0]), np.abs(nxt[1] - cur[1]))
+        if np.all(gap <= rtol * scale):
+            if not (np.all(np.isfinite(nxt[0])) and np.all(np.isfinite(nxt[1]))):
+                raise NonFiniteState("propagation produced non-finite values")
+            return qv, h, nxt
+        cur = nxt
+    raise StepSizeUnderflow(
+        f"piece [{x0}, {x1}] did not stabilize within {n} Magnus steps"
+    )
+
+
 def propagate_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e-12):
     """Propagate a state across one potential piece from x0 to x1.
 
     x1 < x0 integrates backwards. Constant pieces are exact in one step;
     otherwise the Magnus step count doubles until the endpoint state moves
-    by less than rtol (relative to the state magnitude).
+    by less than rtol (relative to the state magnitude, floored at 1).
     """
     if x1 == x0:
         return u, du
@@ -170,25 +208,7 @@ def propagate_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e
     if piece.is_constant:
         w = piece.constant_value - lam
         return constant_step(w, x1 - x0, u, du)
-
-    length = abs(x1 - x0)
-    n = max(8, int(np.ceil(16 * length)))
-    qv, h = _piece_node_q(piece, x0, x1, n)
-    cur = _magnus_pass(qv, h, lam, u, du)
-    for _ in range(9):
-        n *= 2
-        qv, h = _piece_node_q(piece, x0, x1, n)
-        nxt = _magnus_pass(qv, h, lam, u, du)
-        scale = np.maximum(np.maximum(np.abs(nxt[0]), np.abs(nxt[1])), 1.0)
-        gap = np.maximum(np.abs(nxt[0] - cur[0]), np.abs(nxt[1] - cur[1]))
-        if np.all(gap <= rtol * scale):
-            if not (np.all(np.isfinite(nxt[0])) and np.all(np.isfinite(nxt[1]))):
-                raise NonFiniteState("propagation produced non-finite values")
-            return nxt
-        cur = nxt
-    raise StepSizeUnderflow(
-        f"piece [{x0}, {x1}] did not stabilize within {n} Magnus steps"
-    )
+    return magnus_ladder(piece, x0, x1, lam, u, du, rtol=rtol)[2]
 
 
 @dataclass
@@ -265,22 +285,6 @@ def chi_chain(problem, lam, *, rtol: float = 1e-12) -> ChainStates:
             u = u * d
             du = du * d
     return ChainStates(lam=lam, left=left, dleft=dleft, right=right, dright=dright)
-
-
-def states_at(problem, chain: ChainStates, x: float, direction: str, *, rtol: float = 1e-12):
-    """Propagate a chained solution to an interior point of its subinterval.
-
-    direction 'ltr' continues from the left end of the containing piece,
-    'rtl' from its right end; x must not be an interface point.
-    """
-    vp = as_validated(problem)
-    j = vp.subinterval_index(x)
-    bp = vp.breakpoints
-    if direction == "ltr":
-        return propagate_piece(vp.pieces[j], bp[j], x, chain.lam,
-                               chain.left[j], chain.dleft[j], rtol=rtol)
-    return propagate_piece(vp.pieces[j], bp[j + 1], x, chain.lam,
-                           chain.right[j], chain.dright[j], rtol=rtol)
 
 
 def phi_boundary_form(problem, lam, *, rtol: float = 1e-12):

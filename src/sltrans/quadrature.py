@@ -1,4 +1,4 @@
-"""Composite Gauss-Legendre quadrature with panel-doubling error control."""
+"""Composite Gauss-Legendre quadrature on fixed panels."""
 
 from __future__ import annotations
 
@@ -34,38 +34,3 @@ def panel_nodes(a: float, b: float, n_panels: int, n_nodes: int):
 def fixed_quad(f, a: float, b: float, n_panels: int = 1, n_nodes: int = 12) -> float:
     x, w = panel_nodes(a, b, n_panels, n_nodes)
     return float(np.dot(w, np.asarray(f(x), dtype=float)))
-
-
-def integrate_adaptive(
-    f,
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-13,
-    n_nodes: int = 12,
-    initial_panels: int = 1,
-    max_doublings: int = 12,
-):
-    """Integrate f over [a, b], doubling the panel count until stable.
-
-    Returns (value, error_estimate) where the estimate is the difference
-    between the last two refinement levels. Raises QuadratureNotConverged
-    if the doubling budget runs out.
-    """
-    if b <= a:
-        return 0.0, 0.0
-    panels = max(1, int(initial_panels))
-    prev = fixed_quad(f, a, b, panels, n_nodes)
-    err = np.inf
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = fixed_quad(f, a, b, panels, n_nodes)
-        err = abs(cur - prev)
-        if err <= max(abs_tol, rel_tol * abs(cur)):
-            return cur, err
-        prev = cur
-    raise QuadratureNotConverged(
-        f"integral over [{a}, {b}] did not stabilize within {panels} panels "
-        f"(last change {err:.3e})"
-    )

@@ -41,6 +41,7 @@ class TestSolve:
         got = [row["s"] for row in report["eigenvalues"]]
         assert np.allclose(got, oracles.FROZEN_CANONICAL_S[:4], rtol=1e-10)
         assert report["config"]["command"] == "solve"
+        assert report["config"]["ode_tol"] == 1e-12
         assert "config:" in err
 
     def test_repeat_runs_are_byte_identical(self, problem_file, capsys):
@@ -265,6 +266,12 @@ class TestFailureModes:
             ["solve", "--problem", problem_file, "--nmax", "0"], capsys)
         assert code == 1
         assert "n_max" in err
+
+    def test_nonpositive_ode_tol(self, problem_file, capsys):
+        code, _, err = run_cli(
+            ["solve", "--problem", problem_file, "--ode-tol", "0"], capsys)
+        assert code == 1
+        assert "ode_tol" in err
 
     def test_suspected_missed_root_exits_two(self, problem_file, capsys,
                                              monkeypatch):

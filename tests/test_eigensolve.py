@@ -156,6 +156,15 @@ class TestNormIdentity:
         assert res["residual"] <= 1e-9
         assert res["residual_jump_scaled_variant"] > 1e-2
 
+    def test_agrees_with_eigenpair_record(self, case1_linear, case1_eigs):
+        eig = case1_eigs[3]
+        res = norm_identity_residual(case1_linear, eig)
+        assert res["residual"] == eig.residuals["norm_identity"]
+        assert (res["residual_jump_scaled_variant"]
+                == eig.residuals["norm_identity_jump_scaled_variant"])
+        assert res["substitution_residual"] == eig.residuals["k_substitution"]
+        assert res["k"] == eig.k_ratio
+
     def test_k_ratio_spread_discriminates_eigenvalues(self, canonical,
                                                       canonical_eigs):
         _, spread_at = k_ratio(canonical, canonical_eigs[2].lam)

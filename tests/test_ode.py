@@ -13,7 +13,7 @@ from sltrans.ode import (
     shoot_chi,
     shoot_phi,
 )
-from sltrans.propagator import cos_sinc
+from sltrans.propagator import cos_sinc, phi_chain
 from conftest import make_canonical, make_case1_linear, make_two_interface
 
 
@@ -101,6 +101,25 @@ class TestShooting:
         spec = make_case1_linear()
         phi = shoot_phi(spec, 31.0)
         assert phi.ode_residual() <= 1e-5
+
+    def test_chi_through_shrinking_state(self):
+        # Backward across [1, 0.2] at the negative eigenvalue the state
+        # shrinks from about 16 to 0.5; the step-doubling stop test must be
+        # scaled by the start state or its round-off floor is never met.
+        chi = shoot_chi(make_case1_linear(), -16.107870242215387)
+        u, du = chi.boundary_state("left")
+        assert np.isfinite(u) and np.isfinite(du)
+
+    @pytest.mark.parametrize("make", [make_case1_linear, make_two_interface])
+    @pytest.mark.parametrize("lam", [-16.107870242215387, 2.5, 400.0])
+    def test_dense_phi_matches_endpoint_kernel(self, make, lam):
+        spec = make()
+        u1, du1 = shoot_phi(spec, lam).boundary_state("right")
+        chain = phi_chain(spec, [lam])
+        cu, cdu = float(chain.right[-1][0]), float(chain.dright[-1][0])
+        scale = max(abs(cu), abs(cdu))
+        assert abs(u1 - cu) <= 1e-13 * scale
+        assert abs(du1 - cdu) <= 1e-13 * scale
 
     def test_csv_dump(self, tmp_path):
         spec = make_canonical()
