@@ -19,7 +19,7 @@ per-root diagnostics.
 import numpy as np
 
 import sltrans as st
-from sltrans.characteristic import omega
+from sltrans.characteristic import eigenvalue_count, omega
 from sltrans.eigensolve import bracket_scan, find_eigenvalues
 
 
@@ -53,8 +53,8 @@ def main():
 
     print("== scan ==")
     scan = bracket_scan(vp, s_max=10.0)
-    print(f"{len(scan.brackets)} sign-change brackets below s = 10, "
-          f"{len(scan.suspicious)} suspicious dips")
+    print(f"{len(scan.brackets)} sign-change brackets below s = 10; "
+          f"the eigenvalue count there is {eigenvalue_count(vp, 100.0)}")
     print()
 
     print("== eigenvalues ==")

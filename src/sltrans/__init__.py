@@ -10,14 +10,15 @@ problem is self-adjoint on.
 from .asymptotics import (EigenvalueEstimate, UndefinedRatio, asymptotics_report,
                           eigenfunction_estimate, eigenvalue_estimate,
                           leading_omega, nearest_index)
-from .characteristic import (CharacteristicSample, MismatchedLambda, omega,
-                             omega_derivative, omega_per_interval,
-                             omega_samples, wronskian_at, write_scan_csv)
+from .characteristic import (CharacteristicSample, MismatchedLambda,
+                             eigenvalue_count, omega, omega_derivative,
+                             omega_per_interval, omega_samples, wronskian_at,
+                             write_scan_csv)
 from .eigensolve import (DegeneratePhi, Eigenpair, LostBracket, ScanResult,
                          SuspectedMissedRoot, bracket_scan, build_eigenpair,
                          default_lambda_floor, find_eigenvalues, k_ratio,
-                         norm_identity_residual, refine_root,
-                         validate_floor, weighted_square_integral)
+                         norm_identity_residual, validate_floor,
+                         weighted_square_integral)
 from .hilbert import (BoundaryForms, ExpansionResult, HElement, expand,
                       gram_matrix, greens_identity_residual, h_inner_product,
                       r1_form, r1p_form, r_form_identity_residual)
@@ -45,13 +46,13 @@ __all__ = [
     "SuspectedMissedRoot", "UndefinedRatio", "UnorderedInterfaces",
     "ValidatedProblem", "ZeroJumpFactor", "as_validated", "asymptotics_report",
     "bracket_scan", "build_eigenpair", "classify_case", "default_lambda_floor",
-    "eigenfunction_estimate", "eigenvalue_estimate", "evaluate_potential",
-    "expand", "find_eigenvalues", "gram_matrix", "greens_identity_residual",
-    "h_inner_product", "integrate_segment", "k_ratio", "leading_omega",
-    "load_problem", "nearest_index", "norm_identity_residual",
-    "omega", "omega_derivative", "omega_per_interval", "omega_samples",
-    "picard_phi", "potential_moments", "problem_from_json", "problem_to_json",
-    "r1_form", "r1p_form", "r_form_identity_residual", "refine_root",
+    "eigenfunction_estimate", "eigenvalue_count", "eigenvalue_estimate",
+    "evaluate_potential", "expand", "find_eigenvalues", "gram_matrix",
+    "greens_identity_residual", "h_inner_product", "integrate_segment",
+    "k_ratio", "leading_omega", "load_problem", "nearest_index",
+    "norm_identity_residual", "omega", "omega_derivative", "omega_per_interval",
+    "omega_samples", "picard_phi", "potential_moments", "problem_from_json",
+    "problem_to_json", "r1_form", "r1p_form", "r_form_identity_residual",
     "save_problem", "shoot_chi", "shoot_phi", "validate_floor",
     "validate_problem", "weighted_square_integral", "wronskian_at",
     "write_scan_csv",

@@ -18,6 +18,7 @@ with u the left solution, and that is one endpoint propagation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass, field
 
@@ -79,6 +80,75 @@ def omega(problem, lam, *, rtol: float = 1e-12):
     if np.ndim(lam) == 0:
         return complex(out) if np.iscomplexobj(out) else float(out)
     return out
+
+
+def _line_angle(y, x):
+    """atan2(y, x) mod pi in [0, pi]; 0 exactly when y == 0, and pi only
+    for an angle a rounding error short of it."""
+    a = np.arctan2(y, x)
+    return np.where(y == 0, 0.0, np.where(a < 0, a + np.pi, a))
+
+
+def _step_zeros(z, d, h, u0, du0, u1, du1):
+    """Zeros of u in (0, 1] along exp(t Omega) (u0, du0), where
+    Omega = [[d, h], [., -d]] and Omega^2 = z I.
+
+    For z < 0 the phase of (sqrt(-z) u, d u + h u') turns by exactly
+    sqrt(-z), so the end phases give the count, and a zero at a node falls
+    to the step that ends there. For z >= 0 there is at most one zero.
+    """
+    osc = z < 0
+    om = np.sqrt(np.where(osc, -z, 0.0))
+    psi0 = _line_angle(om * u0, d * u0 + h * du0)
+    psi1 = _line_angle(om * u1, d * u1 + h * du1)
+    turns = np.rint((psi0 + om - psi1) / np.pi)
+    crossed = (u0 != 0) & ((u1 == 0) | (np.sign(u0) != np.sign(u1)))
+    return np.where(osc, turns, crossed).astype(np.int64)
+
+
+def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
+    """N(lambda), the number of eigenvalues strictly below lambda (vectorized).
+
+    The Pruefer angle Theta of the line through (u', u) of the left solution
+    is continuous across the jumps, which scale u and u' alike, and
+    Theta(1) = pi Z + atan2(u, u') mod pi with Z the zeros of u on (-1, 1],
+    counted per constant piece or Magnus step. The right condition asks for
+    the line through (A, B) = (lambda b1' + b1, lambda b2' + b2), which
+    turns back by pi at the rate rho / (A^2 + B^2) as lambda grows. So
+    G = Theta(1) + atan2(rho, -(A b1' + B b2')) rises strictly from 0, and
+    N = #{k : 0 < k pi + phi_beta < G} with phi_beta = atan2(b2', b1') mod pi
+    (k = 0 is the bottom eigenvalue a nonzero b2' adds).
+    """
+    vp = as_validated(problem)
+    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    u = np.full_like(lam_arr, vp.alpha2)
+    du = np.full_like(lam_arr, -vp.alpha1)
+    zeros = np.zeros(lam_arr.shape, dtype=np.int64)
+    bp = vp.breakpoints
+    for j, piece in enumerate(vp.pieces):
+        if piece.is_constant:
+            # One exact step: the Magnus exponent of constant q.
+            qv, h = np.full((1, 2), piece.constant_value), bp[j + 1] - bp[j]
+        else:
+            qv, h, _ = propagator.magnus_ladder(piece, bp[j], bp[j + 1],
+                                                lam_arr, u, du, rtol=rtol)
+        d, _, z = propagator.magnus_exponent(qv, h, lam_arr[None, :])
+        us, dus = propagator.magnus_nodes(qv, h, lam_arr, u, du)
+        zeros += _step_zeros(z, d, h, us[:-1], dus[:-1], us[1:], dus[1:]).sum(axis=0)
+        # Only the line matters: rescale, and skip the jump division.
+        scale = np.maximum(np.abs(us[-1]), np.abs(dus[-1]))
+        if not np.all(np.isfinite(scale)):
+            raise propagator.NonFiniteState("counting produced non-finite states")
+        u, du = us[-1] / scale, dus[-1] / scale
+
+    a = lam_arr * vp.beta1p + vp.beta1
+    b = lam_arr * vp.beta2p + vp.beta2
+    g = (np.pi * zeros + _line_angle(u, du)
+         + np.arctan2(vp.rho, -(a * vp.beta1p + b * vp.beta2p)))
+    phi_beta = float(_line_angle(vp.beta2p, vp.beta1p))
+    n = np.maximum(np.ceil((g - phi_beta) / np.pi) - (phi_beta == 0.0), 0)
+    n = n.astype(np.int64)
+    return int(n[0]) if np.ndim(lam) == 0 else n
 
 
 def omega_per_interval(problem, lam: float, *, rtol: float = 1e-12) -> CharacteristicSample:
@@ -171,16 +241,17 @@ def omega_derivative(problem, lam: float, h: float | None = None, *,
     return float((4.0 * d2 - d1) / 3.0)
 
 
-def write_scan_csv(samples: list[CharacteristicSample], path) -> None:
-    """CSV scan dump: lambda, s (when lambda >= 0), omega, each omega_i,
-    and the worst chain residual."""
+def write_scan_csv(samples: list[CharacteristicSample], out) -> None:
+    """CSV scan dump to a path or a text stream: lambda, s (when
+    lambda >= 0), omega, each omega_i, and the worst chain residual."""
     if not samples:
         raise ValueError("no samples to write")
     n_intervals = len(samples[0].omega_i)
     header = ["lambda", "s_if_nonneg", "omega"]
     header += [f"omega{i + 1}" for i in range(n_intervals)]
     header += ["chain_residual_max"]
-    with open(path, "w", newline="") as fh:
+    with (contextlib.nullcontext(out) if hasattr(out, "write")
+          else open(out, "w", newline="")) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for sam in samples:

@@ -60,7 +60,6 @@ class RunConfig:
     n_max: int = 10
     ode_tol: float = 1e-12
     root_tol: float = 1e-14
-    quad_tol: float = 1e-11
     format: str = "json"
     out: str | None = None
     seed: int = 0
@@ -73,7 +72,7 @@ class RunConfig:
     dump_eigenfunctions: str | None = None
 
     def __post_init__(self):
-        for name in ("ode_tol", "root_tol", "quad_tol"):
+        for name in ("ode_tol", "root_tol"):
             if getattr(self, name) <= 0:
                 raise CliError(f"tolerance {name} must be positive")
         if self.n_max < 1:
@@ -107,7 +106,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--ode-tol", type=float, default=1e-12,
                         help="Magnus step-doubling tolerance (relative)")
         sp.add_argument("--root-tol", type=float, default=1e-14)
-        sp.add_argument("--quad-tol", type=float, default=1e-11)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--seed", type=int, default=0)
@@ -152,7 +150,6 @@ def _config_from_args(args) -> RunConfig:
         n_max=args.nmax,
         ode_tol=args.ode_tol,
         root_tol=args.root_tol,
-        quad_tol=args.quad_tol,
         format=args.format,
         out=args.out,
         seed=args.seed,
@@ -215,8 +212,8 @@ def _load(config: RunConfig):
 
 
 def _solve(vp, config: RunConfig):
-    return find_eigenvalues(vp, config.n_max, lam_floor=config.lam_floor,
-                            rtol=config.ode_tol, root_rel_tol=config.root_tol)
+    return find_eigenvalues(vp, config.n_max, rtol=config.ode_tol,
+                            root_rel_tol=config.root_tol)
 
 
 # ----------------------------------------------------------------------
@@ -409,8 +406,7 @@ def run_sweep(config: RunConfig) -> int:
         try:
             spec = _set_param(base, config.param, v)
             eigs = find_eigenvalues(spec, config.n_max, rtol=config.ode_tol,
-                                    root_rel_tol=config.root_tol,
-                                    lam_floor=config.lam_floor)
+                                    root_rel_tol=config.root_tol)
             for e in eigs:
                 rows.append({"param_value": v, "n": e.n, "lambda": e.lam,
                              "error": None})
@@ -487,21 +483,7 @@ def run_scan(config: RunConfig) -> int:
     scan = bracket_scan(vp, config.s_max, config.lam_floor, rtol=config.ode_tol)
     samples = omega_samples(vp, scan.lams, rtol=config.ode_tol)
     if config.format == "csv":
-        if config.out:
-            write_scan_csv(samples, config.out)
-        else:
-            buf = io.StringIO()
-            n_intervals = len(samples[0].omega_i)
-            writer = csv.writer(buf)
-            writer.writerow(["lambda", "s_if_nonneg", "omega"]
-                            + [f"omega{i + 1}" for i in range(n_intervals)]
-                            + ["chain_residual_max"])
-            for sam in samples:
-                s = repr(float(np.sqrt(sam.lam))) if sam.lam >= 0 else ""
-                writer.writerow([repr(sam.lam), s, repr(sam.omega)]
-                                + [repr(v) for v in sam.omega_i]
-                                + [repr(sam.chain_residual_max)])
-            sys.stdout.write(buf.getvalue())
+        write_scan_csv(samples, config.out or sys.stdout)
     else:
         report = {
             "config": config.as_dict(),

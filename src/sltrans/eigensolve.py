@@ -1,23 +1,24 @@
 """Eigenvalue enumeration and eigenvector construction.
 
 The eigenvalues are exactly the zeros of the characteristic function, they
-are real and simple, and they are bounded below. That shapes the solver:
+are real and simple, and they are bounded below; their number below any
+lambda, N(lambda), is exact (:func:`sltrans.characteristic.eigenvalue_count`).
+That shapes the solver:
 
-1. scan omega over a grid that is uniform in s = sqrt(lambda) for
-   lambda >= 0 (roots space out like pi/2 in s) and uniform in lambda on a
-   validated negative tail,
-2. collect sign-change brackets, re-examine any deep |omega| dip that lacks
-   a sign change on a 10x finer local grid,
-3. refine all brackets together by vectorized bisection (every iteration is
-   one batched omega evaluation), optionally polishing single roots with
-   Brent's method,
+1. take a floor with N(floor) = 0 and a top with N(top) >= n_max,
+2. scan omega over a grid that is uniform in s = sqrt(lambda) for
+   lambda >= 0 (roots space out like pi/2 in s) and uniform in lambda on
+   the negative tail, and refine all sign-change brackets together by
+   vectorized bisection (one batched omega evaluation per iteration),
+3. if the roots found do not number N(top), bisect on N where they disagree
+   until each part holds one eigenvalue (a close pair in one scan cell
+   shows no sign change), and refine those parts the same way,
 4. for each root build the left solution, the ratio linking it to the right
    solution, the derivative of omega, the norm-identity diagnostics, and a
    normalized eigenvector.
 
-Simplicity is enforced, not assumed: a root whose |omega'| falls under a
-small fraction of the local omega scale, or a spacing gap wide enough to
-hide a root, raises SuspectedMissedRoot rather than returning quietly.
+So the roots returned are certified to be lambda_0 ... lambda_{n-1}; when
+they cannot be, SuspectedMissedRoot carries both counts and the interval.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import asymptotics
-from .characteristic import omega, omega_derivative
+from .characteristic import eigenvalue_count, omega, omega_derivative
 from .hilbert import panels_for, r1_form, r1p_form
 from .ode import PiecewiseSolution, shoot_chi, shoot_phi
 from .problem import as_validated, classify_case
@@ -36,10 +36,6 @@ from .quadrature import fixed_quad
 
 S_SCAN_STEP = np.pi / 16.0
 NEG_SCAN_STEP = 0.5
-DIP_THRESHOLD = 1e-6
-GAP_LIMIT = 0.75 * np.pi
-OMEGA_PRIME_MARGIN = 1e-4
-DUPLICATE_REL_TOL = 1e-9
 
 
 class LostBracket(RuntimeError):
@@ -47,7 +43,12 @@ class LostBracket(RuntimeError):
 
 
 class SuspectedMissedRoot(RuntimeError):
-    """Diagnostics indicate the enumeration may have skipped an eigenvalue."""
+    """The roots found disagree with the eigenvalue count N: N puts
+    `expected` eigenvalues in `interval`, the solver has `found` there."""
+
+    def __init__(self, message: str, *, expected=None, found=None, interval=None):
+        super().__init__(message)
+        self.expected, self.found, self.interval = expected, found, interval
 
 
 class DegeneratePhi(RuntimeError):
@@ -60,14 +61,12 @@ class DegeneratePhi(RuntimeError):
 
 @dataclass
 class ScanResult:
-    """Grid samples of omega plus the brackets and dip flags found in them."""
+    """Grid samples of omega plus the brackets and exact-zero notes found in them."""
 
     lams: np.ndarray
     omegas: np.ndarray
     brackets: list
     suspicious: list
-    s_max: float
-    lam_floor: float
 
     def local_scale(self, lam: float, window: int = 16) -> float:
         """Median |omega| among the scan samples nearest lam."""
@@ -79,39 +78,36 @@ class ScanResult:
 
 
 def default_lambda_floor(problem) -> float:
-    """Heuristic lower bound for the scan; over-covers and gets validated.
-
-    The spectrum is bounded below but no closed-form bound is available, so
-    the floor combines the potential magnitude with the boundary data sizes
-    and is certified afterwards by a constant-sign check on [2*floor, floor].
-    """
+    """Seed for the scan floor and its negative grid, from the potential
+    magnitude and the boundary data sizes; find_eigenvalues doubles it until
+    validate_floor holds."""
     vp = as_validated(problem)
     bc = (abs(vp.alpha1) / max(abs(vp.alpha2), 1.0)
           + abs(vp.beta1) + abs(vp.beta2) + abs(vp.beta1p) + abs(vp.beta2p))
     return -(2.0 * vp.max_potential_bound() + bc * bc + 10.0)
 
 
-def validate_floor(problem, lam_floor: float, *, rtol: float = 1e-12,
-                   n_samples: int = 33) -> bool:
-    """True when omega keeps one sign (and never vanishes) on [2*floor, floor]."""
-    lo = 2.0 * lam_floor
-    grid = np.linspace(lo, lam_floor, n_samples)
-    vals = omega(problem, grid, rtol=rtol)
-    if np.any(vals == 0.0):
-        return False
-    return bool(np.all(vals > 0.0) or np.all(vals < 0.0))
+def validate_floor(problem, lam_floor: float, *, rtol: float = 1e-12) -> bool:
+    """True when no eigenvalue lies below lam_floor."""
+    return eigenvalue_count(problem, lam_floor, rtol=rtol) == 0
+
+
+def _scan_grid(s_max: float, lam_floor: float) -> np.ndarray:
+    n_neg = max(8, int(np.ceil(abs(lam_floor) / NEG_SCAN_STEP)))
+    neg = np.linspace(lam_floor, 0.0, n_neg, endpoint=False)
+    n_pos = int(np.ceil(s_max / S_SCAN_STEP)) + 1
+    pos = (np.arange(n_pos + 1) * S_SCAN_STEP) ** 2
+    return np.concatenate([neg, pos])
 
 
 def bracket_scan(problem, s_max: float, lam_floor: float | None = None, *,
-                 rtol: float = 1e-12, s_step: float = S_SCAN_STEP,
-                 refine_dips: bool = True) -> ScanResult:
+                 rtol: float = 1e-12) -> ScanResult:
     """Find all sign-change brackets of omega on [lam_floor, s_max^2].
 
-    The positive side is sampled uniformly in s with step s_step (default
-    pi/16, four points per asymptotic half-gap); the negative side uniformly
-    in lambda. Deep dips of |omega| without a sign change are resampled on a
-    10x finer local grid; if they still refuse to change sign they are
-    reported in `suspicious` rather than swallowed.
+    The positive side is sampled uniformly in s with step pi/16 (four
+    points per asymptotic half-gap); the negative side uniformly in lambda.
+    A grid point that hits an exact zero without a sign change around it
+    is reported in `suspicious`.
     """
     vp = as_validated(problem)
     if s_max <= 0:
@@ -121,21 +117,14 @@ def bracket_scan(problem, s_max: float, lam_floor: float | None = None, *,
     if lam_floor >= 0:
         raise ValueError("lam_floor must be negative")
 
-    n_neg = max(8, int(np.ceil(abs(lam_floor) / NEG_SCAN_STEP)))
-    neg = np.linspace(lam_floor, 0.0, n_neg, endpoint=False)
-    n_pos = int(np.ceil(s_max / s_step)) + 1
-    pos = (np.arange(n_pos + 1) * s_step) ** 2
-    lams = np.concatenate([neg, pos])
+    lams = _scan_grid(s_max, lam_floor)
     oms = np.asarray(omega(vp, lams, rtol=rtol))
 
-    brackets, suspicious = _sift(vp, lams, oms, rtol, refine_dips)
-    return ScanResult(lams=lams, omegas=oms, brackets=brackets,
-                      suspicious=suspicious, s_max=float(s_max),
-                      lam_floor=float(lam_floor))
+    return ScanResult(lams, oms, *_sift(vp, lams, oms, rtol))
 
 
-def _sift(vp, lams, oms, rtol, refine_dips):
-    """Extract sign-change brackets and unresolved dips from scan samples."""
+def _sift(vp, lams, oms, rtol):
+    """Extract sign-change brackets and exact zeros from scan samples."""
     sgn = np.sign(oms)
     brackets = []
     suspicious = []
@@ -148,40 +137,12 @@ def _sift(vp, lams, oms, rtol, refine_dips):
     for i in np.nonzero(sgn == 0)[0]:
         left = lams[i - 1] if i > 0 else lams[i] - 1e-6
         right = lams[i + 1] if i + 1 < len(lams) else lams[i] + 1e-6
-        fl = float(omega(vp, float(left), rtol=rtol))
-        fr = float(omega(vp, float(right), rtol=rtol))
+        fl, fr = omega(vp, np.array([left, right]), rtol=rtol)
         if fl * fr < 0:
             brackets.append((float(left), float(right)))
         else:
             suspicious.append({"lam": float(lams[i]), "omega": 0.0,
                                "note": "exact zero on grid, no sign change around"})
-
-    if refine_dips:
-        med = float(np.median(np.abs(oms[oms != 0]))) if np.any(oms != 0) else 0.0
-        for i in range(1, len(lams) - 1):
-            if sgn[i] == 0:
-                continue
-            a_mag, b_mag, c_mag = np.abs(oms[i - 1: i + 2])
-            local = max(np.median(np.abs(oms[max(0, i - 8): i + 9])), 1e-12 * med)
-            is_dip = (b_mag <= a_mag and b_mag <= c_mag
-                      and b_mag < DIP_THRESHOLD * local
-                      and sgn[i - 1] * sgn[i] > 0 and sgn[i] * sgn[i + 1] > 0)
-            if not is_dip:
-                continue
-            fine = np.linspace(lams[i - 1], lams[i + 1], 21)
-            fv = np.asarray(omega(vp, fine, rtol=rtol))
-            fs = np.sign(fv)
-            hits = np.nonzero(fs[:-1] * fs[1:] < 0)[0]
-            if hits.size:
-                for k in hits:
-                    brackets.append((float(fine[k]), float(fine[k + 1])))
-            else:
-                suspicious.append({
-                    "lam": float(lams[i]),
-                    "omega": float(oms[i]),
-                    "local_scale": local,
-                    "note": "deep dip without sign change after 10x refinement",
-                })
     brackets.sort(key=lambda br: 0.5 * (br[0] + br[1]))
     return brackets, suspicious
 
@@ -190,33 +151,13 @@ def _sift(vp, lams, oms, rtol, refine_dips):
 # Refinement
 # ----------------------------------------------------------------------
 
-def refine_root(problem, bracket, *, rel_tol: float = 1e-12,
-                rtol: float = 1e-12) -> float:
-    """Polish one sign-change bracket to a root of omega.
-
-    Brent's method, terminating at |b - a| <= rel_tol * max(1, |root|).
-    Raises LostBracket if the endpoints no longer straddle a sign change
-    (integrator noise near a tangential dip can do that).
-    """
-    vp = as_validated(problem)
-    la, lb = float(bracket[0]), float(bracket[1])
-    fa = float(omega(vp, la, rtol=rtol))
-    fb = float(omega(vp, lb, rtol=rtol))
-    if fa == 0.0:
-        return la
-    if fb == 0.0:
-        return lb
-    if fa * fb > 0:
-        raise LostBracket(f"omega has the same sign at both ends of [{la}, {lb}]")
-    root = brentq(lambda l: float(omega(vp, float(l), rtol=rtol)), la, lb,
-                  xtol=rel_tol, rtol=max(rel_tol, 4 * np.finfo(float).eps),
-                  maxiter=200)
-    return float(root)
-
-
 def _refine_batch(vp, brackets, *, rel_tol: float = 1e-12,
                   rtol: float = 1e-12, max_iter: int = 90) -> np.ndarray:
-    """Bisection on all brackets at once; one batched omega call per step."""
+    """Bisection on all brackets at once; one batched omega call per step.
+
+    Raises LostBracket if a bracket's endpoints no longer straddle a sign
+    change (integrator noise near a tangential dip can do that).
+    """
     if not brackets:
         return np.empty(0)
     la = np.array([b[0] for b in brackets], dtype=float)
@@ -242,6 +183,33 @@ def _refine_batch(vp, brackets, *, rel_tol: float = 1e-12,
         if np.all(lb - la <= rel_tol * np.maximum(1.0, np.abs(mid))):
             break
     return 0.5 * (la + lb)
+
+
+def _isolate(vp, lo, hi, roots, expected, rtol):
+    """Halve the parts of [lo, hi] where the roots found disagree with N,
+    one batched N call per level, until each holds at most one eigenvalue.
+
+    Returns the final parts, whose roots found are void, and as brackets
+    those holding one eigenvalue: omega changes sign across a simple root.
+    """
+    parts = [(lo, hi, 0, expected)]
+    void, brackets = [], []
+    for _ in range(100):
+        parts = [p for p in parts if p[3] - p[2] != int(
+            np.searchsorted(roots, p[1]) - np.searchsorted(roots, p[0]))]
+        void += [(a, b) for a, b, na, nb in parts if nb - na <= 1]
+        brackets += [(a, b) for a, b, na, nb in parts if nb - na == 1]
+        parts = [p for p in parts if p[3] - p[2] > 1]
+        if not parts:
+            return void, brackets
+        mids = np.array([0.5 * (a + b) for a, b, _, _ in parts])
+        n_mid = eigenvalue_count(vp, mids, rtol=rtol).tolist()
+        parts = [q for (a, b, na, nb), m, nm in zip(parts, mids, n_mid)
+                 for q in ((a, m, na, nm), (m, b, nm, nb))]
+    a, b, na, nb = parts[0]
+    raise SuspectedMissedRoot(
+        f"{nb - na} eigenvalues in [{a}, {b}] do not separate by bisection",
+        expected=nb - na, found=0, interval=(float(a), float(b)))
 
 
 # ----------------------------------------------------------------------
@@ -444,18 +412,13 @@ def build_eigenpair(problem, lam: float, *, n: int = -1,
 # Top-level enumeration
 # ----------------------------------------------------------------------
 
-def find_eigenvalues(problem, n_max: int, *, lam_floor: float | None = None,
-                     rtol: float = 1e-12, root_rel_tol: float = 1e-14,
-                     s_step: float = S_SCAN_STEP,
-                     enforce_margin: bool = True) -> list[Eigenpair]:
+def find_eigenvalues(problem, n_max: int, *, rtol: float = 1e-12,
+                     root_rel_tol: float = 1e-14) -> list[Eigenpair]:
     """First n_max eigenvalues in ascending order, fully diagnosed.
 
-    The scan range is seeded from the asymptotic spacing and grows until at
-    least n_max roots are in hand. Missed-root tripwires: an s-gap between
-    consecutive roots beyond 1.5x the asymptotic pi/2 spacing, and an
-    |omega'| below a small fraction of the local omega scale (a zero of
-    omega is simple, so omega' staying well away from zero is a guarantee
-    the refinement hit an actual crossing).
+    The floor doubles from its formula seed until no eigenvalue lies below
+    it (or the count overflows: NonFiniteState); the scan range starts from
+    the asymptotic spacing and grows by 4 pi in s until N(top) >= n_max.
 
     root_rel_tol defaults well below the documented 1e-12 contract because
     the boundary-condition residuals of the eigenfunctions inherit the root
@@ -465,69 +428,29 @@ def find_eigenvalues(problem, n_max: int, *, lam_floor: float | None = None,
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
 
-    floor = default_lambda_floor(vp) if lam_floor is None else float(lam_floor)
-    for _ in range(4):
-        if validate_floor(vp, floor, rtol=rtol):
-            break
+    floor = default_lambda_floor(vp)
+    while not validate_floor(vp, floor, rtol=rtol):
         floor *= 2.0
-    else:
-        raise SuspectedMissedRoot(
-            f"omega does not keep one sign on [{2 * floor}, {floor}]; "
-            "cannot certify the scan floor")
-
-    case = classify_case(vp)
-    s_max = asymptotics._base_angle(case, n_max + 2) / 2.0 + 1.0
-
-    roots = None
-    scan = None
-    for _ in range(7):
-        scan = bracket_scan(vp, s_max, floor, rtol=rtol, s_step=s_step)
-        roots = _refine_batch(vp, scan.brackets, rel_tol=root_rel_tol, rtol=rtol)
-        roots = np.sort(roots)
-        roots = _dedupe(roots)
-        if len(roots) >= n_max:
-            break
+    s_max = asymptotics._base_angle(classify_case(vp), n_max + 2) / 2.0 + 1.0
+    top = _scan_grid(s_max, floor)[-1]
+    while (expected := eigenvalue_count(vp, top, rtol=rtol)) < n_max:
         s_max += 4.0 * np.pi
-    if roots is None or len(roots) < n_max:
-        raise SuspectedMissedRoot(
-            f"found only {0 if roots is None else len(roots)} roots up to "
-            f"s_max={s_max:.2f} while {n_max} were requested")
+        top = _scan_grid(s_max, floor)[-1]
 
-    _gap_check(roots)
-
-    pairs = []
-    for i, lam in enumerate(roots[:n_max]):
-        eig = build_eigenpair(vp, lam, n=i, scan=scan, rtol=rtol)
-        if enforce_margin and eig.margin < OMEGA_PRIME_MARGIN:
+    scan = bracket_scan(vp, s_max, floor, rtol=rtol)
+    roots = np.sort(_refine_batch(vp, scan.brackets, rel_tol=root_rel_tol,
+                                  rtol=rtol))
+    if len(roots) != expected:
+        void, brackets = _isolate(vp, floor, top, roots, expected, rtol)
+        keep = [lam for lam in roots if not any(a <= lam < b for a, b in void)]
+        extra = _refine_batch(vp, brackets, rel_tol=root_rel_tol, rtol=rtol)
+        roots = np.sort(np.concatenate([keep, extra]))
+        if len(roots) != expected:
             raise SuspectedMissedRoot(
-                f"|omega'({lam:.6g})| = {abs(eig.omega_prime):.3e} is below "
-                f"{OMEGA_PRIME_MARGIN} of the local omega scale "
-                f"{eig.omega_scale:.3e}; the root may be spurious or a "
-                "near-double")
-        pairs.append(eig)
-    return pairs
+                f"{len(roots)} roots found on [{floor}, {top}] where the "
+                f"eigenvalue count is {expected}",
+                expected=expected, found=len(roots),
+                interval=(floor, float(top)))
 
-
-def _dedupe(roots: np.ndarray) -> np.ndarray:
-    if len(roots) < 2:
-        return roots
-    keep = [roots[0]]
-    for lam in roots[1:]:
-        if lam - keep[-1] > DUPLICATE_REL_TOL * max(1.0, abs(lam)):
-            keep.append(lam)
-    return np.asarray(keep)
-
-
-def _gap_check(roots: np.ndarray) -> None:
-    """Alarm on an s-spacing wide enough to hide a missed root."""
-    pos = roots[roots >= 1.0]
-    if len(pos) < 2:
-        return
-    s = np.sqrt(pos)
-    gaps = np.diff(s)
-    worst = int(np.argmax(gaps))
-    if gaps[worst] > GAP_LIMIT:
-        raise SuspectedMissedRoot(
-            f"gap of {gaps[worst]:.3f} in s between {s[worst]:.6f} and "
-            f"{s[worst + 1]:.6f} exceeds {GAP_LIMIT:.3f}; a root may have "
-            "been missed in that window")
+    return [build_eigenpair(vp, lam, n=i, scan=scan, rtol=rtol)
+            for i, lam in enumerate(roots[:n_max])]

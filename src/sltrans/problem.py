@@ -65,14 +65,6 @@ class AsymptoticCase(Enum):
     CASE3 = (False, True)   # beta_2' == 0, alpha_2 != 0
     CASE4 = (False, False)  # beta_2' == 0, alpha_2 == 0
 
-    @property
-    def beta2p_nonzero(self) -> bool:
-        return self.value[0]
-
-    @property
-    def alpha2_nonzero(self) -> bool:
-        return self.value[1]
-
 
 # ----------------------------------------------------------------------
 # Potential representation

@@ -97,6 +97,17 @@ def constant_step(w, t, u, du):
     return u_new, du_new
 
 
+def magnus_exponent(qvals, h, lam_f):
+    """(d, wbar, z) of the step exponents Omega = [[d, h], [h * wbar, -d]],
+    Omega^2 = z I, shaped as in :func:`magnus_steps`."""
+    q1 = qvals[:, 0][:, None]
+    q2 = qvals[:, 1][:, None]
+    wbar = 0.5 * (q1 + q2) - lam_f
+    d = (-(_SQRT3 * h * h / 12.0)) * (q2 - q1)
+    z = d * d + (h * h) * wbar
+    return d, wbar, z
+
+
 def magnus_steps(qvals, h, lam_f):
     """Entries (e11, e12, e21, e22) of fourth-order Magnus step matrices.
 
@@ -104,11 +115,7 @@ def magnus_steps(qvals, h, lam_f):
     each step. h is the signed step, a scalar or an (n_steps, 1) column.
     lam_f is a (1, n_lam) row; every entry comes out (n_steps, n_lam).
     """
-    q1 = qvals[:, 0][:, None]
-    q2 = qvals[:, 1][:, None]
-    wbar = 0.5 * (q1 + q2) - lam_f
-    d = (-(_SQRT3 * h * h / 12.0)) * (q2 - q1)
-    z = d * d + (h * h) * wbar
+    d, wbar, z = magnus_exponent(qvals, h, lam_f)
     C, S = cos_sinc(z)
     e11 = C + S * d
     e22 = C - S * d
@@ -156,6 +163,29 @@ def _magnus_pass(qvals, h, lam, u, du):
     u_new = e11[0] * u0 + e12[0] * du0
     du_new = e21[0] * u0 + e22[0] * du0
     return u_new.reshape(target), du_new.reshape(target)
+
+
+def magnus_nodes(qvals, h, lam, u, du):
+    """(u, du) at every Magnus node, each (n_steps + 1, n_lam), up to a
+    positive factor per entry; lam, u and du are 1-D of length n_lam.
+
+    The prefix products of the step matrices take log2(n_steps) doubling
+    passes, each rescaled to unit max-norm, which keeps the direction.
+    """
+    e = list(magnus_steps(qvals, h, np.reshape(lam, (1, -1))))
+    span = 1
+    while span < e[0].shape[0]:
+        a11, a12, a21, a22 = (x[span:] for x in e)
+        b11, b12, b21, b22 = (x[:-span] for x in e)
+        c = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+        scale = np.max(np.abs(np.stack(c)), axis=0)
+        e = [np.concatenate([x[:span], y / scale]) for x, y in zip(e, c)]
+        span *= 2
+    e11, e12, e21, e22 = e
+    u_nodes = np.concatenate([u[None, :], e11 * u + e12 * du])
+    du_nodes = np.concatenate([du[None, :], e21 * u + e22 * du])
+    return u_nodes, du_nodes
 
 
 def _piece_node_q(piece, x0: float, x1: float, n_steps: int):

@@ -237,6 +237,15 @@ class TestScan:
         header = out.splitlines()[0]
         assert header == "lambda,s_if_nonneg,omega,omega1,omega2,chain_residual_max"
 
+    def test_csv_stdout_matches_out_file(self, problem_file, tmp_path, capsys):
+        argv = ["scan", "--problem", problem_file, "--smax", "3.0",
+                "--format", "csv"]
+        path = tmp_path / "scan.csv"
+        _, out, _ = run_cli(argv, capsys)
+        code, _, _ = run_cli(argv + ["--out", str(path)], capsys)
+        assert code == 0
+        assert out.encode() == path.read_bytes()
+
 
 class TestFailureModes:
     def test_missing_problem_file(self, tmp_path, capsys):

@@ -2,22 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 import sltrans as st
+from sltrans import eigensolve
+from sltrans.characteristic import eigenvalue_count
 from sltrans.eigensolve import (
-    GAP_LIMIT,
     Eigenpair,
     LostBracket,
     SuspectedMissedRoot,
-    _dedupe,
-    _gap_check,
+    _refine_batch,
     bracket_scan,
     build_eigenpair,
     default_lambda_floor,
     find_eigenvalues,
     k_ratio,
     norm_identity_residual,
-    refine_root,
     validate_floor,
     weighted_square_integral,
 )
@@ -49,16 +50,16 @@ class TestScan:
 
 
 class TestRefine:
-    def test_first_root_matches_frozen_value(self, canonical):
-        scan = bracket_scan(canonical, s_max=2.0)
-        lam = refine_root(canonical, scan.brackets[0])
+    def test_first_root_matches_frozen_value(self, canonical_vp):
+        scan = bracket_scan(canonical_vp, s_max=2.0)
+        lam = _refine_batch(canonical_vp, scan.brackets[:1])[0]
         assert np.sqrt(lam) == pytest.approx(oracles.FROZEN_CANONICAL_S[0],
                                              rel=1e-11)
 
-    def test_lost_bracket_raises(self, canonical):
+    def test_lost_bracket_raises(self, canonical_vp):
         # omega keeps one sign on [1, 2] (the roots sit at 0.29 and 3.32)
         with pytest.raises(LostBracket):
-            refine_root(canonical, (1.0, 2.0))
+            _refine_batch(canonical_vp, [(1.0, 2.0)])
 
 
 class TestFloor:
@@ -173,16 +174,110 @@ class TestNormIdentity:
         assert spread_off > 1e-2
 
 
-class TestGuards:
-    def test_dedupe_collapses_near_duplicates(self):
-        roots = np.array([1.0, 1.0 + 1e-13, 2.0, 2.0 + 1e-7])
-        kept = _dedupe(roots)
-        assert len(kept) == 3
+class TestCertifiedEnumeration:
+    """The roots returned are the eigenvalues N counts, no more, no fewer.
 
-    def test_gap_check_raises_on_wide_spacing(self):
-        s = np.array([2.0, 2.0 + GAP_LIMIT + 0.1])
-        with pytest.raises(SuspectedMissedRoot):
-            _gap_check(s ** 2)
+    The two specs come from the const-deep benchmark generator; a scan for
+    sign changes of omega alone misses a root of each.
+    """
 
-    def test_gap_check_passes_normal_spacing(self, canonical_eigs):
-        _gap_check(np.array([e.lam for e in canonical_eigs]))
+    # Two interfaces, delta_1 < 0: the pair near 0.97 and 1.27 sits inside
+    # one scan cell, so omega shows no sign change across it.
+    CLOSE_PAIR = st.ProblemSpec(
+        potential=st.PiecewisePotential.constant(3.3682751856248814),
+        interfaces=(-0.23578550259791753, 0.4882647923865584),
+        jumps=(-0.34485942868196295, 0.8347968591663023),
+        alpha=(1.728602205337772, 1.1416270088607192),
+        beta=(-1.120375328405605, 0.744510714291704),
+        beta_prime=(1.9964859660241145, 0.0),
+    )
+    # Four interfaces, delta_4 < 0, beta_2' != 0: lambda_0 near -59.6 lies
+    # below the formula floor (-27.2) and below twice it.
+    DEEP_BOTTOM = st.ProblemSpec(
+        potential=st.PiecewisePotential.constant(-0.37086626394295497),
+        interfaces=(-0.5439048936629605, -0.20481949038095948,
+                    -0.026056255573823628, 0.34341696287161527),
+        jumps=(1.8215413439156607, 0.3916449569910779, 2.5057458172293163,
+               -0.6671234099106913),
+        alpha=(-0.04815961165571192, -0.5535600300464911),
+        beta=(-1.742074295253988, 0.6016426167691971),
+        beta_prime=(1.4661071214567216, 0.20438645224787005),
+    )
+
+    @staticmethod
+    def oracle(spec, count):
+        return np.array(oracles.constant_q_eigenvalues(
+            count, spec.potential.pieces[0].value, spec.interfaces,
+            spec.jumps, spec.alpha, spec.beta, spec.beta_prime,
+            lam_min=-400.0))
+
+    @pytest.mark.parametrize("name", ["CLOSE_PAIR", "DEEP_BOTTOM"])
+    def test_regression_specs_match_oracle(self, name):
+        spec = getattr(self, name)
+        want = self.oracle(spec, 200)
+        got = np.array([e.lam for e in find_eigenvalues(spec, 200)])
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
+
+    @pytest.mark.parametrize("problem_name, eigs_name", [
+        ("canonical", "canonical_eigs"), ("case1_linear", "case1_eigs"),
+        ("case3_linear", "case3_eigs"), ("two_interface", "two_interface_eigs")])
+    def test_count_steps_at_every_root(self, problem_name, eigs_name, request):
+        problem = request.getfixturevalue(problem_name)
+        eigs = request.getfixturevalue(eigs_name)
+        lams = np.array([e.lam for e in eigs])
+        eps = 1e-8 * np.maximum(1.0, np.abs(lams))
+        n = np.arange(len(lams))
+        assert np.array_equal(eigenvalue_count(problem, lams - eps), n)
+        assert np.array_equal(eigenvalue_count(problem, lams + eps), n + 1)
+
+    def test_shortfall_raises_with_evidence(self, canonical, monkeypatch):
+        refine = eigensolve._refine_batch
+        # Lose the lowest root of every refinement batch.
+        monkeypatch.setattr(eigensolve, "_refine_batch",
+                            lambda *a, **k: refine(*a, **k)[1:])
+        with pytest.raises(SuspectedMissedRoot) as info:
+            find_eigenvalues(canonical, 3)
+        err = info.value
+        assert err.found == err.expected - 1
+        assert err.interval[0] < 0.29 < err.interval[1]
+
+
+def _signed(lo, hi):
+    return hst.tuples(hst.sampled_from((-1.0, 1.0)),
+                      hst.floats(lo, hi)).map(lambda p: p[0] * p[1])
+
+
+@hst.composite
+def constant_q_specs(draw):
+    """The const-deep ranges: 1-4 interfaces, delta in +-[0.3, 3], all four
+    asymptotic cases, rho >= 0.2."""
+    b2p_nonzero = draw(hst.booleans())
+    if draw(hst.booleans()):
+        alpha = (draw(hst.floats(-2.0, 2.0)), draw(_signed(0.5, 2.0)))
+    else:
+        alpha = (draw(_signed(0.5, 2.0)), 0.0)
+    b1p = draw(hst.floats(0.2, 2.0))
+    b2p = draw(_signed(0.2, 1.0)) if b2p_nonzero else 0.0
+    b1, b2 = draw(hst.floats(-2.0, 2.0)), draw(hst.floats(-2.0, 2.0))
+    rho = b1p * b2 - b1 * b2p
+    assume(abs(rho) >= 0.2)
+    beta = (b1, b2) if rho > 0 else (-b1, -b2)
+    # Interfaces in [-0.8, 0.8], at least 0.1 apart.
+    m = draw(hst.integers(1, 4))
+    free = sorted(draw(hst.lists(hst.floats(0.0, 1.7 - 0.1 * m),
+                                 min_size=m, max_size=m)))
+    hs = tuple(-0.8 + f + 0.1 * k for k, f in enumerate(free))
+    jumps = tuple(draw(_signed(0.3, 3.0)) for _ in range(m))
+    c = draw(hst.floats(-5.0, 5.0))
+    return st.ProblemSpec(st.PiecewisePotential.constant(c), hs, jumps,
+                          alpha, beta, (b1p, b2p))
+
+
+@settings(max_examples=20)
+@given(constant_q_specs())
+def test_count_and_enumeration_match_oracle(spec):
+    want = TestCertifiedEnumeration.oracle(spec, 21)
+    mids = np.concatenate([[want[0] - 1.0], 0.5 * (want[1:] + want[:-1])])
+    assert np.array_equal(eigenvalue_count(spec, mids), np.arange(21))
+    got = np.array([e.lam for e in find_eigenvalues(spec, 20)])
+    assert np.max(np.abs(got - want[:20]) / np.maximum(1.0, np.abs(want[:20]))) <= 1e-10
