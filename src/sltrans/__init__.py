@@ -28,7 +28,7 @@ from .problem import (AsymptoticCase, DegenerateLeftBC, OutOfDomain,
                       PiecewisePotential, PotentialPiece, ProblemError,
                       ProblemSpec, RhoNotPositive, UnorderedInterfaces,
                       ValidatedProblem, ZeroJumpFactor, as_validated,
-                      classify_case, evaluate_potential, load_problem,
+                      classify_case, load_problem,
                       potential_moments, problem_from_json, problem_to_json,
                       save_problem, validate_problem)
 from .propagator import NonFiniteState, StepSizeUnderflow
@@ -47,7 +47,7 @@ __all__ = [
     "ValidatedProblem", "ZeroJumpFactor", "as_validated", "asymptotics_report",
     "bracket_scan", "build_eigenpair", "classify_case", "default_lambda_floor",
     "eigenfunction_estimate", "eigenvalue_count", "eigenvalue_estimate",
-    "evaluate_potential", "expand", "find_eigenvalues", "gram_matrix",
+    "expand", "find_eigenvalues", "gram_matrix",
     "greens_identity_residual", "h_inner_product", "integrate_segment",
     "k_ratio", "leading_omega", "load_problem", "nearest_index",
     "norm_identity_residual", "omega", "omega_derivative", "omega_per_interval",

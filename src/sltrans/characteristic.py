@@ -121,25 +121,26 @@ def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
     """
     vp = as_validated(problem)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    u = np.full_like(lam_arr, vp.alpha2)
-    du = np.full_like(lam_arr, -vp.alpha1)
-    zeros = np.zeros(lam_arr.shape, dtype=np.int64)
-    bp = vp.breakpoints
-    for j, piece in enumerate(vp.pieces):
+
+    def cross(piece, x0, x1, u, du):
         if piece.is_constant:
             # One exact step: the Magnus exponent of constant q.
-            qv, h = np.full((1, 2), piece.constant_value), bp[j + 1] - bp[j]
+            qv, h = np.full((1, 2), piece.constant_value), x1 - x0
         else:
-            qv, h, _ = propagator.magnus_ladder(piece, bp[j], bp[j + 1],
-                                                lam_arr, u, du, rtol=rtol)
+            qv, h, _ = propagator.magnus_ladder(piece, x0, x1, lam_arr, u, du,
+                                                rtol=rtol)
         d, _, z = propagator.magnus_exponent(qv, h, lam_arr[None, :])
         us, dus = propagator.magnus_nodes(qv, h, lam_arr, u, du)
-        zeros += _step_zeros(z, d, h, us[:-1], dus[:-1], us[1:], dus[1:]).sum(axis=0)
-        # Only the line matters: rescale, and skip the jump division.
+        zeros = _step_zeros(z, d, h, us[:-1], dus[:-1], us[1:], dus[1:]).sum(axis=0)
+        # Only the line matters: rescale to unit max-norm.
         scale = np.maximum(np.abs(us[-1]), np.abs(dus[-1]))
         if not np.all(np.isfinite(scale)):
             raise propagator.NonFiniteState("counting produced non-finite states")
-        u, du = us[-1] / scale, dus[-1] / scale
+        return zeros, us[-1] / scale, dus[-1] / scale
+
+    piece_zeros, _, right = propagator.chain(vp, lam_arr, cross)
+    zeros = sum(piece_zeros)
+    u, du = right[-1]
 
     a = lam_arr * vp.beta1p + vp.beta1
     b = lam_arr * vp.beta2p + vp.beta2
@@ -166,19 +167,17 @@ def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicS
     """Batched omega_per_interval over an array of lambda."""
     vp = as_validated(problem)
     lam_arr = np.atleast_1d(np.asarray(lams, dtype=float))
-    phi = propagator.phi_chain(vp, lam_arr, rtol=rtol)
-    chi = propagator.chi_chain(vp, lam_arr, rtol=rtol)
+    phi_left = propagator.endpoint_chain(vp, lam_arr, rtol=rtol)[0]
+    chi_right = propagator.endpoint_chain(vp, lam_arr, backward=True, rtol=rtol)[1]
     omega_fast = omega(vp, lam_arr, rtol=rtol)
 
     mids = [0.5 * (a + b) for a, b in vp.subintervals()]
     omega_cols = []
     for j, xm in enumerate(mids):
         pu, pdu = propagator.propagate_piece(
-            vp.pieces[j], vp.breakpoints[j], xm, lam_arr,
-            phi.left[j], phi.dleft[j], rtol=rtol)
+            vp.pieces[j], vp.breakpoints[j], xm, lam_arr, *phi_left[j], rtol=rtol)
         cu, cdu = propagator.propagate_piece(
-            vp.pieces[j], vp.breakpoints[j + 1], xm, lam_arr,
-            chi.right[j], chi.dright[j], rtol=rtol)
+            vp.pieces[j], vp.breakpoints[j + 1], xm, lam_arr, *chi_right[j], rtol=rtol)
         omega_cols.append(pu * cdu - pdu * cu)
 
     out = []
@@ -203,42 +202,15 @@ def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicS
     return out
 
 
-def omega_derivative(problem, lam: float, h: float | None = None, *,
-                     richardson: bool = True, rtol: float = 1e-12,
-                     method: str = "central") -> float:
-    """d omega / d lambda.
+def omega_derivative(problem, lam: float, *, rtol: float = 1e-12) -> float:
+    """d omega / d lambda by a complex step.
 
-    method='central' (default) uses central differences with step
-    h = max(1e-6, 1e-8 |lambda|) unless overridden; with richardson=True
-    the h and h/2 differences are extrapolated, killing the O(h^2) term.
-    method='complex' evaluates omega at lambda + i*h_c with a tiny h_c and
-    takes Im(omega)/h_c, which has no subtractive cancellation; omega is
-    entire in lambda, so this is exact to roundoff. Near a root, where the
-    central difference loses digits to the integrator noise floor, the
-    complex step is the right choice.
+    omega is entire in lambda, so Im(omega(lambda + i h)) / h with a tiny h
+    has no subtractive cancellation and is exact to roundoff, also near a
+    root, where a difference quotient loses digits to the integrator noise.
     """
-    vp = as_validated(problem)
-    lam = float(lam)
-    if method == "complex":
-        hc = 1e-150
-        val = omega(vp, complex(lam, hc), rtol=rtol)
-        return float(val.imag / hc)
-    if method != "central":
-        raise ValueError(f"unknown derivative method {method!r}")
-    if h is None:
-        h = max(1e-6, 1e-8 * abs(lam))
-    if h <= 0:
-        raise ValueError("step h must be positive")
-
-    def central(step):
-        vals = omega(vp, np.array([lam + step, lam - step]), rtol=rtol)
-        return (vals[0] - vals[1]) / (2.0 * step)
-
-    d1 = central(h)
-    if not richardson:
-        return float(d1)
-    d2 = central(h / 2.0)
-    return float((4.0 * d2 - d1) / 3.0)
+    hc = 1e-150
+    return float(omega(problem, complex(float(lam), hc), rtol=rtol).imag / hc)
 
 
 def write_scan_csv(samples: list[CharacteristicSample], out) -> None:

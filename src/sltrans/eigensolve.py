@@ -304,7 +304,7 @@ def _norm_terms(vp, lam: float, rtol: float):
     phi = shoot_phi(vp, lam, rtol=rtol)
     chi = shoot_chi(vp, lam, rtol=rtol)
     k, spread = k_ratio(vp, lam, phi=phi, chi=chi)
-    omp = _omega_prime(vp, lam, rtol)
+    omp = omega_derivative(vp, lam, rtol=rtol)
     u1, du1 = phi.boundary_state("right")
     r1p_phi = r1p_form(vp, u1, du1)
     lhs = weighted_square_integral(vp, phi)
@@ -343,13 +343,6 @@ def norm_identity_residual(problem, eig_or_lam, *, rtol: float = 1e-12) -> dict:
     vp = as_validated(problem)
     lam = float(getattr(eig_or_lam, "lam", eig_or_lam))
     return _norm_terms(vp, lam, rtol)[1]
-
-
-def _omega_prime(vp, lam: float, rtol: float) -> float:
-    try:
-        return omega_derivative(vp, lam, rtol=rtol, method="complex")
-    except Exception:
-        return omega_derivative(vp, lam, rtol=rtol)
 
 
 def build_eigenpair(problem, lam: float, *, n: int = -1,

@@ -5,8 +5,9 @@ at x = -1 from the left boundary condition) and the right solution (started
 at x = 1 from the lambda-dependent right boundary data). Both carry the
 interface jumps so that u(h-0) = delta * u(h+0) and likewise for u'.
 
-Both run on the propagation kernel of :mod:`sltrans.propagator`, so dense
-trajectories and the characteristic function share one integrator.
+Both run on :func:`sltrans.propagator.chain`, which holds the start states
+and the jump rule, and on its propagation kernel, so dense trajectories and
+the characteristic function share one chain and one integrator.
 Constant-q pieces get the exact closed-form transfer. Variable-q pieces take
 the step count the fourth-order Magnus ladder settles on (rtol 1e-12 by
 default), store the state at every step node as the running product of the
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .problem import OutOfDomain, ValidatedProblem, as_validated
-from .propagator import (_GAUSS_OFFSETS, NonFiniteState, constant_step,
+from .propagator import (_GAUSS_OFFSETS, NonFiniteState, chain, constant_step,
                          magnus_ladder, magnus_steps)
 from .quadrature import _gauss_rule
 
@@ -169,7 +170,6 @@ class PiecewiseSolution:
 
     problem: ValidatedProblem
     lam: float
-    direction: str
     segments: list
     left_states: list
     right_states: list
@@ -211,17 +211,10 @@ class PiecewiseSolution:
     def du(self, x, side: str | None = None):
         return self.eval(x, side)[1]
 
-    def state_at_left_end(self, j: int) -> StateVector:
-        return StateVector(*(self.scale * np.asarray(self.left_states[j])))
-
-    def state_at_right_end(self, j: int) -> StateVector:
-        return StateVector(*(self.scale * np.asarray(self.right_states[j])))
-
     def boundary_state(self, which: str) -> StateVector:
         """State at x=-1 ('left') or x=+1 ('right')."""
-        if which == "left":
-            return self.state_at_left_end(0)
-        return self.state_at_right_end(self.problem.m)
+        state = self.left_states[0] if which == "left" else self.right_states[-1]
+        return StateVector(*(self.scale * np.asarray(state)))
 
     def transmission_residual(self) -> float:
         """Max relative violation of u(h-0) = delta u(h+0) (and u')."""
@@ -270,28 +263,25 @@ class PiecewiseSolution:
                     writer.writerow([repr(float(xi)), repr(float(ui)), repr(float(dui))])
 
 
+def _shoot(problem, lam, rtol, backward):
+    vp = as_validated(problem)
+    lam = float(lam)
+
+    def cross(piece, x0, x1, u, du):
+        seg = _integrate_dense(piece, x0, x1, lam, (u, du), rtol)
+        u1, du1 = seg.eval(x1)
+        return seg, float(u1), float(du1)
+
+    return PiecewiseSolution(vp, lam, *chain(vp, lam, cross, backward=backward))
+
+
 def shoot_phi(problem, lam: float, *, rtol: float = 1e-12) -> PiecewiseSolution:
     """Left solution: starts at x=-1 with (alpha_2, -alpha_1).
 
     Crossing interface i divides the state by delta_i, which enforces the
-    transmission conditions exactly.
+    transmission conditions; see :func:`sltrans.propagator.chain`.
     """
-    vp = as_validated(problem)
-    lam = float(lam)
-    bp = vp.breakpoints
-    u, du = vp.alpha2, -vp.alpha1
-    segments, left_states, right_states = [], [], []
-    for j, piece in enumerate(vp.pieces):
-        left_states.append((u, du))
-        seg = _integrate_dense(piece, bp[j], bp[j + 1], lam, (u, du), rtol)
-        segments.append(seg)
-        ub, dub = seg.eval(bp[j + 1])
-        u, du = float(ub), float(dub)
-        right_states.append((u, du))
-        if j < vp.m:
-            u /= vp.jumps[j]
-            du /= vp.jumps[j]
-    return PiecewiseSolution(vp, lam, "left-to-right", segments, left_states, right_states)
+    return _shoot(problem, lam, rtol, backward=False)
 
 
 def shoot_chi(problem, lam: float, *, rtol: float = 1e-12) -> PiecewiseSolution:
@@ -301,26 +291,7 @@ def shoot_chi(problem, lam: float, *, rtol: float = 1e-12) -> PiecewiseSolution:
     delta_i. By construction it satisfies the lambda-dependent right
     boundary condition for every lambda.
     """
-    vp = as_validated(problem)
-    lam = float(lam)
-    bp = vp.breakpoints
-    n_pieces = vp.m + 1
-    u = vp.beta2p * lam + vp.beta2
-    du = vp.beta1p * lam + vp.beta1
-    segments = [None] * n_pieces
-    left_states = [None] * n_pieces
-    right_states = [None] * n_pieces
-    for j in range(n_pieces - 1, -1, -1):
-        right_states[j] = (u, du)
-        seg = _integrate_dense(vp.pieces[j], bp[j + 1], bp[j], lam, (u, du), rtol)
-        segments[j] = seg
-        ua, dua = seg.eval(bp[j])
-        u, du = float(ua), float(dua)
-        left_states[j] = (u, du)
-        if j > 0:
-            u *= vp.jumps[j - 1]
-            du *= vp.jumps[j - 1]
-    return PiecewiseSolution(vp, lam, "right-to-left", segments, left_states, right_states)
+    return _shoot(problem, lam, rtol, backward=True)
 
 
 # ----------------------------------------------------------------------
@@ -507,6 +478,6 @@ def picard_phi(problem, lam: float, iterations: int = 30, *,
         raise NonConvergence(
             f"picard update still {worst_update:.3e} after {iterations} iterations"
         )
-    sol = PiecewiseSolution(vp, lam, "left-to-right", segments, left_states, right_states)
+    sol = PiecewiseSolution(vp, lam, segments, left_states, right_states)
     sol.picard_updates = update_history
     return sol

@@ -392,21 +392,6 @@ def classify_case(problem, zero_tol: float = 0.0) -> AsymptoticCase:
     return AsymptoticCase((b2p_nonzero, a2_nonzero))
 
 
-def evaluate_potential(problem, x, side: str = "interior"):
-    """Evaluate q(x); at an interface return the requested one-sided limit."""
-    vp = as_validated(problem)
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if np.any(xs < -1.0) or np.any(xs > 1.0):
-        raise OutOfDomain("potential evaluation outside [-1, 1]")
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        j = vp.subinterval_index(float(xi), side=side)
-        out[i] = vp.pieces[j].evaluate(xi)
-    return float(out[0]) if scalar else out
-
-
 def potential_moments(problem) -> dict:
     """Integral of q over [-1, 1] with an error estimate.
 

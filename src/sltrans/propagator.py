@@ -13,18 +13,20 @@ at many lambda. States are propagated with 2x2 transfer matrices:
   scans stay cheap.
 
 All functions are vectorized over a lambda array and return states at
-piece ends only. :mod:`sltrans.ode` builds the dense (plottable) trajectories
-of one lambda from the same kernel: :func:`magnus_ladder` picks the step
-count and :func:`magnus_steps` gives the step matrices it chains.
+piece ends only. :func:`chain` is the one place that knows the start states
+of the two shot solutions and the interface jump rule; the endpoint states
+(:func:`endpoint_chain`), the dense trajectories of :mod:`sltrans.ode` and
+the eigenvalue count each run on it with their own per-piece crossing.
+:mod:`sltrans.ode` builds its dense (plottable) trajectories of one lambda
+from the same kernel: :func:`magnus_ladder` picks the step count and
+:func:`magnus_steps` gives the step matrices it chains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .problem import ValidatedProblem, as_validated
+from .problem import as_validated
 
 _SQRT3 = np.sqrt(3.0)
 _GAUSS_OFFSETS = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
@@ -241,80 +243,54 @@ def propagate_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e
     return magnus_ladder(piece, x0, x1, lam, u, du, rtol=rtol)[2]
 
 
-@dataclass
-class ChainStates:
-    """States of a shot solution at every piece boundary.
+def chain(problem, lam, cross, *, backward=False):
+    """Carry a shot solution across every subinterval, with its jumps.
 
-    left[j] / dleft[j] hold (u, u') at the left end of subinterval j and
-    right[j] / dright[j] at its right end, after the interface jumps have
-    been applied. Each entry is an array over the lambda batch.
-    """
+    The left solution starts at x = -1 from (alpha_2, -alpha_1) and divides
+    the state by delta_i after crossing interface i; the right solution
+    (backward=True) starts at x = 1 from (beta_2'*lambda + beta_2,
+    beta_1'*lambda + beta_1) and multiplies it by delta_i. Either way the
+    one-sided values satisfy u(h_i-0) = delta_i * u(h_i+0), and so does u'.
 
-    lam: np.ndarray
-    left: list
-    dleft: list
-    right: list
-    dright: list
-
-
-def phi_chain(problem, lam, *, rtol: float = 1e-12) -> ChainStates:
-    """Left-endpoint solution states across all subintervals.
-
-    Starts at x = -1 with (alpha_2, -alpha_1); crossing an interface divides
-    the state by the jump factor, so the one-sided values satisfy
-    u(h-0) = delta * u(h+0) exactly.
+    cross(piece, x0, x1, u, du) -> (segment, u1, du1) carries a state over
+    one piece. Returns (segments, left, right): per subinterval j, whatever
+    cross made there and the (u, du) at its left and right ends.
     """
     vp = as_validated(problem)
+    bp = vp.breakpoints
+    if backward:
+        u, du = vp.beta2p * lam + vp.beta2, vp.beta1p * lam + vp.beta1
+        order = range(vp.m, -1, -1)
+    else:
+        u, du = np.full_like(lam, vp.alpha2), np.full_like(lam, -vp.alpha1)
+        order = range(vp.m + 1)
+    segments, starts, ends = [], [], []
+    for j in order:
+        if starts:  # the interface just crossed
+            jump = vp.jumps[j] if backward else 1.0 / vp.jumps[j - 1]
+            u, du = u * jump, du * jump
+        starts.append((u, du))
+        x0, x1 = (bp[j + 1], bp[j]) if backward else (bp[j], bp[j + 1])
+        seg, u, du = cross(vp.pieces[j], x0, x1, u, du)
+        segments.append(seg)
+        ends.append((u, du))
+    if backward:
+        return segments[::-1], ends[::-1], starts[::-1]
+    return segments, starts, ends
+
+
+def endpoint_chain(problem, lam, *, backward=False, rtol: float = 1e-12):
+    """(left, right): the states of a shot solution at the two ends of every
+    subinterval, each (u, du) an array over the lambda batch; see :func:`chain`.
+    """
     lam = np.asarray(lam)
     if not np.iscomplexobj(lam):
         lam = lam.astype(float)
-    u = np.full_like(lam, vp.alpha2)
-    du = np.full_like(lam, -vp.alpha1)
-    left, dleft, right, dright = [], [], [], []
-    bp = vp.breakpoints
-    for j, piece in enumerate(vp.pieces):
-        left.append(u)
-        dleft.append(du)
-        u, du = propagate_piece(piece, bp[j], bp[j + 1], lam, u, du, rtol=rtol)
-        right.append(u)
-        dright.append(du)
-        if j < vp.m:
-            inv = 1.0 / vp.jumps[j]
-            u = u * inv
-            du = du * inv
-    return ChainStates(lam=lam, left=left, dleft=dleft, right=right, dright=dright)
 
+    def cross(piece, x0, x1, u, du):
+        return (None, *propagate_piece(piece, x0, x1, lam, u, du, rtol=rtol))
 
-def chi_chain(problem, lam, *, rtol: float = 1e-12) -> ChainStates:
-    """Right-endpoint solution states across all subintervals.
-
-    Starts at x = 1 with (beta_2'*lambda + beta_2, beta_1'*lambda + beta_1)
-    and integrates right to left; crossing an interface multiplies the state
-    by the jump factor.
-    """
-    vp = as_validated(problem)
-    lam = np.asarray(lam)
-    if not np.iscomplexobj(lam):
-        lam = lam.astype(float)
-    u = np.asarray(vp.beta2p * lam + vp.beta2) + np.zeros_like(lam)
-    du = np.asarray(vp.beta1p * lam + vp.beta1) + np.zeros_like(lam)
-    n_pieces = vp.m + 1
-    left = [None] * n_pieces
-    dleft = [None] * n_pieces
-    right = [None] * n_pieces
-    dright = [None] * n_pieces
-    bp = vp.breakpoints
-    for j in range(n_pieces - 1, -1, -1):
-        right[j] = u
-        dright[j] = du
-        u, du = propagate_piece(vp.pieces[j], bp[j + 1], bp[j], lam, u, du, rtol=rtol)
-        left[j] = u
-        dleft[j] = du
-        if j > 0:
-            d = vp.jumps[j - 1]
-            u = u * d
-            du = du * d
-    return ChainStates(lam=lam, left=left, dleft=dleft, right=right, dright=dright)
+    return chain(problem, lam, cross, backward=backward)[1:]
 
 
 def phi_boundary_form(problem, lam, *, rtol: float = 1e-12):
@@ -327,7 +303,5 @@ def phi_boundary_form(problem, lam, *, rtol: float = 1e-12):
     lam = np.asarray(lam)
     if not np.iscomplexobj(lam):
         lam = lam.astype(float)
-    chain = phi_chain(vp, lam, rtol=rtol)
-    u1 = chain.right[-1]
-    du1 = chain.dright[-1]
+    u1, du1 = endpoint_chain(vp, lam, rtol=rtol)[1][-1]
     return (vp.beta1p * lam + vp.beta1) * u1 - (vp.beta2p * lam + vp.beta2) * du1

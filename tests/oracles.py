@@ -41,6 +41,8 @@ def bisect(f, lo: float, hi: float, iters: int = 100) -> float:
     flo = f(lo)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid

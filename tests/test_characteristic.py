@@ -1,4 +1,4 @@
-"""The characteristic function: closed forms, jumps, derivative paths."""
+"""The characteristic function: closed forms, jumps, the derivative."""
 
 import numpy as np
 import pytest
@@ -59,14 +59,15 @@ class TestClosedForm:
 class TestDerivative:
     def test_complex_step_is_exact_at_zero(self, canonical):
         # omega(lam) = -s sin 2s + cos 2s has omega'(0) = -4 exactly
-        d = omega_derivative(canonical, 0.0, method="complex")
+        d = omega_derivative(canonical, 0.0)
         assert d == pytest.approx(-4.0, abs=1e-13)
 
-    def test_central_difference_agrees_with_complex_step(self, canonical):
+    def test_complex_step_matches_closed_form(self, canonical):
+        # d/dlam (-s sin 2s + cos 2s) = (-3 sin 2s - 2s cos 2s) / (2s)
         for lam in (0.29, 3.3, 25.0):
-            dc = omega_derivative(canonical, lam, method="complex")
-            dd = omega_derivative(canonical, lam, method="central")
-            assert dd == pytest.approx(dc, rel=2e-5)
+            s = np.sqrt(lam)
+            want = (-3.0 * np.sin(2 * s) - 2 * s * np.cos(2 * s)) / (2 * s)
+            assert omega_derivative(canonical, lam) == pytest.approx(want, rel=1e-12)
 
     def test_complex_lambda_input_supported(self, canonical):
         val = omega(canonical, 2.0 + 1e-150j)
