@@ -14,6 +14,12 @@ symmetric operator formulation (see :mod:`sltrans.hilbert`).
 
 Everything downstream consumes a :class:`ValidatedProblem`, which caches the
 derived quantities (rho, the subinterval weight chain, breakpoints).
+
+Each :class:`PotentialPiece` also keeps lambda-independent data it derives
+from its fields: a sampled piece builds its cubic spline once, and
+:attr:`PotentialPiece.memo` holds the potential at the Magnus nodes of each
+step count the propagator has used. Both live in the instance and die with
+it; they are not fields, so equality, hashing and the JSON form ignore them.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,6 +84,11 @@ class PotentialPiece:
     kind 'constant' uses `value`; 'polynomial' uses `coeffs` (ascending
     powers of x, global coordinate); 'sampled' uses the grid `x`/`values`
     with a cubic-spline interpolant. The sample grid must cover the piece.
+
+    The spline is built on first use and kept, and :attr:`memo` keeps the
+    potential at the Magnus nodes per (x0, x1, n_steps). Both are
+    lambda-independent per-instance caches outside the fields, so ``==``,
+    ``hash`` and :func:`problem_to_json` do not see them.
     """
 
     kind: str
@@ -100,10 +112,14 @@ class PotentialPiece:
             if not np.all(np.isfinite(vs)):
                 raise ProblemError("sampled piece values must be finite")
 
+    @cached_property
     def _spline(self) -> CubicSpline:
-        # Rebuilt on demand; cheap relative to everything else and keeps
-        # the dataclass hashable/frozen.
         return CubicSpline(np.asarray(self.x, float), np.asarray(self.values, float))
+
+    @cached_property
+    def memo(self) -> dict:
+        """Magnus node potentials of this piece, filled by the propagator."""
+        return {}
 
     @property
     def is_constant(self) -> bool:
@@ -125,7 +141,7 @@ class PotentialPiece:
             return np.full_like(x, float(self.value))
         if self.kind == "polynomial":
             return npoly.polyval(x, np.asarray(self.coeffs, float))
-        return self._spline()(x)
+        return self._spline(x)
 
     def integral(self, a: float, b: float) -> tuple[float, float]:
         """Integral over [a, b] and an error estimate.
@@ -140,7 +156,7 @@ class PotentialPiece:
         if self.kind == "polynomial":
             anti = npoly.polyint(np.asarray(self.coeffs, float))
             return float(npoly.polyval(b, anti) - npoly.polyval(a, anti)), 0.0
-        sp = self._spline()
+        sp = self._spline
         val = float(sp.integrate(a, b))
         xs = np.asarray(self.x, float)
         vs = np.asarray(self.values, float)

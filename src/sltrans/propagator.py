@@ -10,7 +10,10 @@ at many lambda. States are propagated with 2x2 transfer matrices:
   nodes with step doubling until the endpoint state stabilizes. The scheme
   reduces to the exact matrix when q is constant, and its error constant
   depends on the variation of q rather than on lambda, so large-lambda
-  scans stay cheap.
+  scans stay cheap. The node potentials do not depend on lambda either:
+  they are computed once per piece and step count and kept on the piece
+  (see :attr:`sltrans.problem.PotentialPiece.memo`), so every ladder, N(lambda)
+  call and dense shot on the same problem reuses them.
 
 All functions are vectorized over a lambda array and return states at
 piece ends only. :func:`chain` is the one place that knows the start states
@@ -191,11 +194,21 @@ def magnus_nodes(qvals, h, lam, u, du):
 
 
 def _piece_node_q(piece, x0: float, x1: float, n_steps: int):
-    """Potential values at the Magnus Gauss nodes of each step."""
-    h = (x1 - x0) / n_steps
-    starts = x0 + h * np.arange(n_steps)
-    xs = starts[:, None] + h * np.asarray(_GAUSS_OFFSETS)[None, :]
-    return piece.evaluate(xs), h
+    """Potential values at the Magnus Gauss nodes of each step, and h.
+
+    They do not depend on lambda, so each (x0, x1, n_steps) is evaluated
+    once per piece and kept, read-only, in ``piece.memo``.
+    """
+    key = (x0, x1, n_steps)
+    hit = piece.memo.get(key)
+    if hit is None:
+        h = (x1 - x0) / n_steps
+        starts = x0 + h * np.arange(n_steps)
+        xs = starts[:, None] + h * np.asarray(_GAUSS_OFFSETS)[None, :]
+        qvals = piece.evaluate(xs)
+        qvals.setflags(write=False)
+        hit = piece.memo[key] = (qvals, h)
+    return hit
 
 
 def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,

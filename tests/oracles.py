@@ -125,12 +125,14 @@ def constant_q_omega(lam: float, c: float, interfaces, jumps,
 
 
 def constant_q_eigenvalues(count: int, c: float, interfaces, jumps,
-                           alpha, beta, beta_prime,
-                           lam_min: float = -40.0) -> list[float]:
+                           alpha, beta, beta_prime, *,
+                           lam_min: float) -> list[float]:
     """First `count` eigenvalues of a constant-q problem, brute force.
 
     The lambda grid is uniform in s = sqrt(lambda) above zero (roots are
-    asymptotically pi/2-spaced in s) and uniform below zero.
+    asymptotically pi/2-spaced in s) and uniform on [lam_min, 0] below.
+    Eigenvalues below lam_min are not seen, so there is no default: the
+    caller states how deep its spectrum can reach.
     """
     def f(lam: float) -> float:
         return constant_q_omega(lam, c, interfaces, jumps,

@@ -56,7 +56,7 @@ def test_criterion_02_constant_q_oracle(acceptance):
         eigs = st.find_eigenvalues(spec, 20)
         ref = oracles.constant_q_eigenvalues(
             20, p["c"], p["interfaces"], p["jumps"],
-            p["alpha"], p["beta"], p["beta_prime"])
+            p["alpha"], p["beta"], p["beta_prime"], lam_min=-400.0)
         worst = max(worst, max(abs(e.lam - r) for e, r in zip(eigs, ref)))
     ok = worst <= 1e-7
     acceptance(2, ok, f"max|dlam|={worst:.2e} (tol 1e-7)")

@@ -108,7 +108,8 @@ class TestEnumeration:
         )
         eigs = find_eigenvalues(spec, 6)
         want = oracles.constant_q_eigenvalues(
-            6, 1.5, (-0.4,), (0.8,), (1.0, 0.5), (0.2, 1.0), (1.0, 0.4))
+            6, 1.5, (-0.4,), (0.8,), (1.0, 0.5), (0.2, 1.0), (1.0, 0.4),
+            lam_min=-400.0)
         got = [e.lam for e in eigs]
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
