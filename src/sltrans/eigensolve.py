@@ -29,10 +29,12 @@ import numpy as np
 
 from . import asymptotics
 from .characteristic import eigenvalue_count, omega, omega_derivative
-from .hilbert import panels_for, r1_form, r1p_form
+from .hilbert import QUAD_NODES, panels_for, r1_form, r1p_form
 from .ode import PiecewiseSolution, shoot_chi, shoot_phi
 from .problem import as_validated, classify_case
-from .quadrature import fixed_quad
+# fixed_quad is no longer called here, but perfbench/tracing.py wraps
+# eigensolve.fixed_quad by name, so the name stays importable.
+from .quadrature import fixed_quad, panel_nodes  # noqa: F401
 
 S_SCAN_STEP = np.pi / 16.0
 NEG_SCAN_STEP = 0.5
@@ -247,15 +249,24 @@ class Eigenpair:
 
 
 def weighted_square_integral(problem, sol, freq: float | None = None) -> float:
-    """sum_j w_j int_j u^2 for a piecewise solution."""
+    """sum_j w_j int_j u^2 for a piecewise solution.
+
+    Each subinterval gets a composite Gauss rule with panels_for's count
+    at frequency 2 * freq; u is evaluated once at the nodes of all
+    subintervals together, and each subinterval's rule is then one dot
+    product over its own nodes.
+    """
     vp = as_validated(problem)
     if freq is None:
         freq = np.sqrt(abs(sol.lam))
+    rules = [panel_nodes(a, b, panels_for(a, b, 2.0 * freq), QUAD_NODES)
+             for a, b in vp.subintervals()]
+    sq = sol.u(np.concatenate([x for x, _ in rules])) ** 2
     total = 0.0
-    for j, (a, b) in enumerate(vp.subintervals()):
-        val = fixed_quad(lambda x: sol.u(x) ** 2, a, b,
-                         panels_for(a, b, 2.0 * freq))
-        total += vp.weights[j] * val
+    start = 0
+    for wj, (_, w) in zip(vp.weights, rules):
+        total += wj * float(np.dot(w, sq[start:start + len(w)]))
+        start += len(w)
     return total
 
 
@@ -263,29 +274,28 @@ def k_ratio(problem, lam: float, *, phi=None, chi=None,
             samples_per_piece: int = 24):
     """Proportionality factor k with chi = k * phi at an eigenvalue.
 
-    Least squares over a per-subinterval sample grid, weighted like the
-    space's inner product. Also returns the relative spread of the
-    pointwise ratios over samples where |phi| is at least a tenth of its
-    maximum; at a true eigenvalue the spread vanishes with the root
-    tolerance, away from one it is O(1).
+    Least squares over samples_per_piece interior points of each
+    subinterval, weighted like the space's inner product; phi and chi are
+    each evaluated once, at the points of all subintervals together. Also
+    returns the relative spread of the pointwise ratios over samples where
+    |phi| is at least a tenth of its maximum; at a true eigenvalue the
+    spread vanishes with the root tolerance, away from one it is O(1).
     """
     vp = as_validated(problem)
     phi = shoot_phi(vp, lam) if phi is None else phi
     chi = shoot_chi(vp, lam) if chi is None else chi
 
+    xs = np.concatenate([np.linspace(a, b, samples_per_piece + 2)[1:-1]
+                         for a, b in vp.subintervals()])
+    pv = phi.u(xs)
+    cv = chi.u(xs)
     num = 0.0
     den = 0.0
-    pv_all, cv_all = [], []
-    for j, (a, b) in enumerate(vp.subintervals()):
-        xs = np.linspace(a, b, samples_per_piece + 2)[1:-1]
-        pu = phi.u(xs)
-        cu = chi.u(xs)
-        num += vp.weights[j] * float(pu @ cu)
-        den += vp.weights[j] * float(pu @ pu)
-        pv_all.append(pu)
-        cv_all.append(cu)
-    pv = np.concatenate(pv_all)
-    cv = np.concatenate(cv_all)
+    for j, wj in enumerate(vp.weights):
+        part = slice(j * samples_per_piece, (j + 1) * samples_per_piece)
+        pu, cu = pv[part], cv[part]
+        num += wj * float(pu @ cu)
+        den += wj * float(pu @ pu)
     pmax = float(np.max(np.abs(pv)))
     if pmax <= 1e-300 or den == 0.0:
         raise DegeneratePhi("left solution is numerically zero on the sample grid")
@@ -363,7 +373,7 @@ def build_eigenpair(problem, lam: float, *, n: int = -1,
 
     bc_scale = (abs(lam * vp.beta1p * u1) + abs(vp.beta1 * u1)
                 + abs(lam * vp.beta2p * du1) + abs(vp.beta2 * du1) + 1e-300)
-    um, dum = phi.eval(-1.0)
+    um, dum = phi.boundary_state("left")
     left_scale = max(abs(vp.alpha1 * um), abs(vp.alpha2 * dum),
                      abs(um) + abs(dum), 1e-300)
 

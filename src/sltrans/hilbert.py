@@ -259,8 +259,8 @@ def greens_identity_residual(problem, lam_a: float, lam_b: float, *,
         denom = max(abs(wm), d2 * abs(wp), 1e-300)
         jump_worst = max(jump_worst, abs(wm - d2 * wp) / denom)
 
-    ua, dua = pa.eval(-1.0)
-    ub, dub = pb.eval(-1.0)
+    ua, dua = pa.boundary_state("left")
+    ub, dub = pb.boundary_state("left")
     w_left = ua * dub - dua * ub
 
     u1a, du1a = pa.boundary_state("right")

@@ -180,25 +180,25 @@ class PiecewiseSolution:
 
         At an interface point the left-side value is returned unless
         side='right'. Vectorized over x (side then applies to every
-        interface hit).
+        interface hit): each segment evaluates its points in one batch.
+        Segments work pointwise, so one call over the points of several
+        subintervals gives the same bits as one call per subinterval.
+        Raises OutOfDomain for x outside [-1, 1] and for non-finite x.
         """
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
-        if np.any(xs < -1.0) or np.any(xs > 1.0):
+        if not np.all((xs >= -1.0) & (xs <= 1.0)):
             raise OutOfDomain("evaluation outside [-1, 1]")
-        u = np.empty_like(xs)
-        du = np.empty_like(xs)
-        # Group points by subinterval so each segment evaluates one batch.
         # Interface points land on the left piece unless side='right'.
         bp = np.asarray(self.problem.breakpoints)
         srt = "right" if side == "right" else "left"
         idx = np.clip(np.searchsorted(bp, xs, side=srt) - 1, 0, len(self.segments) - 1)
-        for j in np.unique(idx):
+        u = np.empty_like(xs)
+        du = np.empty_like(xs)
+        for j in np.flatnonzero(np.bincount(idx)):
             sel = idx == j
-            uj, duj = self.segments[j].eval(xs[sel])
-            u[sel] = uj
-            du[sel] = duj
+            u[sel], du[sel] = self.segments[j].eval(xs[sel])
         u *= self.scale
         du *= self.scale
         if scalar:

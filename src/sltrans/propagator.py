@@ -40,7 +40,33 @@ class NonFiniteState(RuntimeError):
 
 
 class StepSizeUnderflow(RuntimeError):
-    """Step refinement hit its budget without stabilizing."""
+    """Step refinement hit its budget without stabilizing: on the piece
+    `interval` the passes with n_steps / 2 and `n_steps` steps still
+    disagree. `lam` is the worst-off lambda of the batch, whose endpoint
+    state moved by `gap` where the stop test allowed rtol * `scale`."""
+
+    def __init__(self, message: str, *, interval=None, n_steps=None,
+                 lam=None, gap=None, scale=None):
+        super().__init__(message)
+        self.interval, self.n_steps = interval, n_steps
+        self.lam, self.gap, self.scale = lam, gap, scale
+
+
+_TAYLOR_RADIUS = 1e-8
+
+
+def _hyperbolic(z):
+    r = np.sqrt(z)
+    return np.cosh(r), np.sinh(r) / r
+
+
+def _trigonometric(z):
+    r = np.sqrt(-z)
+    return np.cos(r), np.sin(r) / r
+
+
+def _taylor(z):
+    return 1.0 + z / 2.0 + z * z / 24.0, 1.0 + z / 6.0 + z * z / 120.0
 
 
 def cos_sinc(z):
@@ -52,44 +78,34 @@ def cos_sinc(z):
 
     Complex z is accepted too (the entire-function branch applies), which
     lets callers differentiate in lambda by a complex step.
+
+    When every z takes one branch (the usual case for the points of one
+    piece at one lambda) that branch runs on the whole array with no masks;
+    otherwise each branch runs on its masked part. Float64 ufuncs give the
+    same bits either way. Every z lands in exactly one branch, NaN
+    included (the Taylor branch takes what the others leave), so NaN in
+    gives NaN out.
     """
     z = np.asarray(z)
-    if np.iscomplexobj(z):
-        shape = z.shape
-        z = np.atleast_1d(z).astype(complex)
-        C = np.empty_like(z)
-        S = np.empty_like(z)
-        small = np.abs(z) < 1e-8
-        big = ~small
-        if np.any(big):
-            r = np.sqrt(z[big])
-            C[big] = np.cosh(r)
-            S[big] = np.sinh(r) / r
-        if np.any(small):
-            zs = z[small]
-            C[small] = 1.0 + zs / 2.0 + zs * zs / 24.0
-            S[small] = 1.0 + zs / 6.0 + zs * zs / 120.0
-        return C.reshape(shape), S.reshape(shape)
-    z = np.asarray(z, dtype=float)
+    cplx = np.iscomplexobj(z)
+    z = np.asarray(z, dtype=complex if cplx else float)
     shape = z.shape
     z = np.atleast_1d(z)
+    if cplx:
+        branches = [(~(np.abs(z) < _TAYLOR_RADIUS), _hyperbolic)]
+    else:
+        branches = [(z >= _TAYLOR_RADIUS, _hyperbolic),
+                    (z <= -_TAYLOR_RADIUS, _trigonometric)]
+    for sel, branch in branches:
+        if sel.all():
+            C, S = branch(z)
+            return C.reshape(shape), S.reshape(shape)
+    branches.append((~np.logical_or.reduce([sel for sel, _ in branches]), _taylor))
     C = np.empty_like(z)
     S = np.empty_like(z)
-    small = np.abs(z) < 1e-8
-    pos = (z >= 1e-8)
-    neg = (z <= -1e-8)
-    if np.any(pos):
-        r = np.sqrt(z[pos])
-        C[pos] = np.cosh(r)
-        S[pos] = np.sinh(r) / r
-    if np.any(neg):
-        r = np.sqrt(-z[neg])
-        C[neg] = np.cos(r)
-        S[neg] = np.sin(r) / r
-    if np.any(small):
-        zs = z[small]
-        C[small] = 1.0 + zs / 2.0 + zs * zs / 24.0
-        S[small] = 1.0 + zs / 6.0 + zs * zs / 120.0
+    for sel, branch in branches:
+        if sel.any():
+            C[sel], S[sel] = branch(z[sel])
     return C.reshape(shape), S.reshape(shape)
 
 
@@ -233,9 +249,13 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
                 raise NonFiniteState("propagation produced non-finite values")
             return qv, h, nxt
         cur = nxt
+    k = int(np.argmax(np.ravel(gap / scale)))
+    worst = np.ravel(np.broadcast_to(lam, np.shape(gap)))[k].item()
     raise StepSizeUnderflow(
-        f"piece [{x0}, {x1}] did not stabilize within {n} Magnus steps"
-    )
+        f"piece [{x0}, {x1}] did not stabilize within {n} Magnus steps "
+        f"(worst at lambda = {worst})",
+        interval=(x0, x1), n_steps=n, lam=worst,
+        gap=float(np.ravel(gap)[k]), scale=float(np.ravel(scale)[k]))
 
 
 def propagate_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e-12):

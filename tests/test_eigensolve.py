@@ -22,6 +22,7 @@ from sltrans.eigensolve import (
     validate_floor,
     weighted_square_integral,
 )
+from sltrans.ode import PiecewiseSolution
 from conftest import make_canonical
 import oracles
 
@@ -142,6 +143,27 @@ class TestEigenpairRecords:
         lam = oracles.FROZEN_CANONICAL_S[2] ** 2
         eig = build_eigenpair(canonical, lam)
         assert eig.margin == np.inf and np.isnan(eig.omega_scale)
+
+
+    def test_each_shot_is_evaluated_once_per_root(self, monkeypatch):
+        # k_ratio evaluates phi and chi once each, the weighted norm phi
+        # once, and the left end is read from the stored start state, so the
+        # count does not grow with the number of subintervals.
+        spec = st.ProblemSpec(
+            potential=st.PiecewisePotential.constant(1.3),
+            interfaces=(-0.5, 0.1, 0.6), jumps=(1.5, -0.7, 2.0),
+            alpha=(1.0, 0.5), beta=(0.3, 1.0), beta_prime=(1.0, 0.4))
+        calls = []
+        original = PiecewiseSolution.eval
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PiecewiseSolution, "eval", counting)
+        eigs = find_eigenvalues(st.validate_problem(spec), 20)
+        assert len(eigs) == 20
+        assert len(calls) <= 3 * len(eigs)
 
 
 class TestNormIdentity:

@@ -69,6 +69,43 @@ class TestSegments:
             assert du == pytest.approx(du_vec[i], rel=1e-14, abs=1e-14)
 
 
+class TestPiecewiseEval:
+    """One eval over points of several subintervals, the left end state and
+    out-of-domain x."""
+
+    @staticmethod
+    def _per_subinterval_points(vp):
+        return [np.concatenate([np.linspace(a, b, 9)[1:-1],
+                                st.quadrature.panel_nodes(a, b, 3, 12)[0]])
+                for a, b in vp.subintervals()]
+
+    @pytest.mark.parametrize("make, lam", [(make_canonical, 31.7),
+                                           (make_case1_linear, 23.0),
+                                           (make_two_interface, -4.5)])
+    def test_joined_eval_matches_per_subinterval_evals(self, make, lam):
+        vp = st.validate_problem(make())
+        parts = self._per_subinterval_points(vp)
+        for sol in (shoot_phi(vp, lam).scaled(-0.37), shoot_chi(vp, lam)):
+            u, du = sol.eval(np.concatenate(parts))
+            one = [sol.eval(x) for x in parts]
+            assert u.tobytes() == np.concatenate([p[0] for p in one]).tobytes()
+            assert du.tobytes() == np.concatenate([p[1] for p in one]).tobytes()
+
+    @pytest.mark.parametrize("make, lam", [(make_canonical, 31.7),
+                                           (make_case1_linear, 23.0),
+                                           (make_two_interface, -4.5)])
+    def test_left_boundary_state_is_eval_at_left_end(self, make, lam):
+        for phi in (shoot_phi(make(), lam), shoot_phi(make(), lam).scaled(-2.5)):
+            got = [float(v).hex() for v in phi.boundary_state("left")]
+            assert got == [float(v).hex() for v in phi.eval(-1.0)]
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, 1.5, [0.0, np.nan]])
+    def test_non_finite_or_outside_x_is_out_of_domain(self, x):
+        sol = shoot_phi(make_case1_linear(), 5.0)
+        with pytest.raises(st.problem.OutOfDomain):
+            sol.eval(x)
+
+
 class TestShooting:
     def test_phi_initial_state(self):
         spec = make_case1_linear()

@@ -1,9 +1,12 @@
-"""Per-piece caches of lambda-independent potential data.
+"""The propagation kernel: per-piece caches, cos_sinc and the step ladder.
 
 A sampled piece builds its cubic spline once, and the Magnus kernel keeps
 the potential at its Gauss nodes on the piece per (x0, x1, n_steps). These
 tests pin that the caches are built once, stay invisible to equality,
 hashing and serialization, and give the same bits as a fresh evaluation.
+They also pin that cos_sinc gives the same bits whether a branch runs on
+the whole array or on a masked part, that NaN in gives NaN out, and that a
+ladder which cannot settle says where and at which lambda.
 """
 
 import numpy as np
@@ -13,7 +16,8 @@ import sltrans as st
 import sltrans.problem
 from sltrans.eigensolve import find_eigenvalues
 from sltrans.problem import PotentialPiece, load_problem, problem_to_json, save_problem
-from sltrans.propagator import _GAUSS_OFFSETS, _piece_node_q
+from sltrans.propagator import (_GAUSS_OFFSETS, StepSizeUnderflow, _piece_node_q,
+                                cos_sinc, propagate_piece)
 
 
 def _sampled_spec() -> st.ProblemSpec:
@@ -89,3 +93,84 @@ def test_memoised_nodes_are_read_only_and_exact(warm):
 def test_warm_solve_repeats_cold_solve(warm):
     vp, cold = warm
     assert [e.lam for e in find_eigenvalues(vp, 3)] == cold
+
+
+# ----------------------------------------------------------------------
+# cos_sinc
+# ----------------------------------------------------------------------
+
+REAL_BRANCHES = {
+    "hyperbolic": np.geomspace(1e-8, 700.0, 40),
+    "trigonometric": -np.geomspace(1e-8, 1e7, 40),
+    "taylor": np.linspace(-9.9e-9, 9.9e-9, 21),
+}
+_ANGLES = np.linspace(-np.pi, np.pi, 40)
+COMPLEX_BRANCHES = {
+    "hyperbolic": np.geomspace(1e-8, 400.0, 40) * np.exp(1j * _ANGLES),
+    "taylor": np.geomspace(1e-12, 9.9e-9, 40) * np.exp(1j * _ANGLES[::-1]),
+}
+
+
+def _bits(pair):
+    return [np.asarray(v).tobytes() for v in pair]
+
+
+@pytest.mark.parametrize("branches", [REAL_BRANCHES, COMPLEX_BRANCHES],
+                         ids=["real", "complex"])
+def test_whole_array_branch_matches_masked_branch(branches):
+    for name, z in branches.items():
+        if name == "taylor":
+            continue
+        others = [v for k, v in branches.items() if k != name]
+        mixed = cos_sinc(np.concatenate([z, *others]))
+        assert _bits(cos_sinc(z)) == _bits(v[:len(z)] for v in mixed)
+        # Magnus batches are 2-D: (steps, lambdas)
+        grid = cos_sinc(z.reshape(4, -1))
+        assert _bits(grid) == _bits(v.reshape(4, -1) for v in cos_sinc(z))
+
+
+@pytest.mark.parametrize("branches", [REAL_BRANCHES, COMPLEX_BRANCHES],
+                         ids=["real", "complex"])
+def test_mixed_array_matches_one_call_per_element(branches):
+    z = np.concatenate(list(branches.values()))
+    z = z[np.random.default_rng(3).permutation(len(z))]
+    C, S = cos_sinc(z)
+    for k, zk in enumerate(z):
+        Ck, Sk = cos_sinc(zk)
+        assert _bits((C[k], S[k])) == _bits((Ck, Sk))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cos_sinc_nan_in_gives_nan_out(dtype):
+    # Leave freed buffers of the output's size holding finite junk, so an
+    # output slot no branch writes would show it.
+    for _ in range(50):
+        junk = np.full(4, 5.8e252, dtype=dtype)
+        del junk
+    z = np.array([np.nan, -1.0, np.nan, 2.0], dtype=dtype)
+    with np.errstate(invalid="ignore"):  # complex NaN division warns
+        C, S = cos_sinc(z)
+        C_all, S_all = cos_sinc(np.full(3, np.nan, dtype=dtype))
+    assert np.all(np.isnan(C[[0, 2]])) and np.all(np.isnan(S[[0, 2]]))
+    r = np.sqrt(2.0)
+    assert [C[1], S[1]] == pytest.approx([np.cos(1.0), np.sin(1.0)], rel=1e-15)
+    assert [C[3], S[3]] == pytest.approx([np.cosh(r), np.sinh(r) / r], rel=1e-15)
+    assert np.all(np.isnan(C_all)) and np.all(np.isnan(S_all))
+
+
+# ----------------------------------------------------------------------
+# Magnus ladder
+# ----------------------------------------------------------------------
+
+def test_ladder_that_cannot_settle_reports_its_evidence():
+    piece = PotentialPiece("polynomial", coeffs=(1.0, 1.0))
+    lam = np.array([-3.0, 40.0, 900.0])
+    with pytest.raises(StepSizeUnderflow) as info:
+        propagate_piece(piece, -1.0, 0.2, lam, np.ones(3), np.zeros(3), rtol=1e-20)
+    err = info.value
+    assert err.interval == (-1.0, 0.2)
+    assert err.n_steps == 20 * 2 ** 9
+    assert err.lam in lam.tolist()
+    assert err.scale >= 1.0
+    assert 1e-20 * err.scale < err.gap < 1e-6 * err.scale
+    assert f"{err.n_steps} Magnus steps" in str(err)
