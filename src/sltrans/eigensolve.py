@@ -15,7 +15,9 @@ That shapes the solver:
    shows no sign change), and refine those parts the same way,
 4. for each root build the left solution, the ratio linking it to the right
    solution, the derivative of omega, the norm-identity diagnostics, and a
-   normalized eigenvector.
+   normalized eigenvector. That takes three transmission chains per root
+   (the dense phi and chi and the complex-step omega'); omega at the root
+   is read from phi's end state.
 
 So the roots returned are certified to be lambda_0 ... lambda_{n-1}; when
 they cannot be, SuspectedMissedRoot carries both counts and the interval.
@@ -32,12 +34,14 @@ from .characteristic import eigenvalue_count, omega, omega_derivative
 from .hilbert import QUAD_NODES, panels_for, r1_form, r1p_form
 from .ode import PiecewiseSolution, shoot_chi, shoot_phi
 from .problem import as_validated, classify_case
+from .propagator import boundary_form
 # fixed_quad is no longer called here, but perfbench/tracing.py wraps
 # eigensolve.fixed_quad by name, so the name stays importable.
 from .quadrature import fixed_quad, panel_nodes  # noqa: F401
 
 S_SCAN_STEP = np.pi / 16.0
 NEG_SCAN_STEP = 0.5
+K_SAMPLES = 24  # k_ratio's interior sample points per subinterval
 
 
 class LostBracket(RuntimeError):
@@ -259,19 +263,30 @@ def weighted_square_integral(problem, sol, freq: float | None = None) -> float:
     vp = as_validated(problem)
     if freq is None:
         freq = np.sqrt(abs(sol.lam))
+    nodes, weights = _square_rules(vp, freq)
+    return _weighted_square_sum(vp, weights, sol.u(nodes))
+
+
+def _square_rules(vp, freq: float):
+    """All subintervals' Gauss nodes together, and each one's weights."""
     rules = [panel_nodes(a, b, panels_for(a, b, 2.0 * freq), QUAD_NODES)
              for a, b in vp.subintervals()]
-    sq = sol.u(np.concatenate([x for x, _ in rules])) ** 2
+    return np.concatenate([x for x, _ in rules]), [w for _, w in rules]
+
+
+def _weighted_square_sum(vp, weights, u) -> float:
+    """sum_j w_j int_j u^2 from u at the nodes of :func:`_square_rules`."""
+    sq = u ** 2
     total = 0.0
     start = 0
-    for wj, (_, w) in zip(vp.weights, rules):
+    for wj, w in zip(vp.weights, weights):
         total += wj * float(np.dot(w, sq[start:start + len(w)]))
         start += len(w)
     return total
 
 
 def k_ratio(problem, lam: float, *, phi=None, chi=None,
-            samples_per_piece: int = 24):
+            samples_per_piece: int = K_SAMPLES):
     """Proportionality factor k with chi = k * phi at an eigenvalue.
 
     Least squares over samples_per_piece interior points of each
@@ -284,11 +299,18 @@ def k_ratio(problem, lam: float, *, phi=None, chi=None,
     vp = as_validated(problem)
     phi = shoot_phi(vp, lam) if phi is None else phi
     chi = shoot_chi(vp, lam) if chi is None else chi
+    xs = _ratio_points(vp, samples_per_piece)
+    return _ratio_from_values(vp, phi.u(xs), chi.u(xs), samples_per_piece)
 
-    xs = np.concatenate([np.linspace(a, b, samples_per_piece + 2)[1:-1]
-                         for a, b in vp.subintervals()])
-    pv = phi.u(xs)
-    cv = chi.u(xs)
+
+def _ratio_points(vp, samples_per_piece: int) -> np.ndarray:
+    """samples_per_piece interior points of each subinterval, in order."""
+    return np.concatenate([np.linspace(a, b, samples_per_piece + 2)[1:-1]
+                           for a, b in vp.subintervals()])
+
+
+def _ratio_from_values(vp, pv, cv, samples_per_piece: int):
+    """k_ratio's (k, spread) from phi and chi at :func:`_ratio_points`."""
     num = 0.0
     den = 0.0
     for j, wj in enumerate(vp.weights):
@@ -309,15 +331,19 @@ def k_ratio(problem, lam: float, *, phi=None, chi=None,
 def _norm_terms(vp, lam: float, rtol: float):
     """Shoot phi and chi at lam and evaluate the closed-form norm identity.
 
-    Returns (phi, terms) with terms as documented in norm_identity_residual.
+    phi is evaluated once, at k_ratio's points and the quadrature nodes
+    together. Returns (phi, terms) with terms as in norm_identity_residual.
     """
     phi = shoot_phi(vp, lam, rtol=rtol)
     chi = shoot_chi(vp, lam, rtol=rtol)
-    k, spread = k_ratio(vp, lam, phi=phi, chi=chi)
+    xs = _ratio_points(vp, K_SAMPLES)
+    nodes, weights = _square_rules(vp, np.sqrt(abs(lam)))
+    pv = phi.u(np.concatenate([xs, nodes]))
+    k, spread = _ratio_from_values(vp, pv[:len(xs)], chi.u(xs), K_SAMPLES)
     omp = omega_derivative(vp, lam, rtol=rtol)
     u1, du1 = phi.boundary_state("right")
     r1p_phi = r1p_form(vp, u1, du1)
-    lhs = weighted_square_integral(vp, phi)
+    lhs = _weighted_square_sum(vp, weights, pv[len(xs):])
     d2 = vp.delta_sq_prod
 
     rhs = omp / k - (d2 / k) * r1p_phi
@@ -358,13 +384,18 @@ def norm_identity_residual(problem, eig_or_lam, *, rtol: float = 1e-12) -> dict:
 def build_eigenpair(problem, lam: float, *, n: int = -1,
                     scan: ScanResult | None = None,
                     rtol: float = 1e-12) -> Eigenpair:
-    """Assemble the full Eigenpair record for one refined root."""
+    """Assemble the full Eigenpair record for one refined root.
+
+    Three transmission chains: phi, chi and the complex-step omega'.
+    omega_at_root comes from phi's end state (omega()'s bits on constant q).
+    """
     vp = as_validated(problem)
     lam = float(lam)
     s = float(np.sqrt(lam)) if lam >= 0.0 else None
 
     phi, terms = _norm_terms(vp, lam, rtol)
-    om_here = float(omega(vp, lam, rtol=rtol))
+    om_here = float(vp.delta_sq_prod
+                    * boundary_form(vp, lam, *phi.right_states[-1]))
     omp = terms["omega_prime"]
     r1p_phi = terms["r1p_phi"]
 

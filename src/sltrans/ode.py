@@ -180,23 +180,31 @@ class PiecewiseSolution:
 
         At an interface point the left-side value is returned unless
         side='right'. Vectorized over x (side then applies to every
-        interface hit): each segment evaluates its points in one batch.
-        Segments work pointwise, so one call over the points of several
-        subintervals gives the same bits as one call per subinterval.
+        interface hit): the points on constant segments take one exact step
+        together, from their own segment's start, and each other segment
+        evaluates its points in one batch. Segments work pointwise, so one
+        call over the points of several subintervals gives the same bits as
+        one call per subinterval.
         Raises OutOfDomain for x outside [-1, 1] and for non-finite x.
         """
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
-        if not np.all((xs >= -1.0) & (xs <= 1.0)):
+        if not ((xs >= -1.0) & (xs <= 1.0)).all():
             raise OutOfDomain("evaluation outside [-1, 1]")
         # Interface points land on the left piece unless side='right'.
-        bp = np.asarray(self.problem.breakpoints)
-        srt = "right" if side == "right" else "left"
-        idx = np.clip(np.searchsorted(bp, xs, side=srt) - 1, 0, len(self.segments) - 1)
+        idx = np.asarray(self.problem.interfaces).searchsorted(
+            xs, side="right" if side == "right" else "left")
         u = np.empty_like(xs)
         du = np.empty_like(xs)
-        for j in np.flatnonzero(np.bincount(idx)):
+        const = [isinstance(seg, ConstantSegment) for seg in self.segments]
+        on_const = np.asarray(const)[idx]
+        if on_const.any():
+            table = np.array([(seg.a, seg.w, seg.u0, seg.du0) if c else (0.0,) * 4
+                              for seg, c in zip(self.segments, const)])
+            a, w, u0, du0 = table.take(idx[on_const], axis=0).T
+            u[on_const], du[on_const] = constant_step(w, xs[on_const] - a, u0, du0)
+        for j in np.flatnonzero(np.bincount(idx[~on_const])):
             sel = idx == j
             u[sel], du[sel] = self.segments[j].eval(xs[sel])
         u *= self.scale

@@ -102,15 +102,19 @@ class PotentialPiece:
             raise ProblemError(f"unknown potential piece kind {self.kind!r}")
         if self.kind == "polynomial" and len(self.coeffs) == 0:
             object.__setattr__(self, "coeffs", (0.0,))
+        if self.kind == "constant" and not np.isfinite(float(self.value)):
+            raise ProblemError("constant piece value must be finite")
+        if self.kind == "polynomial" and not np.all(np.isfinite(np.asarray(self.coeffs, float))):
+            raise ProblemError("polynomial piece coefficients must be finite")
         if self.kind == "sampled":
             xs = np.asarray(self.x, dtype=float)
             vs = np.asarray(self.values, dtype=float)
             if xs.size < 2 or xs.size != vs.size:
                 raise ProblemError("sampled piece needs matching x/values grids (>= 2 points)")
+            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+                raise ProblemError("sampled piece grid and values must be finite")
             if np.any(np.diff(xs) <= 0):
                 raise ProblemError("sampled piece grid must be strictly increasing")
-            if not np.all(np.isfinite(vs)):
-                raise ProblemError("sampled piece values must be finite")
 
     @cached_property
     def _spline(self) -> CubicSpline:

@@ -80,33 +80,32 @@ def cos_sinc(z):
     lets callers differentiate in lambda by a complex step.
 
     When every z takes one branch (the usual case for the points of one
-    piece at one lambda) that branch runs on the whole array with no masks;
-    otherwise each branch runs on its masked part. Float64 ufuncs give the
-    same bits either way. Every z lands in exactly one branch, NaN
-    included (the Taylor branch takes what the others leave), so NaN in
-    gives NaN out.
+    piece at one lambda) that branch runs on the whole array, of any shape,
+    with no masks; otherwise each branch runs on its masked part. Float64
+    ufuncs give the same bits either way. Every z lands in exactly one
+    branch, NaN included (the Taylor branch takes what the others leave),
+    so NaN in gives NaN out. C and S are arrays of z's shape, 0-d for a
+    scalar: numpy multiplies complex scalars with other rounding than
+    complex arrays, so scalars would move the complex-step omega' bits.
     """
     z = np.asarray(z)
-    cplx = np.iscomplexobj(z)
-    z = np.asarray(z, dtype=complex if cplx else float)
-    shape = z.shape
-    z = np.atleast_1d(z)
-    if cplx:
+    z = np.asarray(z, dtype=complex if z.dtype.kind == "c" else float)
+    if z.dtype.kind == "c":
         branches = [(~(np.abs(z) < _TAYLOR_RADIUS), _hyperbolic)]
     else:
-        branches = [(z >= _TAYLOR_RADIUS, _hyperbolic),
-                    (z <= -_TAYLOR_RADIUS, _trigonometric)]
+        branches = [(z <= -_TAYLOR_RADIUS, _trigonometric),
+                    (z >= _TAYLOR_RADIUS, _hyperbolic)]
     for sel, branch in branches:
         if sel.all():
             C, S = branch(z)
-            return C.reshape(shape), S.reshape(shape)
+            return np.asarray(C), np.asarray(S)
     branches.append((~np.logical_or.reduce([sel for sel, _ in branches]), _taylor))
     C = np.empty_like(z)
     S = np.empty_like(z)
     for sel, branch in branches:
         if sel.any():
             C[sel], S[sel] = branch(z[sel])
-    return C.reshape(shape), S.reshape(shape)
+    return C, S
 
 
 def constant_step(w, t, u, du):
@@ -326,8 +325,15 @@ def endpoint_chain(problem, lam, *, backward=False, rtol: float = 1e-12):
     return chain(problem, lam, cross, backward=backward)[1:]
 
 
+def boundary_form(problem, lam, u1, du1):
+    """(lambda*b1' + b1)*u1 - (lambda*b2' + b2)*du1, the right boundary
+    condition applied to the state (u1, du1) at x = 1."""
+    vp = as_validated(problem)
+    return (vp.beta1p * lam + vp.beta1) * u1 - (vp.beta2p * lam + vp.beta2) * du1
+
+
 def phi_boundary_form(problem, lam, *, rtol: float = 1e-12):
-    """(lambda*b1' + b1)*u(1) - (lambda*b2' + b2)*u'(1) for the left solution.
+    """:func:`boundary_form` of the left solution's state at x = 1.
 
     The characteristic function is delta_sq_prod times this; see
     :func:`sltrans.characteristic.omega`.
@@ -336,5 +342,4 @@ def phi_boundary_form(problem, lam, *, rtol: float = 1e-12):
     lam = np.asarray(lam)
     if not np.iscomplexobj(lam):
         lam = lam.astype(float)
-    u1, du1 = endpoint_chain(vp, lam, rtol=rtol)[1][-1]
-    return (vp.beta1p * lam + vp.beta1) * u1 - (vp.beta2p * lam + vp.beta2) * du1
+    return boundary_form(vp, lam, *endpoint_chain(vp, lam, rtol=rtol)[1][-1])

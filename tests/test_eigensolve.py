@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import sltrans as st
-from sltrans import eigensolve
-from sltrans.characteristic import eigenvalue_count
+from sltrans import eigensolve, ode, propagator
+from sltrans.characteristic import eigenvalue_count, omega
 from sltrans.eigensolve import (
     Eigenpair,
     LostBracket,
@@ -25,6 +25,19 @@ from sltrans.eigensolve import (
 from sltrans.ode import PiecewiseSolution
 from conftest import make_canonical
 import oracles
+
+
+def _three_interface_spec():
+    return st.ProblemSpec(
+        potential=st.PiecewisePotential.constant(1.3),
+        interfaces=(-0.5, 0.1, 0.6), jumps=(1.5, -0.7, 2.0),
+        alpha=(1.0, 0.5), beta=(0.3, 1.0), beta_prime=(1.0, 0.4))
+
+
+@pytest.fixture(scope="module")
+def three_interface_eigs():
+    vp = st.validate_problem(_three_interface_spec())
+    return vp, find_eigenvalues(vp, 20)
 
 
 class TestScan:
@@ -149,10 +162,7 @@ class TestEigenpairRecords:
         # k_ratio evaluates phi and chi once each, the weighted norm phi
         # once, and the left end is read from the stored start state, so the
         # count does not grow with the number of subintervals.
-        spec = st.ProblemSpec(
-            potential=st.PiecewisePotential.constant(1.3),
-            interfaces=(-0.5, 0.1, 0.6), jumps=(1.5, -0.7, 2.0),
-            alpha=(1.0, 0.5), beta=(0.3, 1.0), beta_prime=(1.0, 0.4))
+        spec = _three_interface_spec()
         calls = []
         original = PiecewiseSolution.eval
 
@@ -164,6 +174,40 @@ class TestEigenpairRecords:
         eigs = find_eigenvalues(st.validate_problem(spec), 20)
         assert len(eigs) == 20
         assert len(calls) <= 3 * len(eigs)
+
+    def test_three_transmission_chains_per_root(self, three_interface_eigs,
+                                                monkeypatch):
+        # phi, chi and the complex-step omega'; omega at the root comes
+        # from phi's end state.
+        vp, eigs = three_interface_eigs
+        calls = []
+        original = propagator.chain
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(propagator, "chain", counting)
+        monkeypatch.setattr(ode, "chain", counting)
+        for eig in eigs:
+            build_eigenpair(vp, eig.lam)
+        assert len(calls) == 3 * len(eigs)
+
+    def test_omega_at_root_is_omega_on_constant_q(self, three_interface_eigs):
+        vp, eigs = three_interface_eigs
+        for eig in eigs:
+            assert (float(eig.residuals["omega_at_root"]).hex()
+                    == omega(vp, eig.lam).hex())
+
+    def test_omega_at_root_agrees_with_omega_on_magnus_pieces(self, case1_linear,
+                                                              case1_eigs):
+        vp = st.as_validated(case1_linear)
+        for eig in case1_eigs:
+            u1, du1 = eig.phi.right_states[-1]
+            scale = vp.delta_sq_prod * (abs(eig.lam * vp.beta1p + vp.beta1) * abs(u1)
+                                        + abs(eig.lam * vp.beta2p + vp.beta2) * abs(du1))
+            gap = abs(eig.residuals["omega_at_root"] - omega(vp, eig.lam))
+            assert gap <= 1e-12 * scale
 
 
 class TestNormIdentity:

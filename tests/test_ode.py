@@ -69,6 +69,19 @@ class TestSegments:
             assert du == pytest.approx(du_vec[i], rel=1e-14, abs=1e-14)
 
 
+def make_mixed():
+    """Constant, linear and constant pieces: exact and Magnus segments in one
+    solution. At lambda = 0.2 one constant piece lies above lambda and one
+    below, so their joined constant_step mixes cos_sinc branches."""
+    return st.ProblemSpec(
+        potential=st.PiecewisePotential.from_pieces([
+            st.PotentialPiece("constant", value=1.5),
+            st.PotentialPiece("polynomial", coeffs=(0.5, -2.0)),
+            st.PotentialPiece("constant", value=-3.0)]),
+        interfaces=(-0.4, 0.3), jumps=(1.7, -0.6),
+        alpha=(1.0, 0.5), beta=(0.3, 1.0), beta_prime=(1.0, 0.4))
+
+
 class TestPiecewiseEval:
     """One eval over points of several subintervals, the left end state and
     out-of-domain x."""
@@ -81,7 +94,9 @@ class TestPiecewiseEval:
 
     @pytest.mark.parametrize("make, lam", [(make_canonical, 31.7),
                                            (make_case1_linear, 23.0),
-                                           (make_two_interface, -4.5)])
+                                           (make_two_interface, -4.5),
+                                           (make_mixed, 17.3),
+                                           (make_mixed, 0.2)])
     def test_joined_eval_matches_per_subinterval_evals(self, make, lam):
         vp = st.validate_problem(make())
         parts = self._per_subinterval_points(vp)

@@ -74,6 +74,28 @@ class TestValidation:
         assert vp.delta_sq_prod == pytest.approx(1.0)
 
 
+class TestNonFinitePotential:
+    """A NaN or infinite potential is rejected when the piece is made, not
+    later by the propagator."""
+
+    @pytest.mark.parametrize("kind, data", [
+        ("constant", dict(value=math.nan)),
+        ("polynomial", dict(coeffs=(1.0, math.inf))),
+        ("sampled", dict(x=(-1.0, math.nan, 1.0), values=(0.0, 1.0, 0.0))),
+    ])
+    def test_piece_rejected(self, kind, data):
+        with pytest.raises(st.ProblemError, match="finite"):
+            PotentialPiece(kind, **data)
+
+    def test_problem_file_rejected(self, tmp_path):
+        obj = problem_to_json(make_canonical())
+        obj["potential"]["value"] = "nan"
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(st.ProblemError, match="finite"):
+            load_problem(path)
+
+
 class TestClassification:
     def test_all_four_cases(self):
         # (beta_2' != 0 ?, alpha_2 != 0 ?) in the order 1..4

@@ -4,9 +4,10 @@ A sampled piece builds its cubic spline once, and the Magnus kernel keeps
 the potential at its Gauss nodes on the piece per (x0, x1, n_steps). These
 tests pin that the caches are built once, stay invisible to equality,
 hashing and serialization, and give the same bits as a fresh evaluation.
-They also pin that cos_sinc gives the same bits whether a branch runs on
-the whole array or on a masked part, that NaN in gives NaN out, and that a
-ladder which cannot settle says where and at which lambda.
+They also pin that cos_sinc gives the same bits, in arrays of its input's
+shape, whether a branch runs on the whole array or on a masked part, that
+NaN in gives NaN out, and that a ladder which cannot settle says where and
+at which lambda.
 """
 
 import numpy as np
@@ -126,7 +127,13 @@ def test_whole_array_branch_matches_masked_branch(branches):
         assert _bits(cos_sinc(z)) == _bits(v[:len(z)] for v in mixed)
         # Magnus batches are 2-D: (steps, lambdas)
         grid = cos_sinc(z.reshape(4, -1))
+        assert grid[0].shape == grid[1].shape == (4, 10)
         assert _bits(grid) == _bits(v.reshape(4, -1) for v in cos_sinc(z))
+        # A scalar gives 0-d arrays, as the masked path does.
+        for k, zk in enumerate(z):
+            Ck, Sk = cos_sinc(zk)
+            assert isinstance(Ck, np.ndarray) and Ck.shape == Sk.shape == ()
+            assert _bits((Ck, Sk)) == _bits((mixed[0][k], mixed[1][k]))
 
 
 @pytest.mark.parametrize("branches", [REAL_BRANCHES, COMPLEX_BRANCHES],
