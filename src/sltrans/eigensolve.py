@@ -75,12 +75,15 @@ class ScanResult:
     suspicious: list
 
     def local_scale(self, lam: float, window: int = 16) -> float:
-        """Median |omega| among the scan samples nearest lam."""
+        """Median |omega| among the scan samples nearest lam: the mean of
+        the middle two (the middle one for an odd count), as np.median."""
         i = int(np.searchsorted(self.lams, lam))
         lo = max(0, i - window // 2)
         hi = min(len(self.lams), lo + window)
         lo = max(0, hi - window)
-        return float(np.median(np.abs(self.omegas[lo:hi])))
+        s = np.sort(np.abs(self.omegas[lo:hi]))
+        n = len(s)
+        return float((s[(n - 1) // 2] + s[n // 2]) / 2)
 
 
 def default_lambda_floor(problem) -> float:
@@ -304,9 +307,19 @@ def k_ratio(problem, lam: float, *, phi=None, chi=None,
 
 
 def _ratio_points(vp, samples_per_piece: int) -> np.ndarray:
-    """samples_per_piece interior points of each subinterval, in order."""
-    return np.concatenate([np.linspace(a, b, samples_per_piece + 2)[1:-1]
-                           for a, b in vp.subintervals()])
+    """samples_per_piece interior points of each subinterval, in order.
+
+    They depend on the problem only, so each count is built once and kept,
+    read-only, in ``vp.memo``.
+    """
+    key = ("ratio_points", samples_per_piece)
+    xs = vp.memo.get(key)
+    if xs is None:
+        xs = np.concatenate([np.linspace(a, b, samples_per_piece + 2)[1:-1]
+                             for a, b in vp.subintervals()])
+        xs.setflags(write=False)
+        vp.memo[key] = xs
+    return xs
 
 
 def _ratio_from_values(vp, pv, cv, samples_per_piece: int):

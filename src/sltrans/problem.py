@@ -15,11 +15,14 @@ symmetric operator formulation (see :mod:`sltrans.hilbert`).
 Everything downstream consumes a :class:`ValidatedProblem`, which caches the
 derived quantities (rho, the subinterval weight chain, breakpoints).
 
-Each :class:`PotentialPiece` also keeps lambda-independent data it derives
-from its fields: a sampled piece builds its cubic spline once, and
+Each :class:`PotentialPiece` also keeps data it derives from its fields
+and its use: a sampled piece builds its cubic spline once,
 :attr:`PotentialPiece.memo` holds the potential at the Magnus nodes of each
-step count the propagator has used. Both live in the instance and die with
-it; they are not fields, so equality, hashing and the JSON form ignore them.
+step count the propagator has used, and :attr:`PotentialPiece.settled` the
+step count its ladders last settled on. :attr:`ValidatedProblem.memo` keeps
+the sample points of eigenpair assembly. All of them live in the instance
+and die with it; they are not fields, so equality, hashing and the JSON
+form ignore them.
 """
 
 from __future__ import annotations
@@ -85,10 +88,11 @@ class PotentialPiece:
     powers of x, global coordinate); 'sampled' uses the grid `x`/`values`
     with a cubic-spline interpolant. The sample grid must cover the piece.
 
-    The spline is built on first use and kept, and :attr:`memo` keeps the
-    potential at the Magnus nodes per (x0, x1, n_steps). Both are
-    lambda-independent per-instance caches outside the fields, so ``==``,
-    ``hash`` and :func:`problem_to_json` do not see them.
+    The spline is built on first use and kept, :attr:`memo` keeps the
+    potential at the Magnus nodes per (x0, x1, n_steps), and
+    :attr:`settled` the step count of the last accepted Magnus pass. All
+    are per-instance caches outside the fields, so ``==``, ``hash`` and
+    :func:`problem_to_json` do not see them.
     """
 
     kind: str
@@ -123,6 +127,12 @@ class PotentialPiece:
     @cached_property
     def memo(self) -> dict:
         """Magnus node potentials of this piece, filled by the propagator."""
+        return {}
+
+    @cached_property
+    def settled(self) -> dict:
+        """Magnus step count of the ladder's last accepted pass, per
+        (x0, x1, batch); where the propagator's next ladder starts."""
         return {}
 
     @property
@@ -267,6 +277,13 @@ class ValidatedProblem:
     weights: tuple[float, ...]
     breakpoints: tuple[float, ...]
     pieces: tuple[PotentialPiece, ...]
+
+    @cached_property
+    def memo(self) -> dict:
+        """Lambda-independent points of eigenpair assembly, filled by
+        :mod:`sltrans.eigensolve`; outside the fields, like
+        :attr:`PotentialPiece.memo`."""
+        return {}
 
     # -- convenience accessors -------------------------------------------
     @property

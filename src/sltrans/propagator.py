@@ -14,6 +14,11 @@ at many lambda. States are propagated with 2x2 transfer matrices:
   they are computed once per piece and step count and kept on the piece
   (see :attr:`sltrans.problem.PotentialPiece.memo`), so every ladder, N(lambda)
   call and dense shot on the same problem reuses them.
+* the step count a piece settles on hardly moves from one call to the
+  next, so the ladder starts two levels below the piece's last settled
+  count (:attr:`sltrans.problem.PotentialPiece.settled`) and falls back to
+  the cold start when that could settle coarser; see :func:`magnus_ladder`
+  for what stays bit-identical and for the fallback when no pair settles.
 
 All functions are vectorized over a lambda array and return states at
 piece ends only. :func:`chain` is the one place that knows the start states
@@ -42,8 +47,9 @@ class NonFiniteState(RuntimeError):
 class StepSizeUnderflow(RuntimeError):
     """Step refinement hit its budget without stabilizing: on the piece
     `interval` the passes with n_steps / 2 and `n_steps` steps still
-    disagree. `lam` is the worst-off lambda of the batch, whose endpoint
-    state moved by `gap` where the stop test allowed rtol * `scale`."""
+    disagree, and no consecutive pair came within 100 rtol. `lam` is the
+    worst-off lambda of the batch, whose endpoint state moved by `gap`
+    where the stop test allowed rtol * `scale`."""
 
     def __init__(self, message: str, *, interval=None, n_steps=None,
                  lam=None, gap=None, scale=None):
@@ -232,29 +238,65 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
 
     Passes go from x0 to x1 (x1 < x0 integrates backwards) and stop once the
     endpoint state moves by at most rtol * max(|u(x1)|, |u'(x1)|,
-    scale_floor). Returns (qvals, h, (u1, du1)) of the accepted pass.
+    scale_floor) at every lambda. Returns (qvals, h, (u1, du1)) of the
+    accepted pass.
+
+    The cold ladder starts at n0 = max(8, ceil(16 |x1 - x0|)) steps and
+    doubles up to 2**9 n0. The ladder keeps the step count M of its last
+    accepted pass in ``piece.settled``, per (x0, x1) and per batch or
+    single lambda, and starts the next call at M/4 instead (when that is
+    above n0). If the passes at M/4 and M/2 already agree, the cold ladder
+    might have stopped at M/2 or lower, so it starts over from n0, reusing
+    the passes it has. So the warm ladder returns the cold ladder's pass
+    whenever the cold gaps exceed the tolerance at every level below M/2;
+    otherwise it settles finer than cold, never coarser.
+
+    When no pair settles, the finer pass of the consecutive pair with the
+    smallest worst gap / scale is taken for the whole batch, provided that
+    is at most 100 rtol: the gap falls 16x per doubling until it reaches
+    round-off, and one lambda left on that floor above rtol must not fail
+    the batch. Otherwise :class:`StepSizeUnderflow` reports the last pair.
     """
-    n = max(8, int(np.ceil(16 * abs(x1 - x0))))
-    qv, h = _piece_node_q(piece, x0, x1, n)
-    cur = _magnus_pass(qv, h, lam, u, du)
-    for _ in range(9):
+    n_cold = max(8, int(np.ceil(16 * abs(x1 - x0))))
+    n_max = n_cold << 9
+    key = (x0, x1, np.size(lam) > 1)
+    start = max(piece.settled.get(key, 0) // 4, n_cold)
+    passes = {}
+
+    def run(n):
+        if n not in passes:
+            passes[n] = _magnus_pass(*_piece_node_q(piece, x0, x1, n), lam, u, du)
+        return passes[n]
+
+    n = start
+    closest = (np.inf, 0)
+    while n < n_max:
+        cur, nxt = run(n), run(2 * n)
         n *= 2
-        qv, h = _piece_node_q(piece, x0, x1, n)
-        nxt = _magnus_pass(qv, h, lam, u, du)
         scale = np.maximum(np.maximum(np.abs(nxt[0]), np.abs(nxt[1])), scale_floor)
         gap = np.maximum(np.abs(nxt[0] - cur[0]), np.abs(nxt[1] - cur[1]))
         if np.all(gap <= rtol * scale):
-            if not (np.all(np.isfinite(nxt[0])) and np.all(np.isfinite(nxt[1]))):
-                raise NonFiniteState("propagation produced non-finite values")
-            return qv, h, nxt
-        cur = nxt
-    k = int(np.argmax(np.ravel(gap / scale)))
-    worst = np.ravel(np.broadcast_to(lam, np.shape(gap)))[k].item()
-    raise StepSizeUnderflow(
-        f"piece [{x0}, {x1}] did not stabilize within {n} Magnus steps "
-        f"(worst at lambda = {worst})",
-        interval=(x0, x1), n_steps=n, lam=worst,
-        gap=float(np.ravel(gap)[k]), scale=float(np.ravel(scale)[k]))
+            if n == 2 * start > 2 * n_cold:  # warm start settled at once
+                n = start = n_cold
+                continue
+            break
+        closest = min(closest, (float(np.max(gap / scale)), n))
+    else:
+        if not closest[0] <= 100.0 * rtol:
+            k = int(np.argmax(np.ravel(gap / scale)))
+            worst = np.ravel(np.broadcast_to(lam, np.shape(gap)))[k].item()
+            raise StepSizeUnderflow(
+                f"piece [{x0}, {x1}] did not stabilize within {n} Magnus steps "
+                f"(worst at lambda = {worst})",
+                interval=(x0, x1), n_steps=n, lam=worst,
+                gap=float(np.ravel(gap)[k]), scale=float(np.ravel(scale)[k]))
+        n = closest[1]
+    qv, h = _piece_node_q(piece, x0, x1, n)
+    out = passes[n]
+    if not (np.all(np.isfinite(out[0])) and np.all(np.isfinite(out[1]))):
+        raise NonFiniteState("propagation produced non-finite values")
+    piece.settled[key] = n
+    return qv, h, out
 
 
 def propagate_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e-12):

@@ -6,19 +6,25 @@ tests pin that the caches are built once, stay invisible to equality,
 hashing and serialization, and give the same bits as a fresh evaluation.
 They also pin that cos_sinc gives the same bits, in arrays of its input's
 shape, whether a branch runs on the whole array or on a masked part, that
-NaN in gives NaN out, and that a ladder which cannot settle says where and
-at which lambda.
+NaN in gives NaN out, that a ladder started from a piece's last settled
+step count returns the cold ladder's pass, that a ladder which cannot
+settle says where and at which lambda, and that the ladder's fallback to
+its closest pair carries a variable-q problem to n = 100.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sltrans as st
 import sltrans.problem
+from sltrans import propagator
 from sltrans.eigensolve import find_eigenvalues
 from sltrans.problem import PotentialPiece, load_problem, problem_to_json, save_problem
 from sltrans.propagator import (_GAUSS_OFFSETS, StepSizeUnderflow, _piece_node_q,
-                                cos_sinc, propagate_piece)
+                                cos_sinc, magnus_ladder, propagate_piece)
 
 
 def _sampled_spec() -> st.ProblemSpec:
@@ -50,9 +56,12 @@ def warm(problem_file):
 
 
 def test_fresh_problem_starts_with_empty_caches(problem_file):
-    for piece in _fresh(problem_file).pieces:
+    vp = _fresh(problem_file)
+    assert vp.memo == {}
+    for piece in vp.pieces:
         assert "_spline" not in vars(piece)
         assert piece.memo == {}
+        assert piece.settled == {}
 
 
 def test_one_spline_per_sampled_piece(problem_file, monkeypatch):
@@ -77,6 +86,8 @@ def test_warm_piece_equals_its_cold_twin(problem_file, warm):
         assert w == c
         assert hash(w) == hash(c)
     assert problem_to_json(vp.spec) == problem_to_json(cold.spec)
+    assert vp.memo and not cold.memo
+    assert vp == cold
 
 
 def test_memoised_nodes_are_read_only_and_exact(warm):
@@ -181,3 +192,63 @@ def test_ladder_that_cannot_settle_reports_its_evidence():
     assert err.scale >= 1.0
     assert 1e-20 * err.scale < err.gap < 1e-6 * err.scale
     assert f"{err.n_steps} Magnus steps" in str(err)
+
+
+def _cubic_piece():
+    return PotentialPiece("polynomial", coeffs=(1.0, 1.0, -2.0, 0.5))
+
+
+def _ladder_bytes(piece, lam):
+    qv, h, (u1, du1) = magnus_ladder(piece, -1.0, 0.2, lam, np.ones_like(lam),
+                                     np.zeros_like(lam))
+    return [qv.tobytes(), float(h).hex(), u1.tobytes(), du1.tobytes()]
+
+
+def test_warm_ladder_returns_the_cold_pass(monkeypatch):
+    # On [-1, 0.2] the cold ladder starts at 20 steps and settles on 5120
+    # for lambda from 1e4 to 1e5, 10240 at 1e6 and 1280-2560 below 1e4.
+    counts = []
+    kernel = propagator._magnus_pass
+
+    def counting(qvals, *args):
+        counts.append(len(qvals))
+        return kernel(qvals, *args)
+
+    monkeypatch.setattr(propagator, "_magnus_pass", counting)
+    warm = _cubic_piece()
+    for lam in ([1e4, 1e5], [1e5]):  # warm both keys high
+        _ladder_bytes(warm, np.array(lam))
+    branches = set()
+    for lam in ([-3.0, 40.0, 900.0], [-3.0], [5.0], [1e4, 1e5], [1e6], [40.0, 900.0]):
+        lam = np.array(lam)
+        start = warm.settled[(-1.0, 0.2, lam.size > 1)] // 4
+        del counts[:]
+        got = _ladder_bytes(warm, lam)
+        runs = counts[:]
+        assert got == _ladder_bytes(_cubic_piece(), lam)
+        # Passes at M/4 and M/2 that agree send the ladder back to n0;
+        # otherwise it keeps doubling from M/2.
+        branches.add("restart" if min(runs) < start else "resume")
+        assert runs[:2] == [max(start, 20), 2 * max(start, 20)]
+        assert len(runs) == len(set(runs))  # no pass runs twice
+    assert branches == {"restart", "resume"}
+
+
+def test_ladder_falls_back_to_its_closest_pair_at_high_index():
+    # perfbench/baselines.py's two-piece linear problem. Near lambda = 9178
+    # the pass gaps on [0.2, 1] flatten at round-off just above 1e-12, so
+    # without the fallback n = 95 raises StepSizeUnderflow.
+    spec = st.ProblemSpec(
+        st.PiecewisePotential.from_pieces([PotentialPiece("polynomial", coeffs=(1.0, 1.0)),
+                                           PotentialPiece("polynomial", coeffs=(2.0, -0.5))]),
+        (0.2,), (1.5,), (1.0, 1.0), (0.0, 1.0), (1.0, 0.3))
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    bounds = workloads.RESIDUAL_TOL
+    eigs = find_eigenvalues(st.validate_problem(spec), 100)
+    assert len(eigs) == 100
+    assert np.all(np.diff([e.lam for e in eigs]) > 0)
+    for key, bound in bounds.items():
+        assert max(e.residuals[key] for e in eigs) <= bound, key
