@@ -129,14 +129,14 @@ def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
         else:
             qv, h, _ = propagator.magnus_ladder(piece, x0, x1, lam_arr, u, du,
                                                 rtol=rtol)
-        d, _, z = propagator.magnus_exponent(qv, h, lam_arr[None, :])
+        d, _, z = propagator.magnus_exponent(qv, h, lam_arr[:, None])
         us, dus = propagator.magnus_nodes(qv, h, lam_arr, u, du)
-        zeros = _step_zeros(z, d, h, us[:-1], dus[:-1], us[1:], dus[1:]).sum(axis=0)
+        zeros = _step_zeros(z, d, h, us[:, :-1], dus[:, :-1], us[:, 1:], dus[:, 1:]).sum(axis=1)
         # Only the line matters: rescale to unit max-norm.
-        scale = np.maximum(np.abs(us[-1]), np.abs(dus[-1]))
+        scale = np.maximum(np.abs(us[:, -1]), np.abs(dus[:, -1]))
         if not np.all(np.isfinite(scale)):
             raise propagator.NonFiniteState("counting produced non-finite states")
-        return zeros, us[-1] / scale, dus[-1] / scale
+        return zeros, us[:, -1] / scale, dus[:, -1] / scale
 
     piece_zeros, _, right = propagator.chain(vp, lam_arr, cross)
     zeros = sum(piece_zeros)

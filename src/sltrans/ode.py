@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .problem import OutOfDomain, ValidatedProblem, as_validated
-from .propagator import (_GAUSS_OFFSETS, NonFiniteState, chain, constant_step,
-                         magnus_ladder, magnus_steps)
+from .propagator import (_GAUSS_OFFSETS, NonFiniteState, _product, chain,
+                         constant_step, magnus_ladder, magnus_steps)
 from .quadrature import _gauss_rule
 
 
@@ -92,8 +92,8 @@ class MagnusSegment:
         self.nodes[-1] = b
         us, dus = [u0], [du0]
         u, du = u0, du0
-        for e11, e12, e21, e22 in zip(*(e[:, 0].tolist()
-                                        for e in magnus_steps(qv, h, self.lam_f))):
+        top, bottom = magnus_steps(qv, h, self.lam_f)
+        for e11, e12, e21, e22 in zip(*top[:, 0].tolist(), *bottom[:, 0].tolist()):
             u, du = e11 * u + e12 * du, e21 * u + e22 * du
             us.append(u)
             dus.append(du)
@@ -109,13 +109,11 @@ class MagnusSegment:
         sign = 1.0 if self.h > 0 else -1.0
         k = np.searchsorted(sign * self.nodes, sign * flat, side="right") - 1
         k = np.clip(k, 0, len(self.nodes) - 1)
-        t = (flat - self.nodes[k])[:, None]
+        t = flat - self.nodes[k]
         qv = self.piece.evaluate(self.nodes[k][:, None]
-                                 + t * np.asarray(_GAUSS_OFFSETS)[None, :])
-        e11, e12, e21, e22 = (e[:, 0] for e in magnus_steps(qv, t, self.lam_f))
-        u0, du0 = self.node_u[k], self.node_du[k]
-        u = e11 * u0 + e12 * du0
-        du = e21 * u0 + e22 * du0
+                                 + t[:, None] * np.asarray(_GAUSS_OFFSETS)[None, :])
+        steps = [e[:, 0] for e in magnus_steps(qv, t, self.lam_f)]
+        u, du = _product(steps, (self.node_u[k], self.node_du[k]))
         return u.reshape(xs.shape), du.reshape(xs.shape)
 
 

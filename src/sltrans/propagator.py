@@ -20,6 +20,12 @@ at many lambda. States are propagated with 2x2 transfer matrices:
   the cold start when that could settle coarser; see :func:`magnus_ladder`
   for what stays bit-identical and for the fallback when no pair settles.
 
+The kernel is lambda-major. :func:`magnus_steps` gives the step matrices
+as two rows, (e11, e12) and (e21, e22), each one (2, n_lam, n_steps)
+array, so every ufunc's inner loop runs along the steps, not along a
+lambda batch that is often one long, and no array holds more than two
+matrix entries, which keeps a wide scan's largest block small.
+
 All functions are vectorized over a lambda array and return states at
 piece ends only. :func:`chain` is the one place that knows the start states
 of the two shot solutions and the interface jump rule; the endpoint states
@@ -125,9 +131,10 @@ def constant_step(w, t, u, du):
 
 def magnus_exponent(qvals, h, lam_f):
     """(d, wbar, z) of the step exponents Omega = [[d, h], [h * wbar, -d]],
-    Omega^2 = z I, shaped as in :func:`magnus_steps`."""
-    q1 = qvals[:, 0][:, None]
-    q2 = qvals[:, 1][:, None]
+    Omega^2 = z I, for qvals (n_steps, 2), h a scalar or an (n_steps,) row
+    and lam_f an (n_lam, 1) column: d is (n_steps,), wbar and z are
+    (n_lam, n_steps)."""
+    q1, q2 = qvals.T
     wbar = 0.5 * (q1 + q2) - lam_f
     d = (-(_SQRT3 * h * h / 12.0)) * (q2 - q1)
     z = d * d + (h * h) * wbar
@@ -135,19 +142,32 @@ def magnus_exponent(qvals, h, lam_f):
 
 
 def magnus_steps(qvals, h, lam_f):
-    """Entries (e11, e12, e21, e22) of fourth-order Magnus step matrices.
+    """The rows (e11, e12) and (e21, e22) of fourth-order Magnus step
+    matrices, each a (2, n_lam, n_steps) array.
 
     qvals has shape (n_steps, 2): the potential at the two Gauss nodes of
-    each step. h is the signed step, a scalar or an (n_steps, 1) column.
-    lam_f is a (1, n_lam) row; every entry comes out (n_steps, n_lam).
+    each step. h is the signed step, a scalar or an (n_steps,) row, and
+    lam_f an (n_lam, 1) column.
     """
     d, wbar, z = magnus_exponent(qvals, h, lam_f)
     C, S = cos_sinc(z)
-    e11 = C + S * d
-    e22 = C - S * d
-    e12 = S * h + np.zeros_like(C)
-    e21 = S * h * wbar
-    return e11, e12, e21, e22
+    del z
+    top = np.empty((2, *C.shape), dtype=C.dtype)
+    bottom = np.empty_like(top)
+    np.multiply(S, d, out=bottom[1])
+    np.add(C, bottom[1], out=top[0])
+    np.subtract(C, bottom[1], out=bottom[1])
+    np.multiply(S, h, out=top[1])
+    np.multiply(top[1], wbar, out=bottom[0])
+    return top, bottom
+
+
+def _product(a, b):
+    """The rows of the 2x2 products a b. a is a pair of rows as
+    :func:`magnus_steps` gives them; b is a pair of rows, or a state
+    (u, du), that broadcasts against a's entries. Row i is
+    fl(fl(a_i1 b[0]) + fl(a_i2 b[1]))."""
+    return [row[0] * b[0] + row[1] * b[1] for row in a]
 
 
 def _magnus_pass(qvals, h, lam, u, du):
@@ -162,56 +182,36 @@ def _magnus_pass(qvals, h, lam, u, du):
     pairing keeps chronological order: entry 2k+1 acts after entry 2k, and
     an odd leftover (the latest block) stays at the tail for the next level.
     """
-    target = np.broadcast_shapes(np.shape(lam), np.shape(u), np.shape(du))
-    lam_f = np.reshape(np.broadcast_to(np.asarray(lam), target), (1, -1))
-    u0 = np.reshape(np.broadcast_to(np.asarray(u), target), (-1,))
-    du0 = np.reshape(np.broadcast_to(np.asarray(du), target), (-1,))
-    e11, e12, e21, e22 = magnus_steps(qvals, h, lam_f)
-
-    while e11.shape[0] > 1:
-        m = e11.shape[0]
-        even = (m // 2) * 2
-        a11, a12 = e11[1:even:2], e12[1:even:2]
-        a21, a22 = e21[1:even:2], e22[1:even:2]
-        b11, b12 = e11[0:even:2], e12[0:even:2]
-        b21, b22 = e21[0:even:2], e22[0:even:2]
-        c11 = a11 * b11 + a12 * b21
-        c12 = a11 * b12 + a12 * b22
-        c21 = a21 * b11 + a22 * b21
-        c22 = a21 * b12 + a22 * b22
+    lam, u, du = np.broadcast_arrays(lam, u, du)
+    e = magnus_steps(qvals, h, lam.reshape(-1, 1))
+    while e[0].shape[-1] > 1:
+        m = e[0].shape[-1]
+        even = m - m % 2
+        c = _product([x[..., 1:even:2] for x in e], [x[..., 0:even:2] for x in e])
         if m % 2:
-            c11 = np.concatenate([c11, e11[-1:]])
-            c12 = np.concatenate([c12, e12[-1:]])
-            c21 = np.concatenate([c21, e21[-1:]])
-            c22 = np.concatenate([c22, e22[-1:]])
-        e11, e12, e21, e22 = c11, c12, c21, c22
-
-    u_new = e11[0] * u0 + e12[0] * du0
-    du_new = e21[0] * u0 + e22[0] * du0
-    return u_new.reshape(target), du_new.reshape(target)
+            c = [np.concatenate([y, x[..., -1:]], axis=-1) for x, y in zip(e, c)]
+        e = c
+    u1, du1 = _product([x[..., 0] for x in e], (u.ravel(), du.ravel()))
+    return u1.reshape(lam.shape), du1.reshape(lam.shape)
 
 
 def magnus_nodes(qvals, h, lam, u, du):
-    """(u, du) at every Magnus node, each (n_steps + 1, n_lam), up to a
+    """(u, du) at every Magnus node, each (n_lam, n_steps + 1), up to a
     positive factor per entry; lam, u and du are 1-D of length n_lam.
 
     The prefix products of the step matrices take log2(n_steps) doubling
     passes, each rescaled to unit max-norm, which keeps the direction.
     """
-    e = list(magnus_steps(qvals, h, np.reshape(lam, (1, -1))))
+    e = magnus_steps(qvals, h, np.reshape(lam, (-1, 1)))
     span = 1
-    while span < e[0].shape[0]:
-        a11, a12, a21, a22 = (x[span:] for x in e)
-        b11, b12, b21, b22 = (x[:-span] for x in e)
-        c = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
-        scale = np.max(np.abs(np.stack(c)), axis=0)
-        e = [np.concatenate([x[:span], y / scale]) for x, y in zip(e, c)]
+    while span < e[0].shape[-1]:
+        c = _product([x[..., span:] for x in e], [x[..., :-span] for x in e])
+        scale = np.maximum(*(np.max(np.abs(y), axis=0) for y in c))
+        for x, y in zip(e, c):
+            np.divide(y, scale, out=x[..., span:])
         span *= 2
-    e11, e12, e21, e22 = e
-    u_nodes = np.concatenate([u[None, :], e11 * u + e12 * du])
-    du_nodes = np.concatenate([du[None, :], e21 * u + e22 * du])
-    return u_nodes, du_nodes
+    start = (u[:, None], du[:, None])
+    return tuple(np.concatenate([s, y], axis=1) for s, y in zip(start, _product(e, start)))
 
 
 def _piece_node_q(piece, x0: float, x1: float, n_steps: int):
