@@ -17,11 +17,11 @@ from .characteristic import (CharacteristicSample, MismatchedLambda,
 from .eigensolve import (DegeneratePhi, Eigenpair, LostBracket, ScanResult,
                          SuspectedMissedRoot, bracket_scan, build_eigenpair,
                          default_lambda_floor, find_eigenvalues, k_ratio,
-                         norm_identity_residual, validate_floor,
-                         weighted_square_integral)
+                         norm_identity_residual, validate_floor)
 from .hilbert import (BoundaryForms, ExpansionResult, HElement, expand,
                       gram_matrix, greens_identity_residual, h_inner_product,
-                      r1_form, r1p_form, r_form_identity_residual)
+                      r1_form, r1p_form, r_form_identity_residual,
+                      weighted_square_integral)
 from .ode import (NonConvergence, PiecewiseSolution, StateVector,
                   integrate_segment, picard_phi, shoot_chi, shoot_phi)
 from .problem import (AsymptoticCase, DegenerateLeftBC, OutOfDomain,

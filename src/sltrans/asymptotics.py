@@ -108,6 +108,8 @@ def eigenvalue_estimate(problem, n: int, order: str = "second",
         raise ValueError(f"index n={n} makes the case denominator vanish")
     if q_term not in ("plain", "jump_scaled"):
         raise ValueError(f"unknown q_term {q_term!r}")
+    if order not in ("first", "second"):
+        raise ValueError(f"unknown order {order!r}")
     s_first = angle / 2.0
 
     I0 = potential_moments(vp)["I0"]
@@ -140,8 +142,6 @@ def eigenvalue_estimate(problem, n: int, order: str = "second",
         corr = (ingredients["beta2_over_beta1p"] + iq) / angle
 
     s_second = s_first + corr if order == "second" else s_first
-    if order == "first":
-        s_second = s_first
     return EigenvalueEstimate(case=case, n=n, s_first=float(s_first),
                               s_second=float(s_second), ingredients=ingredients)
 

@@ -13,7 +13,10 @@ solution at all; the right boundary data makes
 
     omega(lambda) = prod(delta_i^2) * [(lambda b1' + b1) u(1) - (lambda b2' + b2) u'(1)]
 
-with u the left solution, and that is one endpoint propagation.
+with u the left solution, and that is one endpoint propagation
+(:func:`sltrans.propagator.boundary_form` of its end state).
+`omega_samples` reads omega from the same forward chain that gives its
+per-subinterval states.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ def omega(problem, lam, *, rtol: float = 1e-12):
     lam_arr = np.asarray(lam)
     if not np.iscomplexobj(lam_arr):
         lam_arr = lam_arr.astype(float)
-    form = propagator.phi_boundary_form(vp, lam_arr, rtol=rtol)
-    out = vp.delta_sq_prod * form
+    end = propagator.endpoint_chain(vp, lam_arr, rtol=rtol)[1][-1]
+    out = vp.delta_sq_prod * propagator.boundary_form(vp, lam_arr, *end)
     if np.ndim(lam) == 0:
         return complex(out) if np.iscomplexobj(out) else float(out)
     return out
@@ -167,9 +170,11 @@ def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicS
     """Batched omega_per_interval over an array of lambda."""
     vp = as_validated(problem)
     lam_arr = np.atleast_1d(np.asarray(lams, dtype=float))
-    phi_left = propagator.endpoint_chain(vp, lam_arr, rtol=rtol)[0]
+    phi_left, phi_right = propagator.endpoint_chain(vp, lam_arr, rtol=rtol)
     chi_right = propagator.endpoint_chain(vp, lam_arr, backward=True, rtol=rtol)[1]
-    omega_fast = omega(vp, lam_arr, rtol=rtol)
+    # omega() of the batch, read from phi's end state.
+    omega_fast = vp.delta_sq_prod * propagator.boundary_form(vp, lam_arr,
+                                                            *phi_right[-1])
 
     mids = [0.5 * (a + b) for a, b in vp.subintervals()]
     omega_cols = []
@@ -197,7 +202,7 @@ def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicS
             omega=om1,
             omega_i=omis,
             chain_residuals=resids,
-            metadata={"rtol": rtol, "omega_boundary_form": float(np.atleast_1d(omega_fast)[k])},
+            metadata={"rtol": rtol, "omega_boundary_form": float(omega_fast[k])},
         ))
     return out
 

@@ -22,6 +22,8 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import os
 import re
 import sys
 
@@ -34,9 +36,6 @@ from .hilbert import HElement, expand, gram_matrix, greens_identity_residual
 from .problem import (PiecewisePotential, ProblemError, ProblemSpec,
                       as_validated, load_problem, problem_to_json)
 
-CHECK_NAMES = ("chain", "orthogonality", "asymptotics", "norm-identity",
-               "greens", "delta-invariance")
-
 THRESHOLDS = {
     "chain": 1e-7,
     "orthogonality": 1e-6,
@@ -45,6 +44,7 @@ THRESHOLDS = {
     "greens": 1e-7,
     "delta-invariance": 1e-8,
 }
+CHECK_NAMES = tuple(THRESHOLDS)
 
 
 class CliError(Exception):
@@ -82,6 +82,17 @@ class RunConfig:
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise CliError(f"unknown check {c!r}; choose from {CHECK_NAMES}")
+        # Checked after the errors above, so their messages keep precedence.
+        for name in ("ode_tol", "root_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise CliError(f"tolerance {name} must be finite")
+        if not (math.isfinite(self.s_max) and self.s_max > 0):
+            raise CliError("s_max must be finite and positive")
+        if self.lam_floor is not None and not (math.isfinite(self.lam_floor)
+                                               and self.lam_floor < 0):
+            raise CliError("lam_floor must be finite and negative")
+        if self.seed < 0:
+            raise CliError("seed must be non-negative")
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -102,7 +113,8 @@ def _build_parser() -> _Parser:
     for name in ("solve", "verify", "sweep", "expand", "scan"):
         sp = sub.add_parser(name)
         sp.add_argument("--problem", required=True, help="problem JSON file")
-        sp.add_argument("--nmax", type=int, default=10)
+        sp.add_argument("--nmax", dest="n_max", metavar="NMAX", type=int,
+                        default=10)
         sp.add_argument("--ode-tol", type=float, default=1e-12,
                         help="Magnus step-doubling tolerance (relative)")
         sp.add_argument("--root-tol", type=float, default=1e-14)
@@ -121,86 +133,65 @@ def _build_parser() -> _Parser:
             sp.add_argument("--target", required=True,
                             help="target element JSON file")
         if name == "scan":
-            sp.add_argument("--smax", type=float, default=10.0)
-            sp.add_argument("--floor", type=float, default=None)
+            sp.add_argument("--smax", dest="s_max", metavar="SMAX", type=float,
+                            default=10.0)
+            sp.add_argument("--floor", dest="lam_floor", metavar="FLOOR",
+                            type=float, default=None)
         if name == "solve":
             sp.add_argument("--dump-eigenfunctions", default=None,
                             help="directory for per-eigenfunction CSV dumps")
     return p
 
 
+def _split(text: str, what: str) -> tuple:
+    items = tuple(v.strip() for v in text.split(",") if v.strip())
+    if not items:
+        raise CliError(f"empty {what} list")
+    return items
+
+
 def _config_from_args(args) -> RunConfig:
-    checks = CHECK_NAMES
-    if getattr(args, "checks", None) is not None:
-        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        if not checks:
-            raise CliError("empty check list")
-    values = ()
-    if getattr(args, "values", None) is not None:
-        raw = [v.strip() for v in args.values.split(",") if v.strip()]
-        if not raw:
-            raise CliError("empty value list")
+    fields = vars(args)
+    if "checks" in fields:
+        fields["checks"] = _split(args.checks, "check")
+    if "values" in fields:
+        raw = _split(args.values, "value")
         try:
-            values = tuple(float(v) for v in raw)
+            fields["values"] = tuple(float(v) for v in raw)
         except ValueError as exc:
             raise CliError(f"bad sweep value: {exc}") from None
-    return RunConfig(
-        command=args.command,
-        problem=args.problem,
-        n_max=args.nmax,
-        ode_tol=args.ode_tol,
-        root_tol=args.root_tol,
-        format=args.format,
-        out=args.out,
-        seed=args.seed,
-        checks=checks,
-        param=getattr(args, "param", None),
-        values=values,
-        target=getattr(args, "target", None),
-        s_max=getattr(args, "smax", 10.0),
-        lam_floor=getattr(args, "floor", None),
-        dump_eigenfunctions=getattr(args, "dump_eigenfunctions", None),
-    )
+    return RunConfig(**fields)
 
 
 # ----------------------------------------------------------------------
 # Report plumbing
 # ----------------------------------------------------------------------
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
+def _emit(config: RunConfig, report: dict, header, rows) -> None:
+    """Write the report to --out or stdout: as JSON, with the configuration
+    under "config", or as a CSV table of header and rows."""
+    if config.format == "json":
+        text = json.dumps({"config": config.as_dict(), **report},
+                          sort_keys=True, indent=2, allow_nan=True) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    if config.out:
+        with open(config.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+_EIG_FIELDS = ("n", "n_formula", "s", "omega_prime", "k_ratio", "k_spread",
+               "norm_constant", "scalar", "residuals")
 
 
 def _eig_row(eig) -> dict:
-    return {
-        "n": eig.n,
-        "n_formula": eig.n_formula,
-        "lambda": eig.lam,
-        "s": eig.s,
-        "omega_prime": eig.omega_prime,
-        "k_ratio": eig.k_ratio,
-        "k_spread": eig.k_spread,
-        "norm_constant": eig.norm_constant,
-        "scalar": eig.scalar,
-        "residuals": eig.residuals,
-    }
+    return {"lambda": eig.lam, **{k: getattr(eig, k) for k in _EIG_FIELDS}}
 
 
 def _load(config: RunConfig):
@@ -211,9 +202,9 @@ def _load(config: RunConfig):
     return as_validated(spec)
 
 
-def _solve(vp, config: RunConfig):
-    return find_eigenvalues(vp, config.n_max, rtol=config.ode_tol,
-                            root_rel_tol=config.root_tol)
+def _solve(problem, config: RunConfig, n: int | None = None):
+    return find_eigenvalues(problem, config.n_max if n is None else n,
+                            rtol=config.ode_tol, root_rel_tol=config.root_tol)
 
 
 # ----------------------------------------------------------------------
@@ -224,23 +215,15 @@ def run_solve(config: RunConfig) -> int:
     vp = _load(config)
     eigs = _solve(vp, config)
     if config.dump_eigenfunctions:
-        import os
         os.makedirs(config.dump_eigenfunctions, exist_ok=True)
         for eig in eigs:
             eig.phi.to_csv(f"{config.dump_eigenfunctions}/eigenfunction_{eig.n}.csv")
-    if config.format == "json":
-        report = {
-            "config": config.as_dict(),
-            "problem": problem_to_json(vp.spec),
-            "eigenvalues": [_eig_row(e) for e in eigs],
-        }
-        _emit(_json_text(report), config.out)
-    else:
-        rows = [[e.n, e.n_formula if e.n_formula is not None else "",
-                 repr(e.lam), repr(e.s) if e.s is not None else "",
-                 repr(e.omega_prime), repr(e.k_ratio)] for e in eigs]
-        _emit(_csv_text(["n", "n_formula", "lambda", "s", "omega_prime",
-                         "k_ratio"], rows), config.out)
+    rows = [[e.n, e.n_formula if e.n_formula is not None else "",
+             repr(e.lam), repr(e.s) if e.s is not None else "",
+             repr(e.omega_prime), repr(e.k_ratio)] for e in eigs]
+    _emit(config, {"problem": problem_to_json(vp.spec),
+                   "eigenvalues": [_eig_row(e) for e in eigs]},
+          ["n", "n_formula", "lambda", "s", "omega_prime", "k_ratio"], rows)
     return 0
 
 
@@ -251,7 +234,7 @@ def _check_chain(vp, config, rng) -> dict:
     return {"measured": measured, "count": len(samples)}
 
 
-def _check_orthogonality(vp, config, eigs) -> dict:
+def _check_orthogonality(vp, eigs) -> dict:
     gram = gram_matrix(vp, eigs)
     off = gram - np.diag(np.diag(gram))
     measured = float(np.max(np.abs(off))) if gram.size else 0.0
@@ -268,7 +251,7 @@ def _fit_slope(ns, vals) -> float:
     return float(slope)
 
 
-def _check_asymptotics(vp, config, eigs) -> dict:
+def _check_asymptotics(vp, eigs) -> dict:
     rows = asymptotics.asymptotics_report(vp, eigs)
     rows = [r for r in rows if r["n"] >= 5]
     if len(rows) < 5:
@@ -281,13 +264,13 @@ def _check_asymptotics(vp, config, eigs) -> dict:
             "slope_second": slope2, "rows": len(rows)}
 
 
-def _check_norm_identity(vp, config, eigs) -> dict:
-    worst = max(float(e.residuals["norm_identity"]) for e in eigs)
-    worst_scaled = max(float(e.residuals["norm_identity_jump_scaled_variant"])
-                       for e in eigs)
-    worst_subst = max(float(e.residuals["k_substitution"]) for e in eigs)
-    return {"measured": worst, "jump_scaled_variant": worst_scaled,
-            "substitution": worst_subst}
+def _check_norm_identity(eigs) -> dict:
+    def worst(key):
+        return max(float(e.residuals[key]) for e in eigs)
+
+    return {"measured": worst("norm_identity"),
+            "jump_scaled_variant": worst("norm_identity_jump_scaled_variant"),
+            "substitution": worst("k_substitution")}
 
 
 def _check_greens(vp, config, rng) -> dict:
@@ -306,15 +289,13 @@ def _check_delta_invariance(vp, config) -> dict:
     if vp.m == 0:
         return {"skipped": "no interfaces"}
     n = min(config.n_max, 10)
-    base = find_eigenvalues(
-        dataclasses.replace(vp.spec, jumps=tuple(1.0 for _ in vp.jumps)), n,
-        rtol=config.ode_tol, root_rel_tol=config.root_tol)
+    base = _solve(dataclasses.replace(vp.spec, jumps=tuple(1.0 for _ in vp.jumps)),
+                  config, n)
     base_lams = np.array([e.lam for e in base])
     worst = 0.0
     for d1 in (0.5, 2.0, 3.0, vp.jumps[0]):
         jumps = (d1,) + vp.jumps[1:]
-        eigs = find_eigenvalues(dataclasses.replace(vp.spec, jumps=jumps), n,
-                                rtol=config.ode_tol, root_rel_tol=config.root_tol)
+        eigs = _solve(dataclasses.replace(vp.spec, jumps=jumps), config, n)
         lams = np.array([e.lam for e in eigs])
         worst = max(worst, float(np.max(np.abs(lams - base_lams)
                                         / np.maximum(1.0, np.abs(base_lams)))))
@@ -324,47 +305,34 @@ def _check_delta_invariance(vp, config) -> dict:
 def run_verify(config: RunConfig) -> int:
     vp = _load(config)
     rng = np.random.default_rng(config.seed)
-    needs_eigs = bool({"orthogonality", "asymptotics", "norm-identity"}
-                      & set(config.checks))
     eigs = None
-    if needs_eigs:
+    if {"orthogonality", "asymptotics", "norm-identity"} & set(config.checks):
         n = max(config.n_max, 25) if "asymptotics" in config.checks else config.n_max
-        eigs = _solve(vp, dataclasses.replace(config, n_max=n))
+        eigs = _solve(vp, config, n)
+    checks = {
+        "chain": lambda: _check_chain(vp, config, rng),
+        "orthogonality": lambda: _check_orthogonality(vp, eigs[:config.n_max]),
+        "asymptotics": lambda: _check_asymptotics(vp, eigs),
+        "norm-identity": lambda: _check_norm_identity(eigs[:config.n_max]),
+        "greens": lambda: _check_greens(vp, config, rng),
+        "delta-invariance": lambda: _check_delta_invariance(vp, config),
+    }
 
     results = []
-    all_pass = True
     for name in config.checks:
-        if name == "chain":
-            detail = _check_chain(vp, config, rng)
-        elif name == "orthogonality":
-            detail = _check_orthogonality(vp, config, eigs[:config.n_max])
-        elif name == "asymptotics":
-            detail = _check_asymptotics(vp, config, eigs)
-        elif name == "norm-identity":
-            detail = _check_norm_identity(vp, config, eigs[:config.n_max])
-        elif name == "greens":
-            detail = _check_greens(vp, config, rng)
-        else:
-            detail = _check_delta_invariance(vp, config)
+        detail = checks[name]()
         if "skipped" in detail:
             results.append({"check": name, "status": "skipped",
                             "reason": detail["skipped"]})
-            continue
-        threshold = THRESHOLDS[name]
-        passed = bool(detail["measured"] <= threshold)
-        all_pass = all_pass and passed
-        results.append({"check": name, "status": "pass" if passed else "fail",
-                        "threshold": threshold, **detail})
-
-    if config.format == "json":
-        report = {"config": config.as_dict(), "results": results,
-                  "passed": all_pass}
-        _emit(_json_text(report), config.out)
-    else:
-        rows = [[r["check"], r["status"], repr(r.get("measured", "")),
-                 repr(r.get("threshold", ""))] for r in results]
-        _emit(_csv_text(["check", "status", "measured", "threshold"], rows),
-              config.out)
+        else:
+            passed = detail["measured"] <= THRESHOLDS[name]
+            results.append({"check": name, "status": "pass" if passed else "fail",
+                            "threshold": THRESHOLDS[name], **detail})
+    all_pass = all(r["status"] != "fail" for r in results)
+    rows = [[r["check"], r["status"], repr(r.get("measured", "")),
+             repr(r.get("threshold", ""))] for r in results]
+    _emit(config, {"results": results, "passed": all_pass},
+          ["check", "status", "measured", "threshold"], rows)
     for r in results:
         line = f"{r['check']}: {r['status']}"
         if "measured" in r:
@@ -398,34 +366,23 @@ def _set_param(spec: ProblemSpec, path: str, value: float) -> ProblemSpec:
 
 
 def run_sweep(config: RunConfig) -> int:
-    if not config.values:
-        raise CliError("empty value list")
     base = _load(config).spec
     rows = []
     for v in config.values:
         try:
-            spec = _set_param(base, config.param, v)
-            eigs = find_eigenvalues(spec, config.n_max, rtol=config.ode_tol,
-                                    root_rel_tol=config.root_tol)
-            for e in eigs:
-                rows.append({"param_value": v, "n": e.n, "lambda": e.lam,
-                             "error": None})
+            eigs = _solve(_set_param(base, config.param, v), config)
+            rows += [{"param_value": v, "n": e.n, "lambda": e.lam, "error": None}
+                     for e in eigs]
         except CliError:
             raise
         except Exception as exc:
             rows.append({"param_value": v, "n": None, "lambda": None,
                          "error": f"{type(exc).__name__}: {exc}"})
-    if config.format == "json":
-        report = {"config": config.as_dict(), "parameter": config.param,
-                  "rows": rows}
-        _emit(_json_text(report), config.out)
-    else:
-        out_rows = [[repr(r["param_value"]),
-                     "" if r["n"] is None else r["n"],
-                     "" if r["lambda"] is None else repr(r["lambda"]),
-                     r["error"] or ""] for r in rows]
-        _emit(_csv_text(["param_value", "n", "lambda", "error"], out_rows),
-              config.out)
+    out_rows = [[repr(r["param_value"]), "" if r["n"] is None else r["n"],
+                 "" if r["lambda"] is None else repr(r["lambda"]),
+                 r["error"] or ""] for r in rows]
+    _emit(config, {"parameter": config.param, "rows": rows},
+          ["param_value", "n", "lambda", "error"], out_rows)
     return 0
 
 
@@ -460,21 +417,16 @@ def run_expand(config: RunConfig) -> int:
     eigs = _solve(vp, config)
     target = _target_element(target_obj, eigs)
     result = expand(vp, target, eigs)
-    if config.format == "json":
-        report = {
-            "config": config.as_dict(),
-            "target": target_obj,
-            "coefficients": [float(c) for c in result.coefficients],
-            "residuals": [float(r) for r in result.residuals],
-            "norm_sq": result.norm_sq,
-            "parseval_ratio": result.parseval_ratio,
-        }
-        _emit(_json_text(report), config.out)
-    else:
-        rows = [[k + 1, repr(float(c)), repr(float(r))]
-                for k, (c, r) in enumerate(zip(result.coefficients,
-                                               result.residuals))]
-        _emit(_csv_text(["N", "coefficient", "residual"], rows), config.out)
+    report = {
+        "target": target_obj,
+        "coefficients": [float(c) for c in result.coefficients],
+        "residuals": [float(r) for r in result.residuals],
+        "norm_sq": result.norm_sq,
+        "parseval_ratio": result.parseval_ratio,
+    }
+    rows = [[k + 1, repr(c), repr(r)] for k, (c, r) in
+            enumerate(zip(report["coefficients"], report["residuals"]))]
+    _emit(config, report, ["N", "coefficient", "residual"], rows)
     return 0
 
 
@@ -485,16 +437,13 @@ def run_scan(config: RunConfig) -> int:
     if config.format == "csv":
         write_scan_csv(samples, config.out or sys.stdout)
     else:
-        report = {
-            "config": config.as_dict(),
+        _emit(config, {
             "brackets": [list(b) for b in scan.brackets],
             "suspicious": scan.suspicious,
-            "samples": [{"lambda": s.lam, "omega": s.omega,
-                         "omega_i": s.omega_i,
+            "samples": [{"lambda": s.lam, "omega": s.omega, "omega_i": s.omega_i,
                          "chain_residual_max": s.chain_residual_max}
                         for s in samples],
-        }
-        _emit(_json_text(report), config.out)
+        }, None, None)
     return 0
 
 
@@ -519,7 +468,7 @@ def main(argv=None) -> int:
         print(f"config: {json.dumps(config.as_dict(), sort_keys=True)}",
               file=sys.stderr)
         return _RUNNERS[config.command](config)
-    except CliError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SuspectedMissedRoot as exc:
@@ -530,9 +479,6 @@ def main(argv=None) -> int:
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -14,8 +14,9 @@ That shapes the solver:
    until each part holds one eigenvalue (a close pair in one scan cell
    shows no sign change), and refine those parts the same way,
 4. for each root build the left solution, the ratio linking it to the right
-   solution, the derivative of omega, the norm-identity diagnostics, and a
-   normalized eigenvector. That takes three transmission chains per root
+   solution, the derivative of omega, the norm-identity diagnostics (the
+   weighted square integral of phi on :mod:`sltrans.quadrature`'s rule), and
+   a normalized eigenvector. That takes three transmission chains per root
    (the dense phi and chi and the complex-step omega'); omega at the root
    is read from phi's end state.
 
@@ -31,13 +32,14 @@ import numpy as np
 
 from . import asymptotics
 from .characteristic import eigenvalue_count, omega, omega_derivative
-from .hilbert import QUAD_NODES, panels_for, r1_form, r1p_form
+from .hilbert import r1_form, r1p_form
 from .ode import PiecewiseSolution, shoot_chi, shoot_phi
 from .problem import as_validated, classify_case
 from .propagator import boundary_form
+from .quadrature import subinterval_rules, weighted_sum
 # fixed_quad is no longer called here, but perfbench/tracing.py wraps
 # eigensolve.fixed_quad by name, so the name stays importable.
-from .quadrature import fixed_quad, panel_nodes  # noqa: F401
+from .quadrature import fixed_quad  # noqa: F401
 
 S_SCAN_STEP = np.pi / 16.0
 NEG_SCAN_STEP = 0.5
@@ -255,39 +257,6 @@ class Eigenpair:
     residuals: dict = field(default_factory=dict)
 
 
-def weighted_square_integral(problem, sol, freq: float | None = None) -> float:
-    """sum_j w_j int_j u^2 for a piecewise solution.
-
-    Each subinterval gets a composite Gauss rule with panels_for's count
-    at frequency 2 * freq; u is evaluated once at the nodes of all
-    subintervals together, and each subinterval's rule is then one dot
-    product over its own nodes.
-    """
-    vp = as_validated(problem)
-    if freq is None:
-        freq = np.sqrt(abs(sol.lam))
-    nodes, weights = _square_rules(vp, freq)
-    return _weighted_square_sum(vp, weights, sol.u(nodes))
-
-
-def _square_rules(vp, freq: float):
-    """All subintervals' Gauss nodes together, and each one's weights."""
-    rules = [panel_nodes(a, b, panels_for(a, b, 2.0 * freq), QUAD_NODES)
-             for a, b in vp.subintervals()]
-    return np.concatenate([x for x, _ in rules]), [w for _, w in rules]
-
-
-def _weighted_square_sum(vp, weights, u) -> float:
-    """sum_j w_j int_j u^2 from u at the nodes of :func:`_square_rules`."""
-    sq = u ** 2
-    total = 0.0
-    start = 0
-    for wj, w in zip(vp.weights, weights):
-        total += wj * float(np.dot(w, sq[start:start + len(w)]))
-        start += len(w)
-    return total
-
-
 def k_ratio(problem, lam: float, *, phi=None, chi=None,
             samples_per_piece: int = K_SAMPLES):
     """Proportionality factor k with chi = k * phi at an eigenvalue.
@@ -350,13 +319,14 @@ def _norm_terms(vp, lam: float, rtol: float):
     phi = shoot_phi(vp, lam, rtol=rtol)
     chi = shoot_chi(vp, lam, rtol=rtol)
     xs = _ratio_points(vp, K_SAMPLES)
-    nodes, weights = _square_rules(vp, np.sqrt(abs(lam)))
+    nodes, weights = subinterval_rules(vp.subintervals(),
+                                       2.0 * np.sqrt(abs(lam)))
     pv = phi.u(np.concatenate([xs, nodes]))
     k, spread = _ratio_from_values(vp, pv[:len(xs)], chi.u(xs), K_SAMPLES)
     omp = omega_derivative(vp, lam, rtol=rtol)
     u1, du1 = phi.boundary_state("right")
     r1p_phi = r1p_form(vp, u1, du1)
-    lhs = _weighted_square_sum(vp, weights, pv[len(xs):])
+    lhs = weighted_sum(vp.weights, weights, pv[len(xs):] ** 2)
     d2 = vp.delta_sq_prod
 
     rhs = omp / k - (d2 / k) * r1p_phi

@@ -9,8 +9,10 @@ the augmented eigenvectors (phi_n, R1'(phi_n)) form a complete orthonormal
 family after normalization.
 
 The module provides the inner product (with a quadrature error estimate),
-the two right-boundary forms R1 and R1', Gram matrices, a symmetry
-(Green's identity) diagnostic, and the expansion / completeness check.
+the weighted square integral of a shot solution, the two right-boundary
+forms R1 and R1', Gram matrices, a symmetry (Green's identity) diagnostic,
+and the expansion / completeness check. Its sums over subintervals use the
+one rule of :mod:`sltrans.quadrature`.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ode import shoot_phi
 from .problem import as_validated
-from .quadrature import QuadratureNotConverged, fixed_quad, panel_nodes
+from .quadrature import (QuadratureNotConverged, fixed_quad, panels_for,
+                         subinterval_rules, weighted_sum)
 
-QUAD_NODES = 12
 MAX_QUAD_DOUBLINGS = 8
 
 
@@ -135,14 +138,8 @@ class HElement:
 # Inner product and Gram matrix
 # ----------------------------------------------------------------------
 
-def panels_for(a: float, b: float, freq: float) -> int:
-    """Panel count keeping under one oscillation period per 12-node panel."""
-    return max(2, int(np.ceil((b - a) * (abs(freq) + 4.0) / 4.0)))
-
-
 def h_inner_product(problem, F: HElement, G: HElement, *,
-                    rel_tol: float = 1e-11, abs_tol: float = 1e-14,
-                    n_nodes: int = QUAD_NODES):
+                    rel_tol: float = 1e-11, abs_tol: float = 1e-14):
     """<F, G>: weighted integrals over every subinterval plus the scalar term.
 
     Returns (value, error_estimate). Each subinterval integral starts from a
@@ -158,11 +155,11 @@ def h_inner_product(problem, F: HElement, G: HElement, *,
             return F.values(x) * G.values(x)
 
         panels = panels_for(a, b, freq)
-        prev = fixed_quad(fg, a, b, panels, n_nodes)
+        prev = fixed_quad(fg, a, b, panels)
         converged = False
         for _ in range(MAX_QUAD_DOUBLINGS):
             panels *= 2
-            cur = fixed_quad(fg, a, b, panels, n_nodes)
+            cur = fixed_quad(fg, a, b, panels)
             gap = abs(cur - prev)
             if gap <= max(abs_tol, rel_tol * abs(cur)):
                 converged = True
@@ -178,17 +175,17 @@ def h_inner_product(problem, F: HElement, G: HElement, *,
     return total, err_total
 
 
-def _shared_grid(vp, freq: float, n_nodes: int = QUAD_NODES):
-    """One composite Gauss grid over all subintervals, H-weights folded in."""
-    xs, ws = [], []
-    for j, (a, b) in enumerate(vp.subintervals()):
-        x, w = panel_nodes(a, b, panels_for(a, b, freq), n_nodes)
-        xs.append(x)
-        ws.append(vp.weights[j] * w)
-    return np.concatenate(xs), np.concatenate(ws)
+def weighted_square_integral(problem, sol) -> float:
+    """sum_j w_j int_j u^2 for a piecewise solution, with the quadrature
+    panels set for frequency 2 sqrt|lambda|; u is evaluated once, at the
+    nodes of all subintervals together."""
+    vp = as_validated(problem)
+    nodes, weights = subinterval_rules(vp.subintervals(),
+                                       2.0 * np.sqrt(abs(sol.lam)))
+    return weighted_sum(vp.weights, weights, sol.u(nodes) ** 2)
 
 
-def gram_matrix(problem, elements, *, n_nodes: int = QUAD_NODES) -> np.ndarray:
+def gram_matrix(problem, elements) -> np.ndarray:
     """All pairwise inner products.
 
     Accepts eigenpairs or HElements (eigenpairs are wrapped). Every element
@@ -201,7 +198,8 @@ def gram_matrix(problem, elements, *, n_nodes: int = QUAD_NODES) -> np.ndarray:
     if not elems:
         return np.zeros((0, 0))
     freq = 2.0 * max(e.freq_hint for e in elems)
-    x, w = _shared_grid(vp, freq, n_nodes)
+    x, rules = subinterval_rules(vp.subintervals(), freq)
+    w = np.concatenate([wj * rule for wj, rule in zip(vp.weights, rules)])
     vals = np.vstack([e.values(x) for e in elems])
     scal = np.array([e.f1 for e in elems])
     gram = (vals * w) @ vals.T
@@ -228,9 +226,6 @@ def greens_identity_residual(problem, lam_a: float, lam_b: float, *,
     the left end, the worst interface Wronskian-jump defect, and the
     boundary-form identity defect at x = 1.
     """
-    from .eigensolve import weighted_square_integral
-    from .ode import shoot_phi
-
     vp = as_validated(problem)
     pa = shoot_phi(vp, lam_a, rtol=rtol)
     pb = shoot_phi(vp, lam_b, rtol=rtol)

@@ -372,16 +372,3 @@ def boundary_form(problem, lam, u1, du1):
     condition applied to the state (u1, du1) at x = 1."""
     vp = as_validated(problem)
     return (vp.beta1p * lam + vp.beta1) * u1 - (vp.beta2p * lam + vp.beta2) * du1
-
-
-def phi_boundary_form(problem, lam, *, rtol: float = 1e-12):
-    """:func:`boundary_form` of the left solution's state at x = 1.
-
-    The characteristic function is delta_sq_prod times this; see
-    :func:`sltrans.characteristic.omega`.
-    """
-    vp = as_validated(problem)
-    lam = np.asarray(lam)
-    if not np.iscomplexobj(lam):
-        lam = lam.astype(float)
-    return boundary_form(vp, lam, *endpoint_chain(vp, lam, rtol=rtol)[1][-1])

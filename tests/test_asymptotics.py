@@ -113,6 +113,10 @@ class TestEigenvalueEstimate:
         with pytest.raises(ValueError, match="q_term"):
             eigenvalue_estimate(canonical, 3, q_term="nope")
 
+    def test_unknown_order_rejected(self, canonical):
+        with pytest.raises(ValueError, match="order 'third'"):
+            eigenvalue_estimate(canonical, 3, order="third")
+
     def test_q_term_variants_differ_only_through_jumps(self, case1_linear):
         plain = eigenvalue_estimate(case1_linear, 9, q_term="plain")
         scaled = eigenvalue_estimate(case1_linear, 9, q_term="jump_scaled")

@@ -297,6 +297,25 @@ class TestFailureModes:
         code, _, _ = run_cli(["dance", "--problem", problem_file], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--smax", "0"], "s_max must be finite and positive"),
+        (["scan", "--smax", "-1"], "s_max must be finite and positive"),
+        (["scan", "--smax", "nan"], "s_max must be finite and positive"),
+        (["scan", "--smax", "inf"], "s_max must be finite and positive"),
+        (["scan", "--floor", "5"], "lam_floor must be finite and negative"),
+        (["scan", "--floor", "0"], "lam_floor must be finite and negative"),
+        (["scan", "--floor=-inf"], "lam_floor must be finite and negative"),
+        (["verify", "--seed", "-1"], "seed must be non-negative"),
+        (["solve", "--root-tol", "inf"], "tolerance root_tol must be finite"),
+        (["solve", "--root-tol", "nan"], "tolerance root_tol must be finite"),
+        (["solve", "--ode-tol", "nan"], "tolerance ode_tol must be finite"),
+    ])
+    def test_out_of_range_numbers_are_config_errors(self, problem_file, capsys,
+                                                    argv, message):
+        code, out, err = run_cli(
+            [argv[0], "--problem", problem_file, *argv[1:]], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 def test_console_script_smoke(problem_file, tmp_path):
     """The ``sltrans`` script declared in pyproject.toml runs ``main`` in a

@@ -20,8 +20,8 @@ from sltrans.eigensolve import (
     k_ratio,
     norm_identity_residual,
     validate_floor,
-    weighted_square_integral,
 )
+from sltrans.hilbert import weighted_square_integral
 from sltrans.ode import PiecewiseSolution
 from conftest import make_canonical
 import oracles
