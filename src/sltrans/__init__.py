@@ -7,7 +7,7 @@ and builds an orthonormal eigenvector family in the weighted space the
 problem is self-adjoint on.
 """
 
-from .asymptotics import (EigenvalueEstimate, UndefinedRatio, asymptotics_report,
+from .asymptotics import (EigenvalueEstimate, asymptotics_report,
                           eigenfunction_estimate, eigenvalue_estimate,
                           leading_omega, nearest_index)
 from .characteristic import (CharacteristicSample, MismatchedLambda,
@@ -43,7 +43,7 @@ __all__ = [
     "NonFiniteState", "OutOfDomain", "PiecewisePotential", "PiecewiseSolution",
     "PotentialPiece", "ProblemError", "ProblemSpec", "QuadratureNotConverged",
     "RhoNotPositive", "ScanResult", "StateVector", "StepSizeUnderflow",
-    "SuspectedMissedRoot", "UndefinedRatio", "UnorderedInterfaces",
+    "SuspectedMissedRoot", "UnorderedInterfaces",
     "ValidatedProblem", "ZeroJumpFactor", "as_validated", "asymptotics_report",
     "bracket_scan", "build_eigenpair", "classify_case", "default_lambda_floor",
     "eigenfunction_estimate", "eigenvalue_count", "eigenvalue_estimate",

@@ -102,6 +102,11 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # values such as -1e-3 and -0.5,1 are numbers, not options
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise CliError(message)
 

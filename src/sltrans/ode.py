@@ -26,7 +26,7 @@ import numpy as np
 from .problem import OutOfDomain, ValidatedProblem, as_validated
 from .propagator import (_GAUSS_OFFSETS, NonFiniteState, _product, chain,
                          constant_step, magnus_ladder, magnus_steps)
-from .quadrature import _gauss_rule
+from .quadrature import _gauss_rule, panel_nodes
 
 
 class NonConvergence(RuntimeError):
@@ -317,15 +317,12 @@ class _PanelGL:
         self.a = a
         self.b = b
         self.edges = np.linspace(a, b, n_panels + 1)
-        xr, wr = _gauss_rule(n_nodes)
-        self.ref_x = xr
-        self.ref_w = wr
-        half = 0.5 * (self.edges[1:] - self.edges[:-1])
-        mid = 0.5 * (self.edges[1:] + self.edges[:-1])
-        self.nodes = mid[:, None] + half[:, None] * xr[None, :]   # (P, g)
-        self.node_w = half[:, None] * wr[None, :]
+        self.ref_x, self.ref_w = _gauss_rule(n_nodes)
+        x, w = panel_nodes(a, b, n_panels, n_nodes)
+        self.nodes = x.reshape(n_panels, n_nodes)   # (P, g)
+        self.node_w = w.reshape(n_panels, n_nodes)
         # Barycentric weights for the reference nodes.
-        diff = xr[:, None] - xr[None, :]
+        diff = self.ref_x[:, None] - self.ref_x[None, :]
         np.fill_diagonal(diff, 1.0)
         self.bary_w = 1.0 / np.prod(diff, axis=1)
 

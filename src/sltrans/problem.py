@@ -65,9 +65,10 @@ class OutOfDomain(ProblemError):
 class AsymptoticCase(Enum):
     """Structural case of the eigenvalue asymptotics.
 
-    The case is decided by which of beta_2' and alpha_2 vanish; that pair
-    controls whether the left-shot solution is cosine-like or sine-like and
-    whether the right boundary form keeps its lambda*u'(1) term.
+    The value is the flag pair (beta_2' != 0, alpha_2 != 0). beta_2'
+    decides whether the right boundary form keeps its lambda*u'(1) term,
+    alpha_2 whether the left-shot solution is cosine-like or sine-like;
+    :mod:`sltrans.asymptotics` derives every case formula from the pair.
     """
 
     CASE1 = (True, True)    # beta_2' != 0, alpha_2 != 0
@@ -416,17 +417,14 @@ def as_validated(problem) -> ValidatedProblem:
     return validate_problem(problem)
 
 
-def classify_case(problem, zero_tol: float = 0.0) -> AsymptoticCase:
+def classify_case(problem) -> AsymptoticCase:
     """Classify the asymptotic case from (beta_2' != 0, alpha_2 != 0).
 
-    Coefficients within zero_tol of zero count as zero. The default is an
-    exact comparison: the case is structural and the coefficients are user
-    inputs, not computed quantities.
+    The comparison is exact: the case is structural and the coefficients
+    are user inputs, not computed quantities.
     """
     vp = as_validated(problem)
-    b2p_nonzero = abs(vp.beta2p) > zero_tol
-    a2_nonzero = abs(vp.alpha2) > zero_tol
-    return AsymptoticCase((b2p_nonzero, a2_nonzero))
+    return AsymptoticCase((vp.beta2p != 0.0, vp.alpha2 != 0.0))
 
 
 def potential_moments(problem) -> dict:

@@ -49,6 +49,15 @@ def make_case1_linear() -> st.ProblemSpec:
     )
 
 
+def make_case2_linear() -> st.ProblemSpec:
+    """beta_2' != 0, alpha_2 = 0, q = 1 + x (int q = 2), jump 1.5."""
+    return st.ProblemSpec(
+        potential=st.PiecewisePotential.polynomial((1.0, 1.0)),
+        interfaces=(0.2,), jumps=(1.5,),
+        alpha=(1.0, 0.0), beta=(0.0, 1.0), beta_prime=(1.0, 0.3),
+    )
+
+
 def make_case3_linear() -> st.ProblemSpec:
     """beta_2' = 0, beta_1' != 0, alpha_2 != 0, same potential as case 1."""
     return st.ProblemSpec(
@@ -89,6 +98,11 @@ def case1_linear():
 
 
 @pytest.fixture(scope="session")
+def case2_linear():
+    return make_case2_linear()
+
+
+@pytest.fixture(scope="session")
 def case3_linear():
     return make_case3_linear()
 
@@ -113,6 +127,13 @@ def canonical_eigs(canonical, margin_registry):
 def case1_eigs(case1_linear, margin_registry):
     eigs = st.find_eigenvalues(case1_linear, 42)
     margin_registry.append(("case1_linear", eigs))
+    return eigs
+
+
+@pytest.fixture(scope="session")
+def case2_eigs(case2_linear, margin_registry):
+    eigs = st.find_eigenvalues(case2_linear, 42)
+    margin_registry.append(("case2_linear", eigs))
     return eigs
 
 

@@ -116,11 +116,12 @@ def test_criterion_04_jump_invariance(acceptance, margin_registry):
     assert worst <= 1e-8
 
 
-def test_criterion_05_asymptotic_rates(canonical, case1_linear, case3_linear,
-                                       canonical_eigs, case1_eigs, case3_eigs,
-                                       acceptance):
+def test_criterion_05_asymptotic_rates(canonical, case1_linear, case2_linear,
+                                       case3_linear, canonical_eigs, case1_eigs,
+                                       case2_eigs, case3_eigs, acceptance):
     triples = [("canonical", canonical, canonical_eigs),
                ("case1", case1_linear, case1_eigs),
+               ("case2", case2_linear, case2_eigs),
                ("case3", case3_linear, case3_eigs)]
     details = []
     worst = -np.inf
@@ -157,7 +158,8 @@ def test_criterion_06_orthonormality(canonical_eigs, two_interface,
 
 
 def test_criterion_07_simplicity_margins(canonical_eigs, case1_eigs,
-                                         case3_eigs, two_interface_eigs,
+                                         case2_eigs, case3_eigs,
+                                         two_interface_eigs,
                                          margin_registry, acceptance):
     # the fixture arguments force every shared enumeration to exist first
     violations = 0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import sltrans as st
 from sltrans.asymptotics import (
@@ -10,20 +11,31 @@ from sltrans.asymptotics import (
     eigenvalue_estimate,
     leading_omega,
     nearest_index,
-    write_report_csv,
 )
+from sltrans.characteristic import omega
 from sltrans.problem import AsymptoticCase, OutOfDomain, classify_case
-from conftest import make_canonical, make_case1_linear, make_case3_linear
+from conftest import (make_canonical, make_case1_linear, make_case2_linear,
+                      make_case3_linear)
 
 import oracles
 
 
-def make_case2_linear():
+def linear_q_no_interfaces(alpha, beta, beta_prime):
+    """q = 1 + x (int q = 2) on [-1, 1] with the given boundary data."""
     return st.ProblemSpec(
         potential=st.PiecewisePotential.polynomial((1.0, 1.0)),
-        interfaces=(0.2,), jumps=(1.5,),
-        alpha=(1.0, 0.0), beta=(0.0, 1.0), beta_prime=(1.0, 0.3),
+        interfaces=(), jumps=(),
+        alpha=alpha, beta=beta, beta_prime=beta_prime,
     )
+
+
+# One boundary-data triple per case, in case order, all with rho = 1.
+EVERY_CASE = [
+    pytest.param(((1.0, 1.0), (0.0, 1.0), (1.0, 0.3)), AsymptoticCase.CASE1, id="case1"),
+    pytest.param(((1.0, 0.0), (0.0, 1.0), (1.0, 0.3)), AsymptoticCase.CASE2, id="case2"),
+    pytest.param(((1.0, 1.0), (0.5, 1.0), (1.0, 0.0)), AsymptoticCase.CASE3, id="case3"),
+    pytest.param(((1.0, 0.0), (0.5, 1.0), (1.0, 0.0)), AsymptoticCase.CASE4, id="case4"),
+]
 
 
 class TestLeadingOmega:
@@ -39,13 +51,19 @@ class TestLeadingOmega:
         want = 0.3 * 1.0 * s**3 * 1.5**2 * np.sin(2 * s)
         assert np.allclose(leading_omega(case1_linear, s), want, rtol=1e-14)
 
-    def test_case_override_is_honored(self, canonical):
-        s = 1.7
-        forced = leading_omega(canonical, s, case=AsymptoticCase.CASE2)
-        assert forced == pytest.approx(-0.0 * np.cos(2 * s), abs=1e-15)
+    @pytest.mark.parametrize("data, case", EVERY_CASE)
+    def test_ratio_to_omega_tends_to_plus_one(self, data, case):
+        spec = linear_q_no_interfaces(*data)
+        assert classify_case(spec) is case
+        b, a = case.value
+        devs = []
+        for k in (40, 80, 160):  # extrema of the leading sine or cosine
+            s = (k + (0.5 if a == b else 0.0)) * np.pi / 2
+            devs.append(abs(omega(spec, s * s) / leading_omega(spec, s) - 1.0))
+        assert devs[2] < devs[0] / 5
+        assert devs[2] < 1e-3
 
     def test_relative_error_shrinks_without_jumps(self):
-        from sltrans.characteristic import omega
         spec = st.ProblemSpec(
             potential=st.PiecewisePotential.polynomial((1.0, 1.0)),
             interfaces=(), jumps=(),
@@ -88,10 +106,6 @@ class TestEigenvalueEstimate:
         assert abs(est.s_second - oracles.FROZEN_CANONICAL_S[3]) < abs(
             est.s_first - oracles.FROZEN_CANONICAL_S[3])
 
-    def test_first_order_keeps_grid_value(self, case1_linear):
-        est = eigenvalue_estimate(case1_linear, 7, order="first")
-        assert est.s_second == est.s_first == pytest.approx(3 * np.pi, abs=1e-15)
-
     def test_correction_can_vanish_by_cancellation(self):
         # With q = 2 on [-1, 1], no interfaces, alpha = beta' = (1, 1):
         # the three correction ingredients are 1, 1, and int q / 2 = 2,
@@ -113,9 +127,20 @@ class TestEigenvalueEstimate:
         with pytest.raises(ValueError, match="q_term"):
             eigenvalue_estimate(canonical, 3, q_term="nope")
 
-    def test_unknown_order_rejected(self, canonical):
-        with pytest.raises(ValueError, match="order 'third'"):
-            eigenvalue_estimate(canonical, 3, order="third")
+    @pytest.mark.parametrize("data, case", EVERY_CASE)
+    def test_n_squared_scaled_error_falls(self, data, case):
+        # the n-th root is the zero of omega within pi/4 (in s) of the
+        # first-order grid value, where the leading term has opposite signs
+        spec = linear_q_no_interfaces(*data)
+        scaled = []
+        for n in (10, 40):
+            est = eigenvalue_estimate(spec, n)
+            assert est.case is case
+            s_n = brentq(lambda s: omega(spec, s * s), est.s_first - np.pi / 4,
+                         est.s_first + np.pi / 4, xtol=1e-14, rtol=1e-15)
+            assert nearest_index(spec, s_n) == n
+            scaled.append(n * n * abs(s_n - est.s_second))
+        assert scaled[1] < scaled[0]
 
     def test_q_term_variants_differ_only_through_jumps(self, case1_linear):
         plain = eigenvalue_estimate(case1_linear, 9, q_term="plain")
@@ -140,7 +165,7 @@ class TestNearestIndex:
     def test_roundtrip_over_first_40_indices(self, factory, n_lo):
         spec = factory()
         for n in range(n_lo, 41):
-            s = eigenvalue_estimate(spec, n, order="first").s_first
+            s = eigenvalue_estimate(spec, n).s_first
             assert nearest_index(spec, s) == n
 
     def test_below_first_branch_returns_none(self, case1_linear):
@@ -193,10 +218,3 @@ class TestReport:
         tail = [r for r in rows if r["n"] >= 20]
         assert tail
         assert all(r["n2_err2_jump_scaled"] > r["n2_err2"] for r in tail)
-
-    def test_csv_header(self, canonical, canonical_eigs, tmp_path):
-        rows = asymptotics_report(canonical, canonical_eigs[:6])
-        path = tmp_path / "report.csv"
-        write_report_csv(rows, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "n,s_true,s_first,s_second,n_err1,n2_err2"

@@ -11,7 +11,7 @@ import pytest
 
 import sltrans.cli as cli
 from sltrans.eigensolve import SuspectedMissedRoot
-from sltrans.problem import problem_to_json
+from sltrans.problem import PiecewisePotential, ProblemSpec, problem_to_json
 from conftest import make_canonical
 
 import oracles
@@ -111,6 +111,23 @@ class TestVerify:
         result = json.loads(out)["results"][0]
         assert result["status"] == "pass"
         assert result["measured"] <= 1e-10
+
+
+    def test_asymptotics_check_passes_in_case_2(self, tmp_path, capsys):
+        # beta_2' != 0, alpha_2 = 0 and int q != 0: the second-order
+        # formula carries int q / 2 with the sign of cases 1, 3 and 4
+        spec = ProblemSpec(
+            potential=PiecewisePotential.polynomial((1.0, 1.0)),
+            interfaces=(0.2,), jumps=(1.5,),
+            alpha=(1.0, 0.0), beta=(0.0, 1.0), beta_prime=(1.0, 0.3))
+        path = tmp_path / "case2.json"
+        path.write_text(json.dumps(problem_to_json(spec)))
+        code, out, err = run_cli(
+            ["verify", "--problem", str(path), "--checks", "asymptotics",
+             "--nmax", "45"], capsys)
+        assert code == 0, err
+        result = json.loads(out)["results"][0]
+        assert result["status"] == "pass"
 
 
 class TestSweep:
@@ -292,6 +309,24 @@ class TestFailureModes:
             ["solve", "--problem", problem_file, "--nmax", "2"], capsys)
         assert code == 2
         assert "planted" in err
+
+    @pytest.mark.parametrize("argv, field, value", [
+        (["scan", "--smax", "3.0", "--floor", "-1e-3"], "lam_floor", -1e-3),
+        (["sweep", "--param", "potential", "--values", "-0.5,1", "--nmax", "2"],
+         "values", [-0.5, 1.0]),
+    ])
+    def test_negative_exponent_and_list_values_parse(self, problem_file, capsys,
+                                                     argv, field, value):
+        code, out, err = run_cli(
+            [argv[0], "--problem", problem_file, *argv[1:]], capsys)
+        assert code == 0, err
+        assert json.loads(out)["config"][field] == value
+
+    def test_option_missing_its_value_still_rejected(self, problem_file, capsys):
+        code, _, err = run_cli(
+            ["scan", "--problem", problem_file, "--floor"], capsys)
+        assert code == 1
+        assert "expected one argument" in err
 
     def test_unknown_subcommand(self, problem_file, capsys):
         code, _, _ = run_cli(["dance", "--problem", problem_file], capsys)

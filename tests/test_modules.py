@@ -20,3 +20,11 @@ def test_no_function_level_package_import():
                         node.level > 0 or (node.module or "").startswith("sltrans")):
                     nested.append(f"{path.name}:{node.lineno} in {fn.name}")
     assert nested == []
+
+
+def test_exports_resolve_once_each():
+    """Every name in ``sltrans.__all__`` is an attribute of the package,
+    and none is listed twice."""
+    missing = [name for name in sltrans.__all__ if not hasattr(sltrans, name)]
+    assert missing == []
+    assert len(sltrans.__all__) == len(set(sltrans.__all__))

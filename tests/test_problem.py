@@ -108,12 +108,10 @@ class TestClassification:
         for alpha, beta_prime, expected in combos:
             spec = spec_with(alpha=alpha, beta=(0.0, 1.0), beta_prime=beta_prime)
             assert classify_case(spec) is expected
-
-    def test_zero_tol_snaps_tiny_coefficients(self):
+        # the comparison is exact: a tiny alpha_2 is still nonzero
         spec = spec_with(alpha=(1.0, 1e-15), beta=(0.0, 1.0),
                          beta_prime=(1.0, 0.0))
-        assert classify_case(spec, zero_tol=1e-12) is AsymptoticCase.CASE4
-        assert classify_case(spec, zero_tol=0.0) is AsymptoticCase.CASE3
+        assert classify_case(spec) is AsymptoticCase.CASE3
 
 
 class TestPotential:
