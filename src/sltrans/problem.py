@@ -16,7 +16,8 @@ Everything downstream consumes a :class:`ValidatedProblem`, which caches the
 derived quantities (rho, the subinterval weight chain, breakpoints).
 
 Each :class:`PotentialPiece` also keeps data it derives from its fields
-and its use: a sampled piece builds its cubic spline once,
+and its use: a sampled piece builds its cubic spline once, on first
+use, and that is the only place sltrans imports SciPy;
 :attr:`PotentialPiece.memo` holds the potential at the Magnus nodes of each
 step count the propagator has used, and :attr:`PotentialPiece.settled` the
 step count its ladders last settled on. :attr:`ValidatedProblem.memo` keeps
@@ -35,7 +36,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
 
 
 class ProblemError(ValueError):
@@ -89,7 +89,9 @@ class PotentialPiece:
     powers of x, global coordinate); 'sampled' uses the grid `x`/`values`
     with a cubic-spline interpolant. The sample grid must cover the piece.
 
-    The spline is built on first use and kept, :attr:`memo` keeps the
+    The spline is built on first use and kept; building it is what
+    imports SciPy, so constant and polynomial pieces never load it, and
+    neither does validation. :attr:`memo` keeps the
     potential at the Magnus nodes per (x0, x1, n_steps), and
     :attr:`settled` the step count of the last accepted Magnus pass. All
     are per-instance caches outside the fields, so ``==``, ``hash`` and
@@ -122,7 +124,11 @@ class PotentialPiece:
                 raise ProblemError("sampled piece grid must be strictly increasing")
 
     @cached_property
-    def _spline(self) -> CubicSpline:
+    def _spline(self):
+        # SciPy takes about 0.5 s and 50 MB to import and only sampled
+        # pieces need it, so it is loaded here, at the first spline.
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(np.asarray(self.x, float), np.asarray(self.values, float))
 
     @cached_property

@@ -81,6 +81,28 @@ def _taylor(z):
     return 1.0 + z / 2.0 + z * z / 24.0, 1.0 + z / 6.0 + z * z / 120.0
 
 
+def _fill_real(z, trig, hyp):
+    """(C, S) of real z that takes both the trigonometric and the
+    hyperbolic branch: each branch's ufuncs write in place where its mask
+    holds, so the long runs of one sign along a lambda row need no gather
+    or scatter. The same ufunc reaches every element as in _trigonometric
+    and _hyperbolic, so the bits are theirs. Elements in neither mask are
+    left unset."""
+    C = np.empty_like(z)
+    S = np.empty_like(z)
+    r = np.empty_like(z)
+    np.negative(z, out=r, where=trig)
+    np.sqrt(r, out=r, where=trig)
+    np.cos(r, out=C, where=trig)
+    np.sin(r, out=S, where=trig)
+    np.divide(S, r, out=S, where=trig)
+    np.sqrt(z, out=r, where=hyp)
+    np.cosh(r, out=C, where=hyp)
+    np.sinh(r, out=S, where=hyp)
+    np.divide(S, r, out=S, where=hyp)
+    return C, S
+
+
 def cos_sinc(z):
     """Stable (C, S) with C = cos(sqrt(-z)) and S = sin(sqrt(-z))/sqrt(-z).
 
@@ -93,12 +115,14 @@ def cos_sinc(z):
 
     When every z takes one branch (the usual case for the points of one
     piece at one lambda) that branch runs on the whole array, of any shape,
-    with no masks; otherwise each branch runs on its masked part. Float64
-    ufuncs give the same bits either way. Every z lands in exactly one
-    branch, NaN included (the Taylor branch takes what the others leave),
-    so NaN in gives NaN out. C and S are arrays of z's shape, 0-d for a
-    scalar: numpy multiplies complex scalars with other rounding than
-    complex arrays, so scalars would move the complex-step omega' bits.
+    with no masks; otherwise real z runs each branch in place under its
+    mask (_fill_real), and complex z and the Taylor remainder run on their
+    gathered parts. Float64 ufuncs give the same bits either way. Every z
+    lands in exactly one branch, NaN included (the Taylor branch takes what
+    the others leave), so NaN in gives NaN out. C and S are arrays of z's
+    shape, 0-d for a scalar: numpy multiplies complex scalars with other
+    rounding than complex arrays, so scalars would move the complex-step
+    omega' bits.
     """
     z = np.asarray(z)
     z = np.asarray(z, dtype=complex if z.dtype.kind == "c" else float)
@@ -111,12 +135,15 @@ def cos_sinc(z):
         if sel.all():
             C, S = branch(z)
             return np.asarray(C), np.asarray(S)
-    branches.append((~np.logical_or.reduce([sel for sel, _ in branches]), _taylor))
-    C = np.empty_like(z)
-    S = np.empty_like(z)
-    for sel, branch in branches:
-        if sel.any():
-            C[sel], S[sel] = branch(z[sel])
+    masks = [sel for sel, _ in branches]
+    if z.dtype.kind == "c":
+        C, S = np.empty_like(z), np.empty_like(z)
+        C[masks[0]], S[masks[0]] = _hyperbolic(z[masks[0]])
+    else:
+        C, S = _fill_real(z, *masks)
+    rest = ~np.logical_or.reduce(masks)
+    if rest.any():
+        C[rest], S[rest] = _taylor(z[rest])
     return C, S
 
 

@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.interpolate
 
 import sltrans as st
-import sltrans.problem
 from sltrans import propagator
 from sltrans.characteristic import eigenvalue_count
 from sltrans.eigensolve import find_eigenvalues
@@ -76,12 +76,13 @@ def test_fresh_problem_starts_with_empty_caches(problem_file):
 def test_one_spline_per_sampled_piece(problem_file, monkeypatch):
     built = []
 
-    class CountingSpline(sltrans.problem.CubicSpline):
+    class CountingSpline(scipy.interpolate.CubicSpline):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(sltrans.problem, "CubicSpline", CountingSpline)
+    # _spline imports CubicSpline when it runs, so it finds this one.
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
     vp = _fresh(problem_file)
     find_eigenvalues(vp, 3)
     assert len(built) == len(vp.pieces) == 2
