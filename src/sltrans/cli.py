@@ -247,13 +247,21 @@ def _check_orthogonality(vp, eigs) -> dict:
     return {"measured": measured, "diagonal_error": diag_err, "count": len(eigs)}
 
 
-def _fit_slope(ns, vals) -> float:
-    """Least-squares slope of log(vals) against log(ns)."""
-    ln = np.log(np.asarray(ns, dtype=float))
-    lv = np.log(np.maximum(np.asarray(vals, dtype=float), 1e-300))
-    a = np.vstack([ln, np.ones_like(ln)]).T
-    slope, _ = np.linalg.lstsq(a, lv, rcond=None)[0]
-    return float(slope)
+def _envelope_slope(ns, vals) -> float:
+    """Decay order of the envelope of vals against n: log2 of the largest
+    value over n in (N/2, N] divided by the largest over (N/4, N/2], N the
+    largest n. Scaled asymptotic errors oscillate in n, and a least-squares
+    slope over a short window reads the oscillation; the block maxima do not.
+    """
+    ns = np.asarray(ns, dtype=float)
+    vals = np.maximum(np.asarray(vals, dtype=float), 1e-300)
+    top = ns.max()
+    upper = vals[ns > top / 2]
+    lower = vals[(ns > top / 4) & (ns <= top / 2)]
+    if lower.size == 0:
+        raise CliError("asymptotics check needs formula indices from N/4 to N; "
+                       "raise --nmax")
+    return float(np.log2(upper.max() / lower.max()))
 
 
 def _check_asymptotics(vp, eigs) -> dict:
@@ -263,8 +271,8 @@ def _check_asymptotics(vp, eigs) -> dict:
         raise CliError("asymptotics check needs eigenvalues with formula "
                        "index 5 or higher; raise --nmax")
     ns = [r["n"] for r in rows]
-    slope1 = _fit_slope(ns, [max(r["n_err1"], 1e-300) for r in rows])
-    slope2 = _fit_slope(ns, [max(r["n2_err2"], 1e-300) for r in rows])
+    slope1 = _envelope_slope(ns, [r["n_err1"] for r in rows])
+    slope2 = _envelope_slope(ns, [r["n2_err2"] for r in rows])
     return {"measured": max(slope1, slope2), "slope_first": slope1,
             "slope_second": slope2, "rows": len(rows)}
 

@@ -16,8 +16,8 @@ Everything downstream consumes a :class:`ValidatedProblem`, which caches the
 derived quantities (rho, the subinterval weight chain, breakpoints).
 
 Each :class:`PotentialPiece` also keeps data it derives from its fields
-and its use: a sampled piece builds its cubic spline once, on first
-use, and that is the only place sltrans imports SciPy;
+and its use: a sampled piece builds its cubic spline
+(:class:`sltrans.spline.CubicSpline`, numpy only) once, on first use;
 :attr:`PotentialPiece.memo` holds the potential at the Magnus nodes of each
 step count the propagator has used, and :attr:`PotentialPiece.settled` the
 step count its ladders last settled on. :attr:`ValidatedProblem.memo` keeps
@@ -36,6 +36,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+
+from .spline import CubicSpline
 
 
 class ProblemError(ValueError):
@@ -87,11 +89,11 @@ class PotentialPiece:
 
     kind 'constant' uses `value`; 'polynomial' uses `coeffs` (ascending
     powers of x, global coordinate); 'sampled' uses the grid `x`/`values`
-    with a cubic-spline interpolant. The sample grid must cover the piece.
+    with the not-a-knot cubic spline of :mod:`sltrans.spline`, which gives
+    SciPy's ``CubicSpline`` bits without SciPy. The sample grid must cover
+    the piece.
 
-    The spline is built on first use and kept; building it is what
-    imports SciPy, so constant and polynomial pieces never load it, and
-    neither does validation. :attr:`memo` keeps the
+    The spline is built on first use and kept. :attr:`memo` keeps the
     potential at the Magnus nodes per (x0, x1, n_steps), and
     :attr:`settled` the step count of the last accepted Magnus pass. All
     are per-instance caches outside the fields, so ``==``, ``hash`` and
@@ -124,12 +126,10 @@ class PotentialPiece:
                 raise ProblemError("sampled piece grid must be strictly increasing")
 
     @cached_property
-    def _spline(self):
-        # SciPy takes about 0.5 s and 50 MB to import and only sampled
-        # pieces need it, so it is loaded here, at the first spline.
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(np.asarray(self.x, float), np.asarray(self.values, float))
+    def _spline(self) -> CubicSpline:
+        # Kept per piece: a solve evaluates q many times, and each build
+        # is a tridiagonal solve over the knots.
+        return CubicSpline(self.x, self.values)
 
     @cached_property
     def memo(self) -> dict:
@@ -177,8 +177,7 @@ class PotentialPiece:
         if self.kind == "polynomial":
             anti = npoly.polyint(np.asarray(self.coeffs, float))
             return float(npoly.polyval(b, anti) - npoly.polyval(a, anti)), 0.0
-        sp = self._spline
-        val = float(sp.integrate(a, b))
+        val = self._spline.integrate(a, b)
         xs = np.asarray(self.x, float)
         vs = np.asarray(self.values, float)
         mask = (xs >= a - 1e-12) & (xs <= b + 1e-12)

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import sltrans.cli as cli
+from sltrans import asymptotics
 from sltrans.eigensolve import SuspectedMissedRoot
 from sltrans.problem import PiecewisePotential, ProblemSpec, problem_to_json
 from conftest import make_canonical
@@ -77,6 +79,41 @@ class TestSolve:
             assert len(csv_lines) > 100
 
 
+# Two healthy problems on which a least-squares log-log slope over n = 5..25
+# failed the asymptotics check: on the first, case 1, n^2|s_n - s_second|
+# oscillates with a period of about 4 in n (slope_second read +0.263); on
+# the second, n|s_n - s_first| still rises towards its limit (slope_first
+# read +0.316).
+CASE1_OSCILLATING = {
+    "alpha": ["-0.9535514630027344", "-1.7213386108914204"],
+    "beta": ["-0.30886130691948877", "0.5327375970964656"],
+    "beta_prime": ["0.978735423448617", "-0.7354378388596163"],
+    "interfaces": ["0.7478975239898826"], "jumps": ["-1.4460592139526112"],
+    "potential": {"kind": "piecewise", "pieces": [
+        {"kind": "polynomial",
+         "coeffs": ["-1.8764845816794116", "-0.9242360065696014", "0.06639584141746235"]},
+        {"kind": "polynomial",
+         "coeffs": ["1.6533836548361371", "-1.0911203963077538", "2.5453013790409447",
+                    "-0.1745406875054547"]}]},
+}
+CONSTANT_RISING = {
+    "alpha": ["0.9099363209634523", "-0.69323100150693"],
+    "beta": ["1.6445015640133742", "1.0107803456841866"],
+    "beta_prime": ["0.2272500784985919", "-0.35338690372226617"],
+    "interfaces": ["-0.578610523715992", "0.5970938300590574", "0.7619705319194539"],
+    "jumps": ["-1.850891987003962", "2.3628450677850252", "2.2555103745563496"],
+    "potential": {"kind": "constant", "value": "-2.155604761088279"},
+}
+
+
+def verify_asymptotics(problem, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run_cli(["verify", "--problem", str(path), "--checks", "asymptotics"],
+                             capsys)
+    return code, json.loads(out)["results"][0], err
+
+
 class TestVerify:
     def test_subset_of_checks_passes(self, problem_file, capsys):
         code, out, err = run_cli(
@@ -128,6 +165,32 @@ class TestVerify:
         assert code == 0, err
         result = json.loads(out)["results"][0]
         assert result["status"] == "pass"
+
+    @pytest.mark.parametrize("problem, slopes", [
+        (CASE1_OSCILLATING, (-0.219, -0.204)),
+        (CONSTANT_RISING, (0.029, -1.255)),
+    ], ids=["case1-oscillating", "constant-rising"])
+    def test_asymptotics_check_reads_the_envelope(self, problem, slopes, tmp_path, capsys):
+        code, result, err = verify_asymptotics(problem, tmp_path, capsys)
+        assert code == 0, err
+        assert result["status"] == "pass"
+        assert (result["slope_first"], result["slope_second"]) == pytest.approx(slopes, abs=1e-3)
+
+    def test_asymptotics_check_fails_a_first_order_second_estimate(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # negative control: with s_first standing in for s_second,
+        # n^2|s_n - s_second| grows like n and the check must fail
+        estimate = asymptotics.eigenvalue_estimate
+
+        def first_order_only(*args, **kwargs):
+            est = estimate(*args, **kwargs)
+            return dataclasses.replace(est, s_second=est.s_first)
+
+        monkeypatch.setattr(asymptotics, "eigenvalue_estimate", first_order_only)
+        code, result, _ = verify_asymptotics(CASE1_OSCILLATING, tmp_path, capsys)
+        assert code == 1
+        assert result["status"] == "fail"
+        assert result["slope_second"] == pytest.approx(1.24, abs=0.01)
 
 
 class TestSweep:

@@ -49,30 +49,34 @@ _DEPENDENCY_PROBE = textwrap.dedent("""
         return st.ProblemSpec(st.PiecewisePotential.from_pieces(pieces), (0.1,), (1.5,),
                               alpha=(1.0, 0.5), beta=(0.0, 1.0), beta_prime=(1.0, 0.0))
 
+    def solve_file(name, pieces):
+        st.save_problem(spec(pieces), name)
+        assert sltrans.cli.main(["solve", "--problem", name, "--nmax", "3",
+                                 "--out", "report.json"]) == 0
+
     poly = st.validate_problem(spec([PotentialPiece("polynomial", coeffs=(1.0, 1.0)),
                                      PotentialPiece("polynomial", coeffs=(2.0, -0.5))]))
     eigs = st.find_eigenvalues(poly, 4)
     st.gram_matrix(poly, eigs)
     st.expand(poly, st.HElement.polynomial((1.0, 0.0, -1.0)), eigs)
-    st.save_problem(spec([PotentialPiece("constant", value=1.0),
-                          PotentialPiece("constant", value=-2.0)]), "constant.json")
-    assert sltrans.cli.main(["solve", "--problem", "constant.json", "--nmax", "3",
-                             "--out", "report.json"]) == 0
+    solve_file("constant.json", [PotentialPiece("constant", value=1.0),
+                                 PotentialPiece("constant", value=-2.0)])
+
+    xs = np.linspace(-1.0, 0.1, 9), np.linspace(0.1, 1.0, 9)
+    sampled = [PotentialPiece("sampled", x=tuple(x), values=tuple(np.cos(x))) for x in xs]
+    st.find_eigenvalues(st.validate_problem(spec(sampled)), 2)
+    solve_file("sampled.json", sampled)
+
     third_party = {name.partition(".")[0] for name in set(sys.modules) - before}
     third_party -= set(sys.stdlib_module_names) | {"numpy", "sltrans"}
     assert third_party == set(), sorted(third_party)
-
-    xs = np.linspace(-1.0, 0.1, 9), np.linspace(0.1, 1.0, 9)
-    st.find_eigenvalues(st.validate_problem(spec(
-        [PotentialPiece("sampled", x=tuple(x), values=tuple(np.cos(x))) for x in xs])), 2)
-    assert "scipy" in sys.modules
 """)
 
 
-def test_scipy_is_imported_only_by_a_sampled_potential(tmp_path):
-    """Importing sltrans and solving, expanding and running the CLI on
-    constant and polynomial q load nothing outside the standard library,
-    numpy and sltrans; the first spline of a sampled piece loads SciPy."""
+def test_no_solve_imports_scipy(tmp_path):
+    """Importing sltrans, and solving, expanding and running the CLI on
+    constant, polynomial and sampled q, load nothing outside the standard
+    library, numpy and sltrans: no SciPy."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(sltrans.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))

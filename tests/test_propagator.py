@@ -24,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.interpolate
 
 import sltrans as st
-from sltrans import propagator
+from sltrans import problem, propagator
 from sltrans.characteristic import eigenvalue_count
 from sltrans.eigensolve import find_eigenvalues
 from sltrans.problem import PotentialPiece, load_problem, problem_to_json, save_problem
@@ -76,13 +75,13 @@ def test_fresh_problem_starts_with_empty_caches(problem_file):
 def test_one_spline_per_sampled_piece(problem_file, monkeypatch):
     built = []
 
-    class CountingSpline(scipy.interpolate.CubicSpline):
+    class CountingSpline(problem.CubicSpline):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    # _spline imports CubicSpline when it runs, so it finds this one.
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
+    # _spline reads the module's CubicSpline when it runs, so it finds this one.
+    monkeypatch.setattr(problem, "CubicSpline", CountingSpline)
     vp = _fresh(problem_file)
     find_eigenvalues(vp, 3)
     assert len(built) == len(vp.pieces) == 2
