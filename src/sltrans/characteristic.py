@@ -109,6 +109,12 @@ def _step_zeros(z, d, h, u0, du0, u1, du1):
     return np.where(osc, turns, crossed).astype(np.int64)
 
 
+# The node sweep of eigenvalue_count holds every node state and the zero
+# count's temporaries: about four times a Magnus pass's bytes per
+# lambda-step, so its row blocks are a quarter as wide.
+_NODE_WEIGHT = 4
+
+
 def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
     """N(lambda), the number of eigenvalues strictly below lambda (vectorized).
 
@@ -132,14 +138,20 @@ def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
         else:
             qv, h, _ = propagator.magnus_ladder(piece, x0, x1, lam_arr, u, du,
                                                 rtol=rtol)
-        d, _, z = propagator.magnus_exponent(qv, h, lam_arr[:, None])
-        us, dus = propagator.magnus_nodes(qv, h, lam_arr, u, du)
-        zeros = _step_zeros(z, d, h, us[:, :-1], dus[:, :-1], us[:, 1:], dus[:, 1:]).sum(axis=1)
+        zeros = np.empty(lam_arr.size, dtype=np.int64)
+        u1, du1 = np.empty((2, lam_arr.size))
+        # The end columns are copied out, which frees each block.
+        for rows in propagator.row_blocks(lam_arr.size, _NODE_WEIGHT * len(qv)):
+            d, _, z = propagator.magnus_exponent(qv, h, lam_arr[rows, None])
+            us, dus = propagator.magnus_nodes(qv, h, lam_arr[rows], u[rows], du[rows])
+            zeros[rows] = _step_zeros(z, d, h, us[:, :-1], dus[:, :-1],
+                                      us[:, 1:], dus[:, 1:]).sum(axis=1)
+            u1[rows], du1[rows] = us[:, -1], dus[:, -1]
         # Only the line matters: rescale to unit max-norm.
-        scale = np.maximum(np.abs(us[:, -1]), np.abs(dus[:, -1]))
+        scale = np.maximum(np.abs(u1), np.abs(du1))
         if not np.all(np.isfinite(scale)):
             raise propagator.NonFiniteState("counting produced non-finite states")
-        return zeros, us[:, -1] / scale, dus[:, -1] / scale
+        return zeros, u1 / scale, du1 / scale
 
     piece_zeros, _, right = propagator.chain(vp, lam_arr, cross)
     zeros = sum(piece_zeros)

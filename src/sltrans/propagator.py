@@ -24,7 +24,13 @@ The kernel is lambda-major. :func:`magnus_steps` gives the step matrices
 as two rows, (e11, e12) and (e21, e22), each one (2, n_lam, n_steps)
 array, so every ufunc's inner loop runs along the steps, not along a
 lambda batch that is often one long, and no array holds more than two
-matrix entries, which keeps a wide scan's largest block small.
+matrix entries. A batched sweep (:func:`_magnus_pass`, and the node
+sweep of the eigenvalue count) runs in balanced blocks of lambda rows,
+:func:`row_blocks`, each of at most BLOCK_ENTRIES = 2**18 lambda-steps
+(a quarter of that in the node sweep), so a block's (2, n_lam, n_steps)
+arrays hold at most 2**19 entries (4 MiB of float64) each, and the
+working set of a wide scan or count does not grow with its width. Every
+lambda's bits are its own in a batch, so the blocks move no bit.
 
 All functions are vectorized over a lambda array and return states at
 piece ends only. :func:`chain` is the one place that knows the start states
@@ -44,6 +50,13 @@ from .problem import as_validated
 
 _SQRT3 = np.sqrt(3.0)
 _GAUSS_OFFSETS = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
+# The lambda-steps one block of a batched Magnus sweep holds; see row_blocks.
+# Smaller blocks hold less memory but page-fault more: glibc gives the
+# freed top of the heap back to the system once it exceeds about twice the
+# largest array of a block, so every call whose pass is over half a block
+# maps its pages afresh. At 2**18 the passes of root refinement stay
+# under that; at 2**16 a polynomial-q solve took 17 times the page faults.
+BLOCK_ENTRIES = 1 << 18
 
 
 class NonFiniteState(RuntimeError):
@@ -197,29 +210,45 @@ def _product(a, b):
     return [row[0] * b[0] + row[1] * b[1] for row in a]
 
 
+def row_blocks(n_rows: int, n_steps: int) -> list[slice]:
+    """Balanced slices of range(n_rows), each of at most
+    max(1, BLOCK_ENTRIES // n_steps) rows: a lambda-batched sweep over
+    n_steps steps runs one block at a time, so its working set is bounded
+    by BLOCK_ENTRIES lambda-steps, not by the width of the batch."""
+    n_blocks = max(1, -(-n_rows // max(1, BLOCK_ENTRIES // n_steps)))
+    edges = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
 def _magnus_pass(qvals, h, lam, u, du):
     """One sweep of fourth-order Magnus steps.
 
     qvals has shape (n_steps, 2): the potential at the two Gauss nodes of
     each step. h is the signed step. lam, u, du are broadcastable arrays.
 
-    All step matrices are formed at once (vectorized over steps and over
-    the lambda batch) and combined by pairwise products, so the Python-level
-    work is log2(n_steps) array operations instead of n_steps of them. The
-    pairing keeps chronological order: entry 2k+1 acts after entry 2k, and
-    an odd leftover (the latest block) stays at the tail for the next level.
+    The batch runs in the row blocks of :func:`row_blocks`. In a block all
+    step matrices are formed at once (vectorized over steps and lambda)
+    and combined by pairwise products, so the Python-level work is
+    log2(n_steps) array operations instead of n_steps of them. The pairing
+    keeps chronological order: entry 2k+1 acts after entry 2k, and an odd
+    leftover (the latest product) stays at the tail for the next level.
+    Every lambda's bits are its own, so the row blocks do not move them.
     """
     lam, u, du = np.broadcast_arrays(lam, u, du)
-    e = magnus_steps(qvals, h, lam.reshape(-1, 1))
-    while e[0].shape[-1] > 1:
-        m = e[0].shape[-1]
-        even = m - m % 2
-        c = _product([x[..., 1:even:2] for x in e], [x[..., 0:even:2] for x in e])
-        if m % 2:
-            c = [np.concatenate([y, x[..., -1:]], axis=-1) for x, y in zip(e, c)]
-        e = c
-    u1, du1 = _product([x[..., 0] for x in e], (u.ravel(), du.ravel()))
-    return u1.reshape(lam.shape), du1.reshape(lam.shape)
+    shape = lam.shape
+    lam, u, du = lam.ravel(), u.ravel(), du.ravel()
+    ends = []
+    for rows in row_blocks(lam.size, len(qvals)):
+        e = magnus_steps(qvals, h, lam[rows, None])
+        while e[0].shape[-1] > 1:
+            m = e[0].shape[-1]
+            even = m - m % 2
+            c = _product([x[..., 1:even:2] for x in e], [x[..., 0:even:2] for x in e])
+            if m % 2:
+                c = [np.concatenate([y, x[..., -1:]], axis=-1) for x, y in zip(e, c)]
+            e = c
+        ends.append(_product([x[..., 0] for x in e], (u[rows], du[rows])))
+    return tuple(np.concatenate(col).reshape(shape) for col in zip(*ends))
 
 
 def magnus_nodes(qvals, h, lam, u, du):
@@ -228,6 +257,9 @@ def magnus_nodes(qvals, h, lam, u, du):
 
     The prefix products of the step matrices take log2(n_steps) doubling
     passes, each rescaled to unit max-norm, which keeps the direction.
+    The result holds every node of every lambda, so a wide batch calls
+    this once per :func:`row_blocks` block (as the eigenvalue count does);
+    every lambda's bits are its own, whatever block it runs in.
     """
     e = magnus_steps(qvals, h, np.reshape(lam, (-1, 1)))
     span = 1

@@ -16,10 +16,13 @@ step-major copy of the kernel as it was before that layout lives here, and
 only here, so the tests can pin that the layout moved no bit; they compare
 on the machine they run on, since numpy's SIMD sin and cos may round
 differently on another CPU. Each lambda also has the same bits alone as in
-a batch at a fixed step count, which is what makes any layout safe.
+a batch at a fixed step count, which is what makes any layout, and the
+row blocks a wide batch runs in, safe. Those blocks bound the memory of a
+wide omega or eigenvalue count.
 """
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +30,12 @@ import pytest
 
 import sltrans as st
 from sltrans import problem, propagator
-from sltrans.characteristic import eigenvalue_count
+from sltrans.characteristic import _NODE_WEIGHT, eigenvalue_count, omega
 from sltrans.eigensolve import find_eigenvalues
 from sltrans.problem import PotentialPiece, load_problem, problem_to_json, save_problem
-from sltrans.propagator import (_GAUSS_OFFSETS, StepSizeUnderflow, _magnus_pass,
-                                _piece_node_q, cos_sinc, magnus_ladder, magnus_nodes,
-                                propagate_piece)
+from sltrans.propagator import (_GAUSS_OFFSETS, BLOCK_ENTRIES, StepSizeUnderflow,
+                                _magnus_pass, _piece_node_q, cos_sinc, magnus_ladder,
+                                magnus_nodes, propagate_piece, row_blocks)
 
 
 def _sampled_spec() -> st.ProblemSpec:
@@ -392,18 +395,31 @@ def test_kernel_matches_its_step_major_copy(seed):
         assert _bits(nodes) == _bits(reference)
 
 
-@pytest.mark.parametrize("kind", [float, complex])
-def test_each_lambda_has_its_own_bits_in_a_batch(kind):
-    qvals, h = _piece_node_q(_cubic_piece(), -1.0, 0.2, 640)
+def _spans_row_blocks(n_rows, n_steps):
+    """True when a batch of n_rows over n_steps runs in three or more row
+    blocks and the last one holds fewer rows than a full block."""
+    blocks = row_blocks(n_rows, n_steps)
+    last = blocks[-1].stop - blocks[-1].start
+    return len(blocks) >= 3 and last < BLOCK_ENTRIES // n_steps
+
+
+@pytest.mark.parametrize("kind, wide", [(float, False), (complex, False),
+                                        (float, True), (complex, True)],
+                         ids=["float", "complex", "float-wide", "complex-wide"])
+def test_each_lambda_has_its_own_bits_in_a_batch(kind, wide):
+    n_steps = 2560 if wide else 640
+    qvals, h = _piece_node_q(_cubic_piece(), -1.0, 0.2, n_steps)
+    size = 5 * (BLOCK_ENTRIES // n_steps) // 2 if wide else 20
+    assert _spans_row_blocks(size, n_steps) == wide
     rng = np.random.default_rng(5)
     # From below q (every z > 0) to far above it, so the batch mixes
     # cos_sinc branches while each lambda alone takes one.
-    lam = np.sort(rng.uniform(-5.0, 3000.0, 20)).astype(kind)
+    lam = np.sort(rng.uniform(-5.0, 3000.0, size)).astype(kind)
     if kind is complex:
         lam += 1e-150j
-    u, du = rng.uniform(-1.0, 1.0, (2, 20))
+    u, du = rng.uniform(-1.0, 1.0, (2, size))
     batch = _magnus_pass(qvals, h, lam, u, du)
-    for k in range(20):
+    for k in range(size):
         alone = _magnus_pass(qvals, h, lam[k], u[k], du[k])
         assert _hex(*alone) == _hex(*(x[k] for x in batch))
 
@@ -413,6 +429,33 @@ def test_eigenvalue_count_is_the_same_alone_and_in_a_batch():
     eigs = np.array([e.lam for e in find_eigenvalues(vp, 8)])
     gap = 1e-6 * np.maximum(1.0, np.abs(eigs))
     lam = np.concatenate([eigs - gap, eigs + gap, [-40.0, 5e3]])
-    batch = eigenvalue_count(vp, lam)
-    assert batch[:-1].tolist() == [*range(8), *range(1, 9), 0]
-    assert [int(eigenvalue_count(vp, x)) for x in lam] == batch.tolist()
+    wide = np.append(lam, np.linspace(-40.0, 5e3, 40))
+    # The wide batch's node sweep on its longest piece runs in row blocks.
+    for batch_lam, blocked in ((lam, False), (wide, True)):
+        batch = eigenvalue_count(vp, batch_lam)
+        assert batch[:17].tolist() == [*range(8), *range(1, 9), 0]
+        n_steps = max(piece.settled[(a, b, True)]
+                      for piece, (a, b) in zip(vp.pieces, vp.subintervals()))
+        assert _spans_row_blocks(batch_lam.size, _NODE_WEIGHT * n_steps) == blocked
+        assert [int(eigenvalue_count(vp, x)) for x in batch_lam] == batch.tolist()
+
+
+def test_a_wide_batch_has_a_bounded_working_set():
+    # 400 lambda settle at 2560 steps on [-1, 0.2]: about 1e6 lambda-steps,
+    # 8 MB an array, of which an unblocked sweep holds a dozen at once. A
+    # block of 2**18 lambda-steps peaks near 14 MB.
+    spec = st.ProblemSpec(
+        st.PiecewisePotential.from_pieces([_cubic_piece(),
+                                           PotentialPiece("polynomial", coeffs=(2.0, -0.5))]),
+        (0.2,), (1.5,), (1.0, 1.0), (0.0, 1.0), (1.0, 0.3))
+    vp = st.validate_problem(spec)
+    lam = np.linspace(-5.0, 100.0, 400)
+    for f in (omega, eigenvalue_count):
+        tracemalloc.start()
+        try:
+            f(vp, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vp.pieces[0].settled[(-1.0, 0.2, True)] >= 1280
+        assert peak < 24 * 2 ** 20, (f.__name__, peak)
