@@ -15,10 +15,11 @@ That shapes the solver:
    shows no sign change), and refine those parts the same way,
 4. for each root build the left solution, the ratio linking it to the right
    solution, the derivative of omega, the norm-identity diagnostics (the
-   weighted square integral of phi on :mod:`sltrans.quadrature`'s rule), and
-   a normalized eigenvector. That takes three transmission chains per root
-   (the dense phi and chi and the complex-step omega'); omega at the root
-   is read from phi's end state.
+   weighted square integral of phi, :func:`sltrans.hilbert.weighted_square_integral`:
+   exact in O(1) on each constant piece, :mod:`sltrans.quadrature`'s rule
+   on the others), and a normalized eigenvector. That takes three
+   transmission chains per root (the dense phi and chi and the
+   complex-step omega'); omega at the root is read from phi's end state.
 
 So the roots returned are certified to be lambda_0 ... lambda_{n-1}; when
 they cannot be, SuspectedMissedRoot carries both counts and the interval.
@@ -32,11 +33,10 @@ import numpy as np
 
 from . import asymptotics
 from .characteristic import eigenvalue_count, omega, omega_derivative
-from .hilbert import r1_form, r1p_form
+from .hilbert import r1_form, r1p_form, weighted_square_integral
 from .ode import PiecewiseSolution, shoot_chi, shoot_phi
 from .problem import as_validated, classify_case
 from .propagator import boundary_form
-from .quadrature import subinterval_rules, weighted_sum
 # fixed_quad is no longer called here, but perfbench/tracing.py wraps
 # eigensolve.fixed_quad by name, so the name stays importable.
 from .quadrature import fixed_quad  # noqa: F401
@@ -313,20 +313,19 @@ def _ratio_from_values(vp, pv, cv, samples_per_piece: int):
 def _norm_terms(vp, lam: float, rtol: float):
     """Shoot phi and chi at lam and evaluate the closed-form norm identity.
 
-    phi is evaluated once, at k_ratio's points and the quadrature nodes
-    together. Returns (phi, terms) with terms as in norm_identity_residual.
+    phi and chi are evaluated at k_ratio's points only; the weighted
+    square integral of phi is :func:`sltrans.hilbert.weighted_square_integral`,
+    exact on constant pieces. Returns (phi, terms) with terms as in
+    norm_identity_residual.
     """
     phi = shoot_phi(vp, lam, rtol=rtol)
     chi = shoot_chi(vp, lam, rtol=rtol)
     xs = _ratio_points(vp, K_SAMPLES)
-    nodes, weights = subinterval_rules(vp.subintervals(),
-                                       2.0 * np.sqrt(abs(lam)))
-    pv = phi.u(np.concatenate([xs, nodes]))
-    k, spread = _ratio_from_values(vp, pv[:len(xs)], chi.u(xs), K_SAMPLES)
+    k, spread = _ratio_from_values(vp, phi.u(xs), chi.u(xs), K_SAMPLES)
     omp = omega_derivative(vp, lam, rtol=rtol)
     u1, du1 = phi.boundary_state("right")
     r1p_phi = r1p_form(vp, u1, du1)
-    lhs = weighted_sum(vp.weights, weights, pv[len(xs):] ** 2)
+    lhs = weighted_square_integral(vp, phi)
     d2 = vp.delta_sq_prod
 
     rhs = omp / k - (d2 / k) * r1p_phi

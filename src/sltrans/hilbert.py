@@ -12,21 +12,34 @@ The module provides the inner product (with a quadrature error estimate),
 the weighted square integral of a shot solution, the two right-boundary
 forms R1 and R1', Gram matrices, a symmetry (Green's identity) diagnostic,
 and the expansion / completeness check. Its sums over subintervals use the
-one rule of :mod:`sltrans.quadrature`.
+one rule of :mod:`sltrans.quadrature`, except where a shot solution is
+known in closed form: on a constant-q piece the square integral of
+A cos kt + B sin kt (or its hyperbolic twin) is exact in O(1)
+(:func:`constant_square_integrals`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ode import shoot_phi
+from .ode import ConstantSegment, shoot_phi
 from .problem import as_validated
+from .propagator import cos_sinc
 from .quadrature import (QuadratureNotConverged, fixed_quad, panels_for,
                          subinterval_rules, weighted_sum)
 
 MAX_QUAD_DOUBLINGS = 8
+# R(z) = (1 - S(4z)) / (-z) is summed as its series for |z| up to
+# _SERIES_Z, where the closed form would lose digits to cancellation;
+# above _EVANESCENT_Z a constant segment integrates its exponential form.
+_SERIES_Z = 1.0
+_EVANESCENT_Z = 1.0
+# Coefficients of R's series sum_{n >= 1} 4^n z^(n-1) / (2n+1)!, in
+# ascending powers of z; the last term is below 1e-22 for |z| <= 1.
+_R_SERIES = tuple(4.0 ** n / math.factorial(2 * n + 1) for n in range(1, 15))
 
 
 # ----------------------------------------------------------------------
@@ -176,13 +189,89 @@ def h_inner_product(problem, F: HElement, G: HElement, *,
 
 
 def weighted_square_integral(problem, sol) -> float:
-    """sum_j w_j int_j u^2 for a piecewise solution, with the quadrature
-    panels set for frequency 2 sqrt|lambda|; u is evaluated once, at the
-    nodes of all subintervals together."""
+    """sum_j w_j int_j u^2 for a piecewise solution, scale included.
+
+    Constant segments integrate in closed form, all of them in one
+    :func:`constant_square_integrals` call. Every other segment takes the
+    composite Gauss rule with panels set for frequency 2 sqrt|lambda|, u
+    evaluated once at the nodes of all those subintervals together and
+    summed by :func:`sltrans.quadrature.weighted_sum`. A shot solution
+    has a :class:`~sltrans.ode.ConstantSegment` exactly on the pieces
+    where ``piece.is_constant``, as the propagator chooses.
+    """
     vp = as_validated(problem)
-    nodes, weights = subinterval_rules(vp.subintervals(),
-                                       2.0 * np.sqrt(abs(sol.lam)))
-    return weighted_sum(vp.weights, weights, sol.u(nodes) ** 2)
+    const = [isinstance(seg, ConstantSegment) for seg in sol.segments]
+    total = 0.0
+    if not all(const):
+        rest = [j for j, c in enumerate(const) if not c]
+        subs = vp.subintervals()
+        nodes, rules = subinterval_rules([subs[j] for j in rest],
+                                         2.0 * np.sqrt(abs(sol.lam)))
+        total = weighted_sum([vp.weights[j] for j in rest], rules,
+                             sol.u(nodes) ** 2)
+    if any(const):
+        a, b, w, u0, du0 = np.array([(seg.a, seg.b, seg.w, seg.u0, seg.du0)
+                                     for seg, c in zip(sol.segments, const)
+                                     if c]).T
+        parts = constant_square_integrals(a, b, w, sol.scale * u0,
+                                          sol.scale * du0)
+        total += float(np.dot(np.asarray(vp.weights)[const], parts))
+    return total
+
+
+def constant_square_integrals(a, b, w, u0, du0) -> np.ndarray:
+    """int u^2 over the interval between a and b (either order), where
+    u'' = w u with (u, u') = (u0, du0) at a; vectorised over segments,
+    one integral each (a 1-D array).
+
+    With L = b - a and z = w L^2 the integral is
+    u0^2 |L|/2 (1 + S(4z)) + u0 du0 sign(L) L^2 S(z)^2 + du0^2 |L|^3/2 R(z),
+    S being :func:`sltrans.propagator.cos_sinc`'s second output and
+    R(z) = (1 - S(4z)) / (-z), summed as its series near 0. For z > 1 the
+    three terms cancel, so there u = P e^{kt} + Q e^{-kt} with k = sqrt(w)
+    and P, Q = (u0 +- du0/k) / 2 integrates termwise instead: with G the
+    amplitude that grows along the segment, D the other and y = k |L|, it
+    is ((G e^y)^2 + D^2)(1 - e^{-2y}) / (2k) + 2 P Q |L|, which overflows
+    only where (G e^y)^2, about u^2 at the far end, does.
+    """
+    L, w, u0, du0 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float))
+          for v in (np.subtract(b, a), w, u0, du0)))
+    z = w * L * L
+    ev = z > _EVANESCENT_Z
+    if not ev.any():
+        return _oscillatory_square(L, z, u0, du0)
+    out = np.empty_like(z)
+    osc = ~ev
+    out[osc] = _oscillatory_square(L[osc], z[osc], u0[osc], du0[osc])
+    out[ev] = _evanescent_square(L[ev], w[ev], u0[ev], du0[ev])
+    return out
+
+
+def _oscillatory_square(L, z, u0, du0):
+    _, (S1, S4) = cos_sinc(np.stack([z, 4.0 * z]))
+    near = np.abs(z) <= _SERIES_Z
+    if near.any():
+        zn, R = np.where(near, z, 0.0), 0.0
+        for c in reversed(_R_SERIES):
+            R = R * zn + c
+        np.divide(1.0 - S4, -z, out=R, where=~near)
+    else:
+        R = (1.0 - S4) / -z
+    La = np.abs(L)
+    return (0.5 * La * (u0 * u0 * (1.0 + S4) + du0 * du0 * L * L * R)
+            + u0 * du0 * L * La * S1 * S1)
+
+
+def _evanescent_square(L, w, u0, du0):
+    k = np.sqrt(w)
+    y = k * np.abs(L)
+    p = 0.5 * (u0 + du0 / k)
+    q = 0.5 * (u0 - du0 / k)
+    forward = L >= 0.0
+    g = np.where(forward, p, q) * np.exp(y)
+    d = np.where(forward, q, p)
+    return (g * g + d * d) * -np.expm1(-2.0 * y) / (2.0 * k) + 2.0 * p * q * np.abs(L)
 
 
 def gram_matrix(problem, elements) -> np.ndarray:

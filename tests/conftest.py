@@ -82,6 +82,21 @@ def make_two_interface() -> st.ProblemSpec:
     )
 
 
+def make_barrier() -> st.ProblemSpec:
+    """Constant pieces 0 / 400 / 0 with jumps (1.5, 0.8): below lambda = 400
+    every eigenvector decays or grows through the middle piece."""
+    return st.ProblemSpec(
+        potential=st.PiecewisePotential.from_pieces([
+            PotentialPiece(kind="constant", value=v) for v in (0.0, 400.0, 0.0)
+        ]),
+        interfaces=(-0.3, 0.3),
+        jumps=(1.5, 0.8),
+        alpha=(1.0, 0.5),
+        beta=(0.0, 1.0),
+        beta_prime=(1.0, 0.3),
+    )
+
+
 @pytest.fixture(scope="session")
 def canonical():
     return make_canonical()

@@ -21,9 +21,9 @@ from sltrans.eigensolve import (
     norm_identity_residual,
     validate_floor,
 )
-from sltrans.hilbert import weighted_square_integral
+from sltrans.hilbert import HElement, h_inner_product, weighted_square_integral
 from sltrans.ode import PiecewiseSolution
-from conftest import make_canonical
+from conftest import make_barrier, make_canonical
 import oracles
 
 
@@ -135,6 +135,20 @@ class TestEigenpairRecords:
             nsq = (weighted_square_integral(vp, eig.phi)
                    + (vp.delta_sq_prod / vp.rho) * eig.scalar ** 2)
             assert nsq == pytest.approx(1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("spec, roots", [
+        (make_canonical(2.0), (0, 50, 199)),
+        (make_barrier(), range(10)),
+    ], ids=["constant-q", "barrier"])
+    def test_unit_norm_by_adaptive_quadrature(self, spec, roots):
+        # h_inner_product's doubling Gauss rule, not the closed form the
+        # normalisation itself uses on constant pieces.
+        vp = st.as_validated(spec)
+        eigs = find_eigenvalues(vp, max(roots) + 1)
+        for n in roots:
+            el = HElement.from_eigenpair(eigs[n])
+            nsq, _ = h_inner_product(vp, el, el)
+            assert nsq == pytest.approx(1.0, abs=1e-10)
 
     def test_sign_convention_at_left_end(self, canonical_eigs, case1_eigs):
         for eig in list(canonical_eigs[:5]) + list(case1_eigs[:5]):

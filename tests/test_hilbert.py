@@ -1,5 +1,7 @@
 """The weighted space: inner products, Gram matrices, expansions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -9,6 +11,7 @@ from sltrans.hilbert import (
     BoundaryForms,
     HElement,
     QuadratureNotConverged,
+    constant_square_integrals,
     expand,
     gram_matrix,
     greens_identity_residual,
@@ -16,9 +19,12 @@ from sltrans.hilbert import (
     r1_form,
     r1p_form,
     r_form_identity_residual,
+    weighted_square_integral,
 )
-from sltrans.ode import shoot_phi
-from conftest import make_canonical, make_two_interface
+from sltrans.ode import ConstantSegment, shoot_chi, shoot_phi
+from sltrans.problem import PotentialPiece
+from sltrans.quadrature import panel_nodes, subinterval_rules, weighted_sum
+from conftest import make_barrier, make_canonical, make_two_interface
 
 
 class TestInnerProduct:
@@ -142,3 +148,69 @@ class TestExpansion:
         res = result.residuals
         assert res[-1] < res[0]
         assert result.parseval_ratio <= 1.0 + 1e-9
+
+
+# (a, b, w, u0, du0) of one constant segment, u'' = w u from (u0, du0) at
+# a; z = w (b - a)^2 picks the closed form's branch.
+CONSTANT_SEGMENTS = {
+    "w=-1e5": (-1.0, 1.0, -1e5, 1.0, 0.5),
+    "z=-1.01 closed R": (-1.0, 0.0, -1.01, 1.0, 0.3),
+    "z=-0.99 series R": (-1.0, 0.0, -0.99, 1.0, 0.3),
+    "z=0": (-1.0, 0.0, 0.0, 1.0, 0.3),
+    "z=1e-9": (-1.0, 0.0, 1e-9, 1.0, 0.3),
+    "z=0.99 series R": (-1.0, 0.0, 0.99, 1.0, 0.3),
+    "z=1.01 evanescent": (-1.0, 0.0, 1.01, 1.0, -1.3),
+    "u0=0": (-1.0, 0.0, -5.0, 0.0, 1.0),
+    "decaying": (0.0, 1.0, 400.0, 1.0, -20.0),
+    "growing": (0.0, 1.0, 400.0, 1.0, 20.0),
+    "backward oscillatory": (1.0, 0.3, -50.0, 0.7, -3.0),
+    "backward evanescent": (1.0, 0.3, 90.0, 0.7, -3.0),
+    "backward decaying": (1.0, 0.3, 400.0, 1.0, 20.0),
+}
+
+
+class TestSquareIntegral:
+    @pytest.mark.parametrize("seg", CONSTANT_SEGMENTS.values(),
+                             ids=CONSTANT_SEGMENTS.keys())
+    def test_closed_form_matches_composite_gauss(self, seg):
+        a, b, w, u0, du0 = seg
+        x, wts = panel_nodes(min(a, b), max(a, b), 4096, 12)
+        u, _ = ConstantSegment(*seg).eval(x)
+        want = math.fsum(wts * u * u)
+        got = constant_square_integrals(a, b, w, u0, du0)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_segments_in_one_call_match_one_by_one(self):
+        table = np.array(list(CONSTANT_SEGMENTS.values())).T
+        one_by_one = [constant_square_integrals(*seg)[0]
+                      for seg in CONSTANT_SEGMENTS.values()]
+        assert constant_square_integrals(*table).tolist() == one_by_one
+
+    def test_variable_q_keeps_the_gauss_rule(self, case1_linear):
+        vp = st.as_validated(case1_linear)
+        for sol in (shoot_phi(vp, 11.0), shoot_chi(vp, -3.5).scaled(0.3)):
+            nodes, rules = subinterval_rules(vp.subintervals(),
+                                             2.0 * np.sqrt(abs(sol.lam)))
+            want = weighted_sum(vp.weights, rules, sol.u(nodes) ** 2)
+            assert weighted_square_integral(vp, sol) == want
+
+    def test_mixed_pieces_match_a_fine_gauss_rule(self):
+        spec = st.ProblemSpec(
+            potential=st.PiecewisePotential.from_pieces([
+                PotentialPiece(kind="constant", value=2.0),
+                PotentialPiece(kind="polynomial", coeffs=(1.0, -2.0, 0.5)),
+                PotentialPiece(kind="constant", value=60.0),
+            ]),
+            interfaces=(-0.2, 0.5), jumps=(1.7, -0.6),
+            alpha=(1.0, 0.5), beta=(0.2, 1.0), beta_prime=(1.0, 0.4))
+        vp = st.as_validated(spec)
+        for sol in (shoot_phi(vp, 30.0).scaled(-2.5), shoot_chi(vp, 75.0)):
+            nodes, rules = subinterval_rules(vp.subintervals(), 400.0)
+            want = weighted_sum(vp.weights, rules, sol.u(nodes) ** 2)
+            got = weighted_square_integral(vp, sol)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_barrier_norm_identity(self):
+        eigs = st.find_eigenvalues(make_barrier(), 40)
+        assert max(e.residuals["norm_identity"] for e in eigs) <= 1e-14
