@@ -24,7 +24,7 @@ import dataclasses
 import numpy as np
 
 import sltrans as st
-from sltrans.characteristic import omega_per_interval
+from sltrans.characteristic import omega_samples
 from sltrans.eigensolve import find_eigenvalues
 
 
@@ -45,7 +45,7 @@ def show_chain(spec):
     print(f"{'lambda':>8} {'omega_1':>14} {'omega_2':>14} {'omega_3':>14} "
           f"{'chain residual':>15}")
     for lam in (-5.0, 2.0, 40.0, 300.0):
-        sample = omega_per_interval(vp, lam)
+        sample = omega_samples(vp, [lam])[0]
         o1, o2, o3 = sample.omega_i
         print(f"{lam:8.1f} {o1:14.6g} {o2:14.6g} {o3:14.6g} "
               f"{sample.chain_residual_rel():15.2e}")

@@ -46,10 +46,6 @@ class EigenvalueEstimate:
     s_second: float
     ingredients: dict
 
-    @property
-    def correction(self) -> float:
-        return self.s_second - self.s_first
-
 
 def _offset(case: AsymptoticCase) -> float:
     """Root offset (a + b) / 2: 1, 1/2, 1/2, 0 for cases 1 to 4."""
@@ -60,6 +56,16 @@ def _offset(case: AsymptoticCase) -> float:
 def _base_angle(case: AsymptoticCase, n: int) -> float:
     """Denominator angle of the n-th root: pi(n-1), pi(n-1/2), or pi n."""
     return np.pi * (n - _offset(case))
+
+
+def _index_angle(case: AsymptoticCase, n: int) -> float:
+    """_base_angle for an index the formulas cover; ValueError unless the
+    angle is positive (nearest_index never returns such an index)."""
+    angle = _base_angle(case, n)
+    if angle <= 0.0:
+        raise ValueError(f"index n={n} makes the case denominator "
+                         f"pi(n - {_offset(case):g}) = {angle:.6g} non-positive")
+    return angle
 
 
 def leading_omega(problem, s):
@@ -94,9 +100,7 @@ def eigenvalue_estimate(problem, n: int, q_term: str = "plain") -> EigenvalueEst
     vp = as_validated(problem)
     case = classify_case(vp)
     b, a = case.value
-    angle = _base_angle(case, n)
-    if angle == 0.0:
-        raise ValueError(f"index n={n} makes the case denominator vanish")
+    angle = _index_angle(case, n)
     if q_term not in ("plain", "jump_scaled"):
         raise ValueError(f"unknown q_term {q_term!r}")
     s_first = angle / 2.0
@@ -132,9 +136,7 @@ def eigenfunction_estimate(problem, n: int, x):
     """
     vp = as_validated(problem)
     case = classify_case(vp)
-    angle = _base_angle(case, n)
-    if angle == 0.0:
-        raise ValueError(f"index n={n} makes the case angle vanish")
+    angle = _index_angle(case, n)
 
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
@@ -152,16 +154,16 @@ def eigenfunction_estimate(problem, n: int, x):
     return float(out[0]) if scalar else out
 
 
-def asymptotics_report(problem, eigenpairs, q_term: str = "plain") -> list[dict]:
+def asymptotics_report(problem, eigenpairs) -> list[dict]:
     """Rows comparing computed roots against both asymptotic orders.
 
     Each computed eigenpair is matched to the nearest first-order index n;
-    rows carry n, the true s, both estimates, and the scaled errors
-    n*|s - s_first| and n^2*|s - s_second|. The error of the other q_term
-    variant is recorded alongside so the two can be contrasted.
+    rows carry n, the true s, both estimates (q_term='plain'), and the
+    scaled errors n*|s - s_first| and n^2*|s - s_second|. The error of the
+    'jump_scaled' variant is recorded alongside so the two can be
+    contrasted.
     """
     vp = as_validated(problem)
-    other = "jump_scaled" if q_term == "plain" else "plain"
     rows = []
     for eig in eigenpairs:
         if eig.s is None or not np.isfinite(eig.s):
@@ -169,8 +171,8 @@ def asymptotics_report(problem, eigenpairs, q_term: str = "plain") -> list[dict]
         n = nearest_index(vp, eig.s)
         if n is None:
             continue
-        est = eigenvalue_estimate(vp, n, q_term=q_term)
-        alt = eigenvalue_estimate(vp, n, q_term=other)
+        est = eigenvalue_estimate(vp, n)
+        alt = eigenvalue_estimate(vp, n, q_term="jump_scaled")
         err1 = abs(eig.s - est.s_first)
         err2 = abs(eig.s - est.s_second)
         rows.append({
@@ -180,7 +182,7 @@ def asymptotics_report(problem, eigenpairs, q_term: str = "plain") -> list[dict]
             "s_second": est.s_second,
             "n_err1": n * err1,
             "n2_err2": n * n * err2,
-            "n2_err2_" + other: n * n * abs(eig.s - alt.s_second),
+            "n2_err2_jump_scaled": n * n * abs(eig.s - alt.s_second),
         })
     return rows
 

@@ -7,7 +7,7 @@ satisfy the chain
 
     omega_1 = delta_1^2 omega_2 = delta_1^2 delta_2^2 omega_3 = ...
 
-which doubles as a bookkeeping diagnostic: `omega_per_interval` fills the
+which doubles as a bookkeeping diagnostic: `omega_samples` fills the
 chain residuals. The production path (`omega`) never computes the right
 solution at all; the right boundary data makes
 
@@ -31,10 +31,6 @@ from . import propagator
 from .problem import as_validated
 
 
-class MismatchedLambda(ValueError):
-    """Wronskian of two solutions evaluated at different lambda."""
-
-
 @dataclass
 class CharacteristicSample:
     """One evaluation of the characteristic function with diagnostics.
@@ -56,15 +52,6 @@ class CharacteristicSample:
 
     def chain_residual_rel(self) -> float:
         return self.chain_residual_max / max(1.0, abs(self.omega))
-
-
-def wronskian_at(f, g, x: float, side: str | None = None) -> float:
-    """f(x) g'(x) - f'(x) g(x) with the requested one-sided values."""
-    if f.lam != g.lam:
-        raise MismatchedLambda(f"lambda mismatch: {f.lam} vs {g.lam}")
-    fu, fdu = f.eval(x, side)
-    gu, gdu = g.eval(x, side)
-    return fu * gdu - fdu * gu
 
 
 def omega(problem, lam, *, rtol: float = 1e-12):
@@ -167,19 +154,14 @@ def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
     return int(n[0]) if np.ndim(lam) == 0 else n
 
 
-def omega_per_interval(problem, lam: float, *, rtol: float = 1e-12) -> CharacteristicSample:
-    """Evaluate every per-subinterval Wronskian and the chain residuals.
+def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicSample]:
+    """Every per-subinterval Wronskian and the chain residuals, one
+    CharacteristicSample per lambda of the batch.
 
     Both shot solutions are propagated to each subinterval midpoint (the
     Wronskian is constant inside a subinterval, and midpoints stay clear of
     the one-sided ambiguity at the interfaces).
     """
-    samples = omega_samples(problem, [lam], rtol=rtol)
-    return samples[0]
-
-
-def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicSample]:
-    """Batched omega_per_interval over an array of lambda."""
     vp = as_validated(problem)
     lam_arr = np.atleast_1d(np.asarray(lams, dtype=float))
     phi_left, phi_right = propagator.endpoint_chain(vp, lam_arr, rtol=rtol)

@@ -400,21 +400,31 @@ def run_sweep(config: RunConfig) -> int:
 
 
 def _target_element(obj: dict, eigs) -> HElement:
+    if not isinstance(obj, dict):
+        raise CliError(f"target must be a JSON object with a 'kind', got {obj!r}")
     kind = obj.get("kind")
-    if kind == "polynomial":
-        return HElement.polynomial(obj.get("coeffs", [1.0]),
-                                   f1=float(obj.get("f1", 0.0)))
-    if kind == "bump":
-        return HElement.bump(float(obj["center"]), float(obj["halfwidth"]),
-                             amplitude=float(obj.get("amplitude", 1.0)),
-                             f1=float(obj.get("f1", 0.0)))
-    if kind == "scalar":
-        return HElement.scalar_only(float(obj["f1"]))
     if kind == "eigenfunction":
-        n = int(obj["n"])
+        n = obj.get("n")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise CliError("target eigenfunction index 'n' must be a "
+                           f"non-negative integer, got {n!r}")
         if n >= len(eigs):
             raise CliError(f"target eigenfunction {n} needs nmax > {n}")
         return HElement.from_eigenpair(eigs[n])
+    try:
+        if kind == "polynomial":
+            return HElement.polynomial(obj.get("coeffs", [1.0]),
+                                       f1=float(obj.get("f1", 0.0)))
+        if kind == "bump":
+            return HElement.bump(float(obj["center"]), float(obj["halfwidth"]),
+                                 amplitude=float(obj.get("amplitude", 1.0)),
+                                 f1=float(obj.get("f1", 0.0)))
+        if kind == "scalar":
+            return HElement.scalar_only(float(obj["f1"]))
+    except KeyError as exc:
+        raise CliError(f"{kind} target is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad {kind} target: {exc}") from None
     raise CliError(f"unknown target kind {kind!r}")
 
 

@@ -13,8 +13,9 @@ That shapes the solver:
 3. if the roots found do not number N(top), bisect on N where they disagree
    until each part holds one eigenvalue (a close pair in one scan cell
    shows no sign change), and refine those parts the same way,
-4. for each root build the left solution, the ratio linking it to the right
-   solution, the derivative of omega, the norm-identity diagnostics (the
+4. for each root :func:`build_eigenpair`, the one normalisation routine,
+   builds the left solution, the ratio linking it to the right solution,
+   the derivative of omega, the norm-identity diagnostics (the
    weighted square integral of phi, :func:`sltrans.hilbert.weighted_square_integral`:
    exact in O(1) on each constant piece, :mod:`sltrans.quadrature`'s rule
    on the others), and a normalized eigenvector. That takes three
@@ -44,6 +45,8 @@ from .quadrature import fixed_quad  # noqa: F401
 S_SCAN_STEP = np.pi / 16.0
 NEG_SCAN_STEP = 0.5
 K_SAMPLES = 24  # k_ratio's interior sample points per subinterval
+SCALE_WINDOW = 16  # scan samples behind ScanResult.local_scale
+MAX_BISECTIONS = 90  # bisection steps of one refinement batch, at most
 
 
 class LostBracket(RuntimeError):
@@ -76,13 +79,14 @@ class ScanResult:
     brackets: list
     suspicious: list
 
-    def local_scale(self, lam: float, window: int = 16) -> float:
-        """Median |omega| among the scan samples nearest lam: the mean of
-        the middle two (the middle one for an odd count), as np.median."""
+    def local_scale(self, lam: float) -> float:
+        """Median |omega| among the SCALE_WINDOW scan samples nearest lam:
+        the mean of the middle two (the middle one for an odd count), as
+        np.median."""
         i = int(np.searchsorted(self.lams, lam))
-        lo = max(0, i - window // 2)
-        hi = min(len(self.lams), lo + window)
-        lo = max(0, hi - window)
+        lo = max(0, i - SCALE_WINDOW // 2)
+        hi = min(len(self.lams), lo + SCALE_WINDOW)
+        lo = max(0, hi - SCALE_WINDOW)
         s = np.sort(np.abs(self.omegas[lo:hi]))
         n = len(s)
         return float((s[(n - 1) // 2] + s[n // 2]) / 2)
@@ -163,7 +167,7 @@ def _sift(vp, lams, oms, rtol):
 # ----------------------------------------------------------------------
 
 def _refine_batch(vp, brackets, *, rel_tol: float = 1e-12,
-                  rtol: float = 1e-12, max_iter: int = 90) -> np.ndarray:
+                  rtol: float = 1e-12) -> np.ndarray:
     """Bisection on all brackets at once; one batched omega call per step.
 
     Raises LostBracket if a bracket's endpoints no longer straddle a sign
@@ -181,7 +185,7 @@ def _refine_batch(vp, brackets, *, rel_tol: float = 1e-12,
         raise LostBracket(
             f"omega has the same sign at both ends of [{la[k]}, {lb[k]}]")
     sa = np.sign(fa)
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (la + lb)
         fm = np.asarray(omega(vp, mid, rtol=rtol))
         ms = np.sign(fm)
@@ -235,11 +239,15 @@ class Eigenpair:
     the first-order root-location formula assigns to this root (None for
     negative eigenvalues, which the formula does not cover). phi is scaled
     so the augmented vector (phi, R1'(phi)) has unit norm in the weighted
-    space; scalar is that R1'(phi) value after scaling. k_ratio links the
-    canonical right solution to the canonical left one at this eigenvalue,
-    and k_spread measures how far the two are from exact proportionality.
+    space; scalar is that R1'(phi) value after scaling. k_ratio is the
+    factor k with chi = k * phi linking the canonical right solution to the
+    canonical left one: least squares over K_SAMPLES interior points of each
+    subinterval, weighted like the space's inner product. k_spread is the
+    relative spread of the pointwise ratios chi/phi over the samples where
+    |phi| is at least a tenth of its maximum; at a true eigenvalue it
+    vanishes with the root tolerance, away from one it is O(1).
     norm_constant is the signed factor taking the canonical left solution
-    to phi.
+    to phi. residuals holds the defects listed in :func:`build_eigenpair`.
     """
 
     n: int
@@ -257,46 +265,27 @@ class Eigenpair:
     residuals: dict = field(default_factory=dict)
 
 
-def k_ratio(problem, lam: float, *, phi=None, chi=None,
-            samples_per_piece: int = K_SAMPLES):
-    """Proportionality factor k with chi = k * phi at an eigenvalue.
+def _ratio_points(vp) -> np.ndarray:
+    """K_SAMPLES interior points of each subinterval, in order.
 
-    Least squares over samples_per_piece interior points of each
-    subinterval, weighted like the space's inner product; phi and chi are
-    each evaluated once, at the points of all subintervals together. Also
-    returns the relative spread of the pointwise ratios over samples where
-    |phi| is at least a tenth of its maximum; at a true eigenvalue the
-    spread vanishes with the root tolerance, away from one it is O(1).
-    """
-    vp = as_validated(problem)
-    phi = shoot_phi(vp, lam) if phi is None else phi
-    chi = shoot_chi(vp, lam) if chi is None else chi
-    xs = _ratio_points(vp, samples_per_piece)
-    return _ratio_from_values(vp, phi.u(xs), chi.u(xs), samples_per_piece)
-
-
-def _ratio_points(vp, samples_per_piece: int) -> np.ndarray:
-    """samples_per_piece interior points of each subinterval, in order.
-
-    They depend on the problem only, so each count is built once and kept,
+    They depend on the problem only, so they are built once and kept,
     read-only, in ``vp.memo``.
     """
-    key = ("ratio_points", samples_per_piece)
-    xs = vp.memo.get(key)
+    xs = vp.memo.get("ratio_points")
     if xs is None:
-        xs = np.concatenate([np.linspace(a, b, samples_per_piece + 2)[1:-1]
+        xs = np.concatenate([np.linspace(a, b, K_SAMPLES + 2)[1:-1]
                              for a, b in vp.subintervals()])
         xs.setflags(write=False)
-        vp.memo[key] = xs
+        vp.memo["ratio_points"] = xs
     return xs
 
 
-def _ratio_from_values(vp, pv, cv, samples_per_piece: int):
-    """k_ratio's (k, spread) from phi and chi at :func:`_ratio_points`."""
+def _ratio_from_values(vp, pv, cv):
+    """Eigenpair's (k_ratio, k_spread) from phi and chi at :func:`_ratio_points`."""
     num = 0.0
     den = 0.0
     for j, wj in enumerate(vp.weights):
-        part = slice(j * samples_per_piece, (j + 1) * samples_per_piece)
+        part = slice(j * K_SAMPLES, (j + 1) * K_SAMPLES)
         pu, cu = pv[part], cv[part]
         num += wj * float(pu @ cu)
         den += wj * float(pu @ pu)
@@ -310,18 +299,38 @@ def _ratio_from_values(vp, pv, cv, samples_per_piece: int):
     return float(k), spread
 
 
-def _norm_terms(vp, lam: float, rtol: float):
-    """Shoot phi and chi at lam and evaluate the closed-form norm identity.
+def build_eigenpair(problem, lam: float, *, n: int = -1,
+                    scan: ScanResult | None = None,
+                    rtol: float = 1e-12) -> Eigenpair:
+    """Assemble the full Eigenpair record at lam, normally a refined root.
 
-    phi and chi are evaluated at k_ratio's points only; the weighted
-    square integral of phi is :func:`sltrans.hilbert.weighted_square_integral`,
-    exact on constant pieces. Returns (phi, terms) with terms as in
-    norm_identity_residual.
+    Any lam gives the record, so its k_spread and residuals also tell how
+    far lam is from an eigenvalue. Three transmission chains: phi, chi and
+    the complex-step omega'. phi and chi are evaluated at k_ratio's points
+    only (K_SAMPLES interior points of each subinterval); the weighted
+    square integral of phi is
+    :func:`sltrans.hilbert.weighted_square_integral`, exact on constant
+    pieces. omega_at_root comes from phi's end state (omega()'s bits on
+    constant q).
+
+    The norm identity: at an eigenvalue, sum_j w_j int phi^2 equals
+    omega'(lam)/k - (prod delta_i^2 / k) * R1'(phi), with k the
+    proportionality factor between chi and phi; residuals["norm_identity"]
+    is its relative defect. A circulating variant that scales omega' by the
+    squared jump product as well, (prod delta_i^2 / k) * (omega' - R1'(phi)),
+    disagrees with the symbolic evaluation on the simplest closed-form case
+    whenever a jump factor differs from 1; its defect is
+    residuals["norm_identity_jump_scaled_variant"], and the defect of the
+    substitution R1'(phi) * k = rho is residuals["k_substitution"].
     """
+    vp = as_validated(problem)
+    lam = float(lam)
+    s = float(np.sqrt(lam)) if lam >= 0.0 else None
+
     phi = shoot_phi(vp, lam, rtol=rtol)
     chi = shoot_chi(vp, lam, rtol=rtol)
-    xs = _ratio_points(vp, K_SAMPLES)
-    k, spread = _ratio_from_values(vp, phi.u(xs), chi.u(xs), K_SAMPLES)
+    xs = _ratio_points(vp)
+    k, spread = _ratio_from_values(vp, phi.u(xs), chi.u(xs))
     omp = omega_derivative(vp, lam, rtol=rtol)
     u1, du1 = phi.boundary_state("right")
     r1p_phi = r1p_form(vp, u1, du1)
@@ -330,58 +339,7 @@ def _norm_terms(vp, lam: float, rtol: float):
 
     rhs = omp / k - (d2 / k) * r1p_phi
     rhs_scaled = (d2 / k) * (omp - r1p_phi)
-    res = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    res_scaled = abs(lhs - rhs_scaled) / max(abs(lhs), abs(rhs_scaled), 1e-300)
-    subst = abs(r1p_phi * k - vp.rho) / abs(vp.rho)
-    return phi, {
-        "residual": res,
-        "residual_jump_scaled_variant": res_scaled,
-        "substitution_residual": subst,
-        "lhs": lhs,
-        "rhs": rhs,
-        "k": k,
-        "k_spread": spread,
-        "omega_prime": omp,
-        "r1p_phi": r1p_phi,
-    }
-
-
-def norm_identity_residual(problem, eig_or_lam, *, rtol: float = 1e-12) -> dict:
-    """Check the closed-form value of the weighted square integral of phi.
-
-    At an eigenvalue, sum_j w_j int phi^2 should equal
-    omega'(lam)/k - (prod delta_i^2 / k) * R1'(phi), with k the
-    proportionality factor between chi and phi. A circulating variant that
-    scales omega' by the squared jump product as well,
-    (prod delta_i^2 / k) * (omega' - R1'(phi)), disagrees with the symbolic
-    evaluation on the simplest closed-form case whenever a jump factor
-    differs from 1; both residuals are reported, as is the defect of the
-    substitution R1'(phi) * k = rho.
-    """
-    vp = as_validated(problem)
-    lam = float(getattr(eig_or_lam, "lam", eig_or_lam))
-    return _norm_terms(vp, lam, rtol)[1]
-
-
-def build_eigenpair(problem, lam: float, *, n: int = -1,
-                    scan: ScanResult | None = None,
-                    rtol: float = 1e-12) -> Eigenpair:
-    """Assemble the full Eigenpair record for one refined root.
-
-    Three transmission chains: phi, chi and the complex-step omega'.
-    omega_at_root comes from phi's end state (omega()'s bits on constant q).
-    """
-    vp = as_validated(problem)
-    lam = float(lam)
-    s = float(np.sqrt(lam)) if lam >= 0.0 else None
-
-    phi, terms = _norm_terms(vp, lam, rtol)
-    om_here = float(vp.delta_sq_prod
-                    * boundary_form(vp, lam, *phi.right_states[-1]))
-    omp = terms["omega_prime"]
-    r1p_phi = terms["r1p_phi"]
-
-    u1, du1 = phi.boundary_state("right")
+    om_here = float(d2 * boundary_form(vp, lam, *phi.right_states[-1]))
     r1_phi = r1_form(vp, u1, du1)
 
     bc_scale = (abs(lam * vp.beta1p * u1) + abs(vp.beta1 * u1)
@@ -390,7 +348,7 @@ def build_eigenpair(problem, lam: float, *, n: int = -1,
     left_scale = max(abs(vp.alpha1 * um), abs(vp.alpha2 * dum),
                      abs(um) + abs(dum), 1e-300)
 
-    nsq = terms["lhs"] + (vp.delta_sq_prod / vp.rho) * r1p_phi ** 2
+    nsq = lhs + (d2 / vp.rho) * r1p_phi ** 2
     if nsq <= 0.0 or not np.isfinite(nsq):
         raise DegeneratePhi(f"norm^2 = {nsq} is not positive")
     c = 1.0 / np.sqrt(nsq)
@@ -413,12 +371,13 @@ def build_eigenpair(problem, lam: float, *, n: int = -1,
         "bc_right": abs(lam * r1p_phi + r1_phi) / bc_scale,
         "bc_left": abs(vp.alpha1 * um + vp.alpha2 * dum) / left_scale,
         "transmission": phi.transmission_residual(),
-        "norm_identity": terms["residual"],
-        "norm_identity_jump_scaled_variant": terms["residual_jump_scaled_variant"],
-        "k_substitution": terms["substitution_residual"],
+        "norm_identity": abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300),
+        "norm_identity_jump_scaled_variant":
+            abs(lhs - rhs_scaled) / max(abs(lhs), abs(rhs_scaled), 1e-300),
+        "k_substitution": abs(r1p_phi * k - vp.rho) / abs(vp.rho),
     }
     return Eigenpair(n=n, lam=lam, s=s, phi=phi_n, scalar=c * r1p_phi,
-                     k_ratio=terms["k"], k_spread=terms["k_spread"], omega_prime=omp,
+                     k_ratio=k, k_spread=spread, omega_prime=omp,
                      omega_scale=scale_local, margin=margin,
                      n_formula=n_formula, norm_constant=c,
                      residuals=residuals)

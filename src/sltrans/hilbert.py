@@ -32,6 +32,8 @@ from .quadrature import (QuadratureNotConverged, fixed_quad, panels_for,
                          subinterval_rules, weighted_sum)
 
 MAX_QUAD_DOUBLINGS = 8
+QUAD_REL_TOL = 1e-11
+QUAD_ABS_TOL = 1e-14
 # R(z) = (1 - S(4z)) / (-z) is summed as its series for |z| up to
 # _SERIES_Z, where the closed form would lose digits to cancellation;
 # above _EVANESCENT_Z a constant segment integrates its exponential form.
@@ -69,19 +71,6 @@ def r_form_identity_residual(problem, fu, fdu, gu, gdu) -> float:
            - r1_form(vp, fu, fdu) * r1p_form(vp, gu, gdu))
     wr = fu * gdu - fdu * gu
     return float(lhs + vp.rho * wr)
-
-
-@dataclass(frozen=True)
-class BoundaryForms:
-    """Both right-boundary forms of one solution, evaluated at x = 1."""
-
-    r1: float
-    r1p: float
-
-    @classmethod
-    def of(cls, problem, solution) -> "BoundaryForms":
-        u1, du1 = solution.boundary_state("right")
-        return cls(r1=r1_form(problem, u1, du1), r1p=r1p_form(problem, u1, du1))
 
 
 # ----------------------------------------------------------------------
@@ -151,13 +140,13 @@ class HElement:
 # Inner product and Gram matrix
 # ----------------------------------------------------------------------
 
-def h_inner_product(problem, F: HElement, G: HElement, *,
-                    rel_tol: float = 1e-11, abs_tol: float = 1e-14):
+def h_inner_product(problem, F: HElement, G: HElement):
     """<F, G>: weighted integrals over every subinterval plus the scalar term.
 
     Returns (value, error_estimate). Each subinterval integral starts from a
-    panel count seeded by the frequency hints and doubles until stable;
-    raises QuadratureNotConverged if any integral refuses to settle.
+    panel count seeded by the frequency hints and doubles until two counts
+    agree within QUAD_REL_TOL relative or QUAD_ABS_TOL absolute; raises
+    QuadratureNotConverged if any integral refuses to settle.
     """
     vp = as_validated(problem)
     freq = F.freq_hint + G.freq_hint
@@ -174,7 +163,7 @@ def h_inner_product(problem, F: HElement, G: HElement, *,
             panels *= 2
             cur = fixed_quad(fg, a, b, panels)
             gap = abs(cur - prev)
-            if gap <= max(abs_tol, rel_tol * abs(cur)):
+            if gap <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(cur)):
                 converged = True
                 break
             prev = cur
@@ -318,22 +307,24 @@ def greens_identity_residual(problem, lam_a: float, lam_b: float, *,
     vp = as_validated(problem)
     pa = shoot_phi(vp, lam_a, rtol=rtol)
     pb = shoot_phi(vp, lam_b, rtol=rtol)
-    fa = BoundaryForms.of(vp, pa)
-    fb = BoundaryForms.of(vp, pb)
-    Fa = HElement(f=pa.u, f1=fa.r1p, freq_hint=np.sqrt(abs(lam_a)))
-    Fb = HElement(f=pb.u, f1=fb.r1p, freq_hint=np.sqrt(abs(lam_b)))
+    u1a, du1a = pa.boundary_state("right")
+    u1b, du1b = pb.boundary_state("right")
+    ra, rpa = r1_form(vp, u1a, du1a), r1p_form(vp, u1a, du1a)
+    rb, rpb = r1_form(vp, u1b, du1b), r1p_form(vp, u1b, du1b)
+    Fa = HElement(f=pa.u, f1=rpa, freq_hint=np.sqrt(abs(lam_a)))
+    Fb = HElement(f=pb.u, f1=rpb, freq_hint=np.sqrt(abs(lam_b)))
 
     cross, cross_err = h_inner_product(vp, Fa, Fb)
     # <AF, G> = lam_a * sum_j w_j int phi_a phi_b - (D2/rho) R1(phi_a) R1'(phi_b)
     scal = vp.delta_sq_prod / vp.rho
-    integral = cross - scal * fa.r1p * fb.r1p
-    afg = lam_a * integral - scal * fa.r1 * fb.r1p
-    fag = lam_b * integral - scal * fa.r1p * fb.r1
+    integral = cross - scal * rpa * rpb
+    afg = lam_a * integral - scal * ra * rpb
+    fag = lam_b * integral - scal * rpa * rb
 
     na = np.sqrt(max(weighted_square_integral(vp, pa), 0.0))
     nb = np.sqrt(max(weighted_square_integral(vp, pb), 0.0))
     scale = (max(abs(lam_a), abs(lam_b), 1.0) * na * nb
-             + scal * (abs(fa.r1 * fb.r1p) + abs(fa.r1p * fb.r1)) + 1e-300)
+             + scal * (abs(ra * rpb) + abs(rpa * rb)) + 1e-300)
 
     jump_worst = 0.0
     for i, h in enumerate(vp.interfaces):
@@ -347,10 +338,8 @@ def greens_identity_residual(problem, lam_a: float, lam_b: float, *,
     ub, dub = pb.boundary_state("left")
     w_left = ua * dub - dua * ub
 
-    u1a, du1a = pa.boundary_state("right")
-    u1b, du1b = pb.boundary_state("right")
     rform = r_form_identity_residual(vp, u1a, du1a, u1b, du1b)
-    rform_scale = max(abs(fa.r1p * fb.r1), abs(fa.r1 * fb.r1p),
+    rform_scale = max(abs(rpa * rb), abs(ra * rpb),
                       vp.rho * abs(u1a * du1b) + vp.rho * abs(du1a * u1b), 1e-300)
 
     return {
@@ -404,14 +393,8 @@ class ExpansionResult:
             out += c * el.values(xs)
         return out if xs.ndim else float(out[0])
 
-    def scalar_part(self, n_terms: int | None = None) -> float:
-        n = len(self.coefficients) if n_terms is None else n_terms
-        return float(sum(c * el.f1 for c, el in
-                         zip(self.coefficients[:n], self.elements[:n])))
 
-
-def expand(problem, F: HElement, eigenpairs, *,
-           rel_tol: float = 1e-11) -> ExpansionResult:
+def expand(problem, F: HElement, eigenpairs) -> ExpansionResult:
     """Expand F over normalized eigenvectors and track the residual curve.
 
     c_n = <F, Phi_n>; the distance to the partial sum through N terms is
@@ -421,9 +404,8 @@ def expand(problem, F: HElement, eigenpairs, *,
     vp = as_validated(problem)
     elems = [e if isinstance(e, HElement) else HElement.from_eigenpair(e)
              for e in eigenpairs]
-    norm_sq, _ = h_inner_product(vp, F, F, rel_tol=rel_tol)
-    coeffs = np.array([h_inner_product(vp, F, el, rel_tol=rel_tol)[0]
-                       for el in elems])
+    norm_sq, _ = h_inner_product(vp, F, F)
+    coeffs = np.array([h_inner_product(vp, F, el)[0] for el in elems])
     gram = gram_matrix(vp, elems)
 
     residuals = np.empty(len(elems))

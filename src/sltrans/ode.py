@@ -28,6 +28,8 @@ from .propagator import (_GAUSS_OFFSETS, NonFiniteState, _product, chain,
                          constant_step, magnus_ladder, magnus_steps)
 from .quadrature import _gauss_rule, panel_nodes
 
+CSV_SAMPLES = 200  # points per subinterval in PiecewiseSolution.to_csv
+
 
 class NonConvergence(RuntimeError):
     """Successive approximation failed to contract within the iteration budget."""
@@ -46,9 +48,6 @@ class StateVector:
 
     def __iter__(self):
         return iter((self.u, self.du))
-
-    def scaled(self, c: float) -> "StateVector":
-        return StateVector(self.u * c, self.du * c)
 
 
 # ----------------------------------------------------------------------
@@ -123,32 +122,6 @@ def _integrate_dense(piece, a: float, b: float, lam: float, init, rtol):
     if piece.is_constant:
         return ConstantSegment(a, b, piece.constant_value - lam, u0, du0)
     return MagnusSegment(piece, a, b, lam, u0, du0, rtol)
-
-
-def integrate_segment(problem, lam: float, interval, init, at: str = "a",
-                      rtol: float = 1e-12):
-    """Integrate one segment lying inside a single subinterval closure.
-
-    init is the state at endpoint `at` ('a' or 'b'); integration runs toward
-    the other endpoint. Returns a dense trajectory with an eval(x) method.
-    """
-    vp = as_validated(problem)
-    a, b = float(interval[0]), float(interval[1])
-    if a >= b:
-        raise ValueError("interval must satisfy a < b")
-    if a < -1.0 or b > 1.0:
-        raise OutOfDomain(f"segment [{a}, {b}] leaves [-1, 1]")
-    for h in vp.interfaces:
-        if a < h < b:
-            raise ValueError(f"segment [{a}, {b}] spans the interface at {h}")
-    mid = 0.5 * (a + b)
-    piece = vp.pieces[vp.subinterval_index(mid)]
-    init = StateVector(*init) if not isinstance(init, StateVector) else init
-    if at == "a":
-        return _integrate_dense(piece, a, b, lam, (init.u, init.du), rtol)
-    if at == "b":
-        return _integrate_dense(piece, b, a, lam, (init.u, init.du), rtol)
-    raise ValueError("at must be 'a' or 'b'")
 
 
 # ----------------------------------------------------------------------
@@ -234,36 +207,17 @@ class PiecewiseSolution:
                         abs(dum - d * dup) / scale)
         return worst
 
-    def ode_residual(self, samples_per_piece: int = 7, fd_step: float = 1e-5) -> float:
-        """Max relative defect of -u'' + q u = lambda u on interior samples.
-
-        u'' is taken as a centered difference of the stored derivative, so
-        this measures the trajectory's internal consistency.
-        """
-        worst = 0.0
-        for j, (a, b) in enumerate(self.problem.subintervals()):
-            pad = (b - a) * 0.05 + fd_step
-            xs = np.linspace(a + pad, b - pad, samples_per_piece)
-            u, _ = self.eval(xs)
-            _, dup = self.eval(xs + fd_step)
-            _, dum = self.eval(xs - fd_step)
-            upp = (dup - dum) / (2.0 * fd_step)
-            q = self.problem.pieces[j].evaluate(xs)
-            resid = np.abs(upp - (q - self.lam) * u)
-            scale = max(float(np.max(np.abs(u))) * max(abs(self.lam), 1.0), 1e-12)
-            worst = max(worst, float(np.max(resid)) / scale)
-        return worst
-
     def scaled(self, c: float) -> "PiecewiseSolution":
         return replace(self, scale=self.scale * c)
 
-    def to_csv(self, path, samples_per_piece: int = 200) -> None:
-        """Dump the trajectory as CSV columns (x, u, du)."""
+    def to_csv(self, path) -> None:
+        """Dump the trajectory as CSV columns (x, u, du), CSV_SAMPLES
+        points per subinterval, both ends included."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "u", "du"])
             for a, b in self.problem.subintervals():
-                xs = np.linspace(a, b, samples_per_piece)
+                xs = np.linspace(a, b, CSV_SAMPLES)
                 u, du = self.eval(xs)
                 for xi, ui, dui in zip(xs, u, du):
                     writer.writerow([repr(float(xi)), repr(float(ui)), repr(float(dui))])
@@ -433,7 +387,6 @@ def picard_phi(problem, lam: float, iterations: int = 30, *,
     u0, du0 = vp.alpha2, -vp.alpha1
     bp = vp.breakpoints
     worst_update = 0.0
-    update_history = []
     for j, piece in enumerate(vp.pieces):
         a, b = bp[j], bp[j + 1]
         n_panels = max(2, int(np.ceil((b - a) * (abs(s) + 4.0) / np.pi)))
@@ -447,7 +400,6 @@ def picard_phi(problem, lam: float, iterations: int = 30, *,
         sin_sx = np.sin(s * xs)
         u_nodes = base.copy()
         update = np.inf
-        piece_updates = []
         for _ in range(iterations):
             gc = cos_sx * q_nodes * u_nodes
             gs = sin_sx * q_nodes * u_nodes
@@ -461,11 +413,9 @@ def picard_phi(problem, lam: float, iterations: int = 30, *,
                     is_ = grid.partial(gs, cum_s, xi)
                     new_u[p, k] = base[p, k] + (sin_sx[p, k] * ic - cos_sx[p, k] * is_) / s
             update = float(np.max(np.abs(new_u - u_nodes)))
-            piece_updates.append(update)
             u_nodes = new_u
             if update == 0.0:
                 break
-        update_history.append(piece_updates)
         scale = max(1.0, float(np.max(np.abs(u_nodes))))
         worst_update = max(worst_update, update / scale)
         seg = PicardSegment(a, b, s, A, B, grid, u_nodes, piece)
@@ -481,6 +431,4 @@ def picard_phi(problem, lam: float, iterations: int = 30, *,
         raise NonConvergence(
             f"picard update still {worst_update:.3e} after {iterations} iterations"
         )
-    sol = PiecewiseSolution(vp, lam, segments, left_states, right_states)
-    sol.picard_updates = update_history
-    return sol
+    return PiecewiseSolution(vp, lam, segments, left_states, right_states)

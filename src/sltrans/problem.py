@@ -343,23 +343,6 @@ class ValidatedProblem:
         bp = self.breakpoints
         return [(bp[j], bp[j + 1]) for j in range(len(bp) - 1)]
 
-    def subinterval_index(self, x: float, side: str = "interior") -> int:
-        """Index of the subinterval containing x.
-
-        At an interface, side 'left' selects the subinterval ending there
-        and 'right' the one starting there; 'interior' resolves interface
-        points to the left subinterval.
-        """
-        if x < -1.0 or x > 1.0:
-            raise OutOfDomain(f"x={x} outside [-1, 1]")
-        bp = np.asarray(self.breakpoints)
-        j = int(np.searchsorted(bp, x, side="left")) - 1
-        if x == -1.0:
-            return 0
-        if side == "right" and x in self.spec.interfaces:
-            return j + 1
-        return max(0, min(j, len(bp) - 2))
-
     def max_potential_bound(self) -> float:
         out = 0.0
         for (a, b), piece in zip(self.subintervals(), self.pieces):
@@ -461,11 +444,29 @@ def _num_out(v: float) -> str:
 
 
 def _num_in(v) -> float:
-    if isinstance(v, str):
-        return float(v)
-    if isinstance(v, (int, float)):
-        return float(v)
+    if isinstance(v, (str, int, float)):
+        try:
+            return float(v)
+        except ValueError:
+            pass
     raise ProblemError(f"expected a number or decimal string, got {v!r}")
+
+
+def _key(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ProblemError(f"{where} is missing key {key!r}")
+    return obj[key]
+
+
+def _list(obj: dict, key: str, where: str) -> list:
+    values = _key(obj, key, where)
+    if not isinstance(values, list):
+        raise ProblemError(f"key {key!r} must hold a list, got {values!r}")
+    return values
+
+
+def _nums_in(obj: dict, key: str, where: str) -> tuple:
+    return tuple(_num_in(v) for v in _list(obj, key, where))
 
 
 def _piece_to_json(piece: PotentialPiece) -> dict:
@@ -481,17 +482,17 @@ def _piece_to_json(piece: PotentialPiece) -> dict:
 
 
 def _piece_from_json(obj: dict) -> PotentialPiece:
+    if not isinstance(obj, dict):
+        raise ProblemError(f"a potential piece must be an object, got {obj!r}")
     kind = obj.get("kind")
+    where = f"{kind} piece"
     if kind == "constant":
-        return PotentialPiece("constant", value=_num_in(obj["value"]))
+        return PotentialPiece("constant", value=_num_in(_key(obj, "value", where)))
     if kind == "polynomial":
-        return PotentialPiece("polynomial", coeffs=tuple(_num_in(c) for c in obj["coeffs"]))
+        return PotentialPiece("polynomial", coeffs=_nums_in(obj, "coeffs", where))
     if kind == "sampled":
-        return PotentialPiece(
-            "sampled",
-            x=tuple(_num_in(v) for v in obj["x"]),
-            values=tuple(_num_in(v) for v in obj["values"]),
-        )
+        return PotentialPiece("sampled", x=_nums_in(obj, "x", where),
+                              values=_nums_in(obj, "values", where))
     raise ProblemError(f"unknown potential kind {kind!r}")
 
 
@@ -512,30 +513,30 @@ def problem_to_json(spec: ProblemSpec) -> dict:
 
 
 def problem_from_json(obj: dict) -> ProblemSpec:
+    if not isinstance(obj, dict):
+        raise ProblemError(f"a problem must be a JSON object, got {obj!r}")
     for key in ("potential", "interfaces", "jumps", "alpha", "beta", "beta_prime"):
-        if key not in obj:
-            raise ProblemError(f"problem file is missing key {key!r}")
+        _key(obj, key, "problem file")
     pot_obj = obj["potential"]
     if not isinstance(pot_obj, dict) or "kind" not in pot_obj:
         raise ProblemError("key 'potential' must be a tagged object with a 'kind'")
     if pot_obj["kind"] == "piecewise":
-        potential = PiecewisePotential.from_pieces(
-            [_piece_from_json(p) for p in pot_obj["pieces"]]
-        )
+        pieces = _list(pot_obj, "pieces", "piecewise potential")
+        potential = PiecewisePotential.from_pieces([_piece_from_json(p) for p in pieces])
     else:
         potential = PiecewisePotential((_piece_from_json(pot_obj),))
-    alpha = [_num_in(v) for v in obj["alpha"]]
-    beta = [_num_in(v) for v in obj["beta"]]
-    beta_prime = [_num_in(v) for v in obj["beta_prime"]]
+    alpha = _nums_in(obj, "alpha", "problem file")
+    beta = _nums_in(obj, "beta", "problem file")
+    beta_prime = _nums_in(obj, "beta_prime", "problem file")
     if len(alpha) != 2 or len(beta) != 2 or len(beta_prime) != 2:
         raise ProblemError("keys 'alpha', 'beta', 'beta_prime' must each hold two numbers")
     return ProblemSpec(
         potential=potential,
-        interfaces=tuple(_num_in(h) for h in obj["interfaces"]),
-        jumps=tuple(_num_in(d) for d in obj["jumps"]),
-        alpha=(alpha[0], alpha[1]),
-        beta=(beta[0], beta[1]),
-        beta_prime=(beta_prime[0], beta_prime[1]),
+        interfaces=_nums_in(obj, "interfaces", "problem file"),
+        jumps=_nums_in(obj, "jumps", "problem file"),
+        alpha=alpha,
+        beta=beta,
+        beta_prime=beta_prime,
     )
 
 

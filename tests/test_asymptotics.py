@@ -117,11 +117,25 @@ class TestEigenvalueEstimate:
         )
         est = eigenvalue_estimate(spec, 5)
         assert est.case is AsymptoticCase.CASE1
-        assert est.correction == 0.0
+        assert est.s_second - est.s_first == 0.0
 
     def test_degenerate_index_rejected(self, case1_linear):
         with pytest.raises(ValueError, match="denominator"):
             eigenvalue_estimate(case1_linear, 1)
+
+    @pytest.mark.parametrize("data, case", EVERY_CASE)
+    def test_indices_with_a_non_positive_denominator_rejected(self, data, case):
+        # pi(n - (a + b)/2) > 0 first at n = 2 in case 1 and n = 1 otherwise;
+        # nearest_index returns no lower index, and neither estimate takes one.
+        spec = linear_q_no_interfaces(*data)
+        first = 2 if case is AsymptoticCase.CASE1 else 1
+        for n in range(-2, first):
+            with pytest.raises(ValueError, match="denominator"):
+                eigenvalue_estimate(spec, n)
+            with pytest.raises(ValueError, match="denominator"):
+                eigenfunction_estimate(spec, n, 0.3)
+        assert eigenvalue_estimate(spec, first).s_first > 0.0
+        assert np.isfinite(eigenfunction_estimate(spec, first, 0.3))
 
     def test_unknown_q_term_rejected(self, canonical):
         with pytest.raises(ValueError, match="q_term"):

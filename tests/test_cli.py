@@ -297,6 +297,31 @@ class TestExpand:
         assert code == 1
         assert "nmax" in err
 
+    @pytest.mark.parametrize("target, message", [
+        (3, "JSON object"),
+        (["bump"], "JSON object"),
+        ({"kind": "bump", "halfwidth": 0.3}, "'center'"),
+        ({"kind": "bump", "center": -0.2}, "'halfwidth'"),
+        ({"kind": "polynomial", "coeffs": ["abc"]}, "bad polynomial target"),
+        ({"kind": "polynomial", "coeffs": 5}, "bad polynomial target"),
+        ({"kind": "eigenfunction", "n": -1}, "non-negative integer"),
+        ({"kind": "eigenfunction", "n": 1.5}, "non-negative integer"),
+        ({"kind": "eigenfunction", "n": "1"}, "non-negative integer"),
+        ({"kind": "eigenfunction"}, "non-negative integer"),
+    ], ids=["number", "list", "no-center", "no-halfwidth", "text-coeff",
+            "coeffs-not-list", "negative-index", "fractional-index",
+            "string-index", "no-index"])
+    def test_malformed_target_is_a_config_error(self, problem_file, tmp_path,
+                                                capsys, target, message):
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(target))
+        code, out, err = run_cli(
+            ["expand", "--problem", problem_file, "--target", str(path),
+             "--nmax", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("error: ")
+        assert message in err
+
 
 class TestScan:
     def test_json_brackets_cover_known_roots(self, problem_file, capsys):
@@ -349,6 +374,26 @@ class TestFailureModes:
         code, _, err = run_cli(["solve", "--problem", str(path)], capsys)
         assert code == 1
         assert "jumps" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: 3, "JSON object"),
+        (lambda obj: {**obj, "potential": {"kind": "piecewise", "pieces": [3]}},
+         "must be an object"),
+        (lambda obj: {**obj, "potential": {"kind": "constant"}}, "'value'"),
+        (lambda obj: {**obj, "potential": {"kind": "piecewise"}}, "'pieces'"),
+        (lambda obj: {**obj, "interfaces": 5}, "must hold a list"),
+        (lambda obj: {**obj, "potential": {"kind": "constant", "value": "abc"}},
+         "'abc'"),
+    ], ids=["top-level-number", "piece-not-object", "missing-value",
+            "missing-pieces", "interfaces-not-list", "text-value"])
+    def test_malformed_problem_is_an_invalid_problem(self, tmp_path, capsys,
+                                                     edit, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(edit(problem_to_json(make_canonical()))))
+        code, out, err = run_cli(["solve", "--problem", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("invalid problem: ")
+        assert message in err
 
     def test_invalid_nmax(self, problem_file, capsys):
         code, _, err = run_cli(

@@ -17,8 +17,6 @@ from sltrans.eigensolve import (
     build_eigenpair,
     default_lambda_floor,
     find_eigenvalues,
-    k_ratio,
-    norm_identity_residual,
     validate_floor,
 )
 from sltrans.hilbert import HElement, h_inner_product, weighted_square_integral
@@ -225,32 +223,21 @@ class TestEigenpairRecords:
 
 
 class TestNormIdentity:
-    def test_variants_coincide_without_jumps(self, canonical, canonical_eigs):
-        res = norm_identity_residual(canonical, canonical_eigs[1])
-        assert res["residual"] <= 1e-9
-        assert res["residual_jump_scaled_variant"] <= 1e-9
-        assert res["substitution_residual"] <= 1e-9
+    def test_variants_coincide_without_jumps(self, canonical_eigs):
+        res = canonical_eigs[1].residuals
+        assert res["norm_identity"] <= 1e-9
+        assert res["norm_identity_jump_scaled_variant"] <= 1e-9
+        assert res["k_substitution"] <= 1e-9
 
     def test_jump_scaled_variant_fails_with_jumps(self):
-        spec = make_canonical(2.0)
-        eig = find_eigenvalues(spec, 1)[0]
-        res = norm_identity_residual(spec, eig.lam)
-        assert res["residual"] <= 1e-9
-        assert res["residual_jump_scaled_variant"] > 1e-2
-
-    def test_agrees_with_eigenpair_record(self, case1_linear, case1_eigs):
-        eig = case1_eigs[3]
-        res = norm_identity_residual(case1_linear, eig)
-        assert res["residual"] == eig.residuals["norm_identity"]
-        assert (res["residual_jump_scaled_variant"]
-                == eig.residuals["norm_identity_jump_scaled_variant"])
-        assert res["substitution_residual"] == eig.residuals["k_substitution"]
-        assert res["k"] == eig.k_ratio
+        res = find_eigenvalues(make_canonical(2.0), 1)[0].residuals
+        assert res["norm_identity"] <= 1e-9
+        assert res["norm_identity_jump_scaled_variant"] > 1e-2
 
     def test_k_ratio_spread_discriminates_eigenvalues(self, canonical,
                                                       canonical_eigs):
-        _, spread_at = k_ratio(canonical, canonical_eigs[2].lam)
-        _, spread_off = k_ratio(canonical, canonical_eigs[2].lam + 0.5)
+        spread_at = canonical_eigs[2].k_spread
+        spread_off = build_eigenpair(canonical, canonical_eigs[2].lam + 0.5).k_spread
         assert spread_at <= 1e-8
         assert spread_off > 1e-2
 

@@ -146,20 +146,6 @@ class TestPotential:
         assert vp.max_potential_bound() >= dense - 1e-12
 
 
-class TestSubintervalLookup:
-    def test_sides_at_an_interface(self):
-        vp = st.validate_problem(make_two_interface())
-        assert vp.subinterval_index(-0.3, side="left") == 0
-        assert vp.subinterval_index(-0.3, side="right") == 1
-        assert vp.subinterval_index(0.0) == 1
-        assert vp.subinterval_index(1.0) == 2
-
-    def test_outside_domain_raises(self):
-        vp = st.validate_problem(make_canonical())
-        with pytest.raises(st.ProblemError):
-            vp.subinterval_index(1.2)
-
-
 class TestJson:
     def test_round_trip_is_exact(self, tmp_path):
         spec = make_two_interface()
