@@ -399,7 +399,10 @@ def run_sweep(config: RunConfig) -> int:
     return 0
 
 
-def _target_element(obj: dict, eigs) -> HElement:
+def _target_element(obj: dict, n_max: int) -> HElement | int:
+    """The expansion target of a --target file, checked before any solve:
+    an HElement, or the index n of an eigenfunction target, which is below
+    n_max. Every number must be finite."""
     if not isinstance(obj, dict):
         raise CliError(f"target must be a JSON object with a 'kind', got {obj!r}")
     kind = obj.get("kind")
@@ -408,19 +411,27 @@ def _target_element(obj: dict, eigs) -> HElement:
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise CliError("target eigenfunction index 'n' must be a "
                            f"non-negative integer, got {n!r}")
-        if n >= len(eigs):
+        if n >= n_max:
             raise CliError(f"target eigenfunction {n} needs nmax > {n}")
-        return HElement.from_eigenpair(eigs[n])
+        return n
+
+    def finite(key, value):
+        value = float(value)
+        if not math.isfinite(value):
+            raise CliError(f"{kind} target {key} must be finite, got {value!r}")
+        return value
+
     try:
         if kind == "polynomial":
-            return HElement.polynomial(obj.get("coeffs", [1.0]),
-                                       f1=float(obj.get("f1", 0.0)))
+            coeffs = [finite("coeffs", c) for c in obj.get("coeffs", [1.0])]
+            return HElement.polynomial(coeffs, f1=finite("f1", obj.get("f1", 0.0)))
         if kind == "bump":
-            return HElement.bump(float(obj["center"]), float(obj["halfwidth"]),
-                                 amplitude=float(obj.get("amplitude", 1.0)),
-                                 f1=float(obj.get("f1", 0.0)))
+            return HElement.bump(finite("center", obj["center"]),
+                                 finite("halfwidth", obj["halfwidth"]),
+                                 amplitude=finite("amplitude", obj.get("amplitude", 1.0)),
+                                 f1=finite("f1", obj.get("f1", 0.0)))
         if kind == "scalar":
-            return HElement.scalar_only(float(obj["f1"]))
+            return HElement.scalar_only(finite("f1", obj["f1"]))
     except KeyError as exc:
         raise CliError(f"{kind} target is missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -437,8 +448,10 @@ def run_expand(config: RunConfig) -> int:
         raise CliError(f"target file not found: {config.target}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"target file is not valid JSON: {exc}") from None
+    target = _target_element(target_obj, config.n_max)
     eigs = _solve(vp, config)
-    target = _target_element(target_obj, eigs)
+    if isinstance(target, int):
+        target = HElement.from_eigenpair(eigs[target])
     result = expand(vp, target, eigs)
     report = {
         "target": target_obj,

@@ -21,16 +21,19 @@ at many lambda. States are propagated with 2x2 transfer matrices:
   for what stays bit-identical and for the fallback when no pair settles.
 
 The kernel is lambda-major. :func:`magnus_steps` gives the step matrices
-as two rows, (e11, e12) and (e21, e22), each one (2, n_lam, n_steps)
-array, so every ufunc's inner loop runs along the steps, not along a
-lambda batch that is often one long, and no array holds more than two
-matrix entries. A batched sweep (:func:`_magnus_pass`, and the node
-sweep of the eigenvalue count) runs in balanced blocks of lambda rows,
-:func:`row_blocks`, each of at most BLOCK_ENTRIES = 2**18 lambda-steps
-(a quarter of that in the node sweep), so a block's (2, n_lam, n_steps)
-arrays hold at most 2**19 entries (4 MiB of float64) each, and the
-working set of a wide scan or count does not grow with its width. Every
-lambda's bits are its own in a batch, so the blocks move no bit.
+as one (2, 2, n_lam, n_steps) array, so every ufunc's inner loop runs
+along the steps, not along a lambda batch that is often one long. A
+batched sweep (:func:`_magnus_pass`, and the node sweep of the eigenvalue
+count) runs in balanced blocks of lambda rows, :func:`row_blocks`, each of
+at most BLOCK_ENTRIES = 2**16 lambda-steps (a quarter of that in the node
+sweep), so the working set of a wide scan or count does not grow with its
+width. A block of :func:`_magnus_pass` runs in place, in a workspace that
+each thread allocates once per dtype and keeps: the step matrices, the
+cos_sinc branches and every level of the pairwise product tree write into
+it, so a pass allocates no block-sized array and faults in no fresh pages.
+Every ufunc gets the operands it would get on fresh arrays, in the same
+order, and every lambda's bits are its own in a batch, so neither the
+workspace nor the blocks move a bit.
 
 All functions are vectorized over a lambda array and return states at
 piece ends only. :func:`chain` is the one place that knows the start states
@@ -44,6 +47,8 @@ from the same kernel: :func:`magnus_ladder` picks the step count and
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .problem import as_validated
@@ -51,12 +56,15 @@ from .problem import as_validated
 _SQRT3 = np.sqrt(3.0)
 _GAUSS_OFFSETS = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 # The lambda-steps one block of a batched Magnus sweep holds; see row_blocks.
-# Smaller blocks hold less memory but page-fault more: glibc gives the
-# freed top of the heap back to the system once it exceeds about twice the
-# largest array of a block, so every call whose pass is over half a block
-# maps its pages afresh. At 2**18 the passes of root refinement stay
-# under that; at 2**16 a polynomial-q solve took 17 times the page faults.
-BLOCK_ENTRIES = 1 << 18
+# A block of _magnus_pass runs in a workspace of _WS_ARRAYS arrays of
+# BLOCK_ENTRIES entries (4 MiB of float64) that each thread allocates
+# once per dtype and keeps, so a small block costs no page faults; a
+# larger one would only hold more memory.
+BLOCK_ENTRIES = 1 << 16
+# The four step-matrix entries and a scratch array, then the first level
+# of the product tree: four entries of ceil(n_steps / 2) columns and two
+# scratch entries of n_steps // 2, up to three arrays and a column.
+_WS_ARRAYS = 8
 
 
 class NonFiniteState(RuntimeError):
@@ -80,40 +88,52 @@ class StepSizeUnderflow(RuntimeError):
 _TAYLOR_RADIUS = 1e-8
 
 
-def _hyperbolic(z):
-    r = np.sqrt(z)
-    return np.cosh(r), np.sinh(r) / r
+# Each branch writes C and S at the elements `where` selects (all of them
+# without it), with r as scratch. Only the Taylor sums write over one of
+# their inputs: numpy runs such calls about twice as slowly on the 0-d
+# arrays of a scalar z, the common case of constant pieces.
+
+def _hyperbolic(z, C, S, r, where=True):
+    np.sqrt(z, out=r, where=where)
+    np.sinh(r, out=C, where=where)
+    np.divide(C, r, out=S, where=where)
+    np.cosh(r, out=C, where=where)
 
 
-def _trigonometric(z):
-    r = np.sqrt(-z)
-    return np.cos(r), np.sin(r) / r
+def _trigonometric(z, C, S, r, where=True):
+    np.negative(z, out=S, where=where)
+    np.sqrt(S, out=r, where=where)
+    np.sin(r, out=C, where=where)
+    np.divide(C, r, out=S, where=where)
+    np.cos(r, out=C, where=where)
 
 
-def _taylor(z):
-    return 1.0 + z / 2.0 + z * z / 24.0, 1.0 + z / 6.0 + z * z / 120.0
+def _taylor(z, C, S, r, where=True):
+    for out, k2, k4 in ((C, 2.0, 24.0), (S, 6.0, 120.0)):  # 1 + z/k2 + z*z/k4
+        np.divide(z, k2, out=out, where=where)
+        np.add(1.0, out, out=out, where=where)
+        np.multiply(z, z, out=r, where=where)
+        np.divide(r, k4, out=r, where=where)
+        np.add(out, r, out=out, where=where)
 
 
-def _fill_real(z, trig, hyp):
-    """(C, S) of real z that takes both the trigonometric and the
-    hyperbolic branch: each branch's ufuncs write in place where its mask
-    holds, so the long runs of one sign along a lambda row need no gather
-    or scatter. The same ufunc reaches every element as in _trigonometric
-    and _hyperbolic, so the bits are theirs. Elements in neither mask are
-    left unset."""
-    C = np.empty_like(z)
-    S = np.empty_like(z)
-    r = np.empty_like(z)
-    np.negative(z, out=r, where=trig)
-    np.sqrt(r, out=r, where=trig)
-    np.cos(r, out=C, where=trig)
-    np.sin(r, out=S, where=trig)
-    np.divide(S, r, out=S, where=trig)
-    np.sqrt(z, out=r, where=hyp)
-    np.cosh(r, out=C, where=hyp)
-    np.sinh(r, out=S, where=hyp)
-    np.divide(S, r, out=S, where=hyp)
-    return C, S
+def _cos_sinc_into(z, C, S, r):
+    """cos_sinc of z written into C and S, arrays of z's shape and dtype,
+    with r as scratch; see :func:`cos_sinc`."""
+    if z.dtype.kind == "c":
+        branches = [(~(np.abs(z) < _TAYLOR_RADIUS), _hyperbolic)]
+    else:
+        branches = [(z <= -_TAYLOR_RADIUS, _trigonometric),
+                    (z >= _TAYLOR_RADIUS, _hyperbolic)]
+    for sel, branch in branches:
+        if np.count_nonzero(sel) == sel.size:  # sel.all(), a third of the cost
+            branch(z, C, S, r)
+            return
+    for sel, branch in branches:
+        branch(z, C, S, r, where=sel)
+    rest = ~np.logical_or.reduce([sel for sel, _ in branches])
+    if np.count_nonzero(rest):
+        _taylor(z, C, S, r, where=rest)
 
 
 def cos_sinc(z):
@@ -126,37 +146,22 @@ def cos_sinc(z):
     Complex z is accepted too (the entire-function branch applies), which
     lets callers differentiate in lambda by a complex step.
 
-    When every z takes one branch (the usual case for the points of one
-    piece at one lambda) that branch runs on the whole array, of any shape,
-    with no masks; otherwise real z runs each branch in place under its
-    mask (_fill_real), and complex z and the Taylor remainder run on their
-    gathered parts. Float64 ufuncs give the same bits either way. Every z
-    lands in exactly one branch, NaN included (the Taylor branch takes what
-    the others leave), so NaN in gives NaN out. C and S are arrays of z's
-    shape, 0-d for a scalar: numpy multiplies complex scalars with other
-    rounding than complex arrays, so scalars would move the complex-step
-    omega' bits.
+    Each branch writes C and S in place. When every z takes one branch (the
+    usual case for the points of one piece at one lambda) that branch runs
+    on the whole array, of any shape, with no masks; otherwise each branch
+    runs under its mask, so the long runs of one sign along a lambda row
+    need no gather or scatter. The same ufunc reaches every element either
+    way, so the bits are the same. Every z lands in exactly one branch, NaN
+    included (the Taylor branch takes what the others leave), so NaN in
+    gives NaN out. C and S are arrays of z's shape, 0-d for a scalar: numpy
+    multiplies complex scalars with other rounding than complex arrays, so
+    scalars would move the complex-step omega' bits.
     """
     z = np.asarray(z)
     z = np.asarray(z, dtype=complex if z.dtype.kind == "c" else float)
-    if z.dtype.kind == "c":
-        branches = [(~(np.abs(z) < _TAYLOR_RADIUS), _hyperbolic)]
-    else:
-        branches = [(z <= -_TAYLOR_RADIUS, _trigonometric),
-                    (z >= _TAYLOR_RADIUS, _hyperbolic)]
-    for sel, branch in branches:
-        if sel.all():
-            C, S = branch(z)
-            return np.asarray(C), np.asarray(S)
-    masks = [sel for sel, _ in branches]
-    if z.dtype.kind == "c":
-        C, S = np.empty_like(z), np.empty_like(z)
-        C[masks[0]], S[masks[0]] = _hyperbolic(z[masks[0]])
-    else:
-        C, S = _fill_real(z, *masks)
-    rest = ~np.logical_or.reduce(masks)
-    if rest.any():
-        C[rest], S[rest] = _taylor(z[rest])
+    out = np.empty((3, *z.shape), z.dtype)
+    C, S = out[0, ...], out[1, ...]
+    _cos_sinc_into(z, C, S, out[2, ...])
     return C, S
 
 
@@ -169,37 +174,57 @@ def constant_step(w, t, u, du):
     return u_new, du_new
 
 
+def _exponent_into(qvals, h, lam_f, wbar, z):
+    """d of :func:`magnus_exponent`, with wbar and z written into the given
+    (n_lam, n_steps) arrays."""
+    q1, q2 = qvals.T
+    np.subtract(0.5 * (q1 + q2), lam_f, out=wbar)
+    d = (-(_SQRT3 * h * h / 12.0)) * (q2 - q1)
+    np.multiply(h * h, wbar, out=z)
+    np.add(d * d, z, out=z)
+    return d
+
+
+def _slots(n_slots, qvals, lam_f):
+    """An uninitialised (n_slots, n_lam, n_steps) array of the step
+    matrices' dtype."""
+    return np.empty((n_slots, len(lam_f), len(qvals)), np.result_type(qvals, lam_f))
+
+
 def magnus_exponent(qvals, h, lam_f):
     """(d, wbar, z) of the step exponents Omega = [[d, h], [h * wbar, -d]],
     Omega^2 = z I, for qvals (n_steps, 2), h a scalar or an (n_steps,) row
     and lam_f an (n_lam, 1) column: d is (n_steps,), wbar and z are
     (n_lam, n_steps)."""
-    q1, q2 = qvals.T
-    wbar = 0.5 * (q1 + q2) - lam_f
-    d = (-(_SQRT3 * h * h / 12.0)) * (q2 - q1)
-    z = d * d + (h * h) * wbar
-    return d, wbar, z
+    wbar, z = _slots(2, qvals, lam_f)
+    return _exponent_into(qvals, h, lam_f, wbar, z), wbar, z
+
+
+def _steps_into(qvals, h, lam_f, slots):
+    """:func:`magnus_steps` written into slots, a (5, n_lam, n_steps) array:
+    the step matrices take its first four entries, the fifth is scratch."""
+    S, r, z, wbar, C = slots
+    d = _exponent_into(qvals, h, lam_f, wbar, z)
+    _cos_sinc_into(z, C, S, r)
+    e11, e12, e21, e22 = slots[:4]
+    np.multiply(S, h, out=e12)
+    np.multiply(e12, wbar, out=e21)
+    np.multiply(S, d, out=e22)
+    np.add(C, e22, out=e11)
+    np.subtract(C, e22, out=e22)
+    return slots[:4].reshape(2, 2, *C.shape)
 
 
 def magnus_steps(qvals, h, lam_f):
-    """The rows (e11, e12) and (e21, e22) of fourth-order Magnus step
-    matrices, each a (2, n_lam, n_steps) array.
+    """Fourth-order Magnus step matrices as one (2, 2, n_lam, n_steps)
+    array e: e[i, j] is the (i+1, j+1) entry of every step, and the rows
+    e[0] = (e11, e12) and e[1] = (e21, e22) are what :func:`_product` takes.
 
     qvals has shape (n_steps, 2): the potential at the two Gauss nodes of
     each step. h is the signed step, a scalar or an (n_steps,) row, and
     lam_f an (n_lam, 1) column.
     """
-    d, wbar, z = magnus_exponent(qvals, h, lam_f)
-    C, S = cos_sinc(z)
-    del z
-    top = np.empty((2, *C.shape), dtype=C.dtype)
-    bottom = np.empty_like(top)
-    np.multiply(S, d, out=bottom[1])
-    np.add(C, bottom[1], out=top[0])
-    np.subtract(C, bottom[1], out=bottom[1])
-    np.multiply(S, h, out=top[1])
-    np.multiply(top[1], wbar, out=bottom[0])
-    return top, bottom
+    return _steps_into(qvals, h, lam_f, _slots(5, qvals, lam_f))
 
 
 def _product(a, b):
@@ -220,6 +245,44 @@ def row_blocks(n_rows: int, n_steps: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
+class _Workspaces(threading.local):
+    """Each thread's flat Magnus workspaces, one per dtype, each
+    _WS_ARRAYS * BLOCK_ENTRIES entries, allocated on first use and kept."""
+
+    def __init__(self):
+        self.by_dtype = {}
+
+
+_WORKSPACES = _Workspaces()
+
+
+def _workspace(dtype):
+    """This thread's workspace of dtype. It holds any block of
+    :func:`row_blocks` with at most BLOCK_ENTRIES steps; the ladder stops
+    at 2**14."""
+    ws = _WORKSPACES.by_dtype.get(dtype)
+    if ws is None:
+        ws = _WORKSPACES.by_dtype[dtype] = np.empty(_WS_ARRAYS * BLOCK_ENTRIES, dtype)
+    return ws
+
+
+def _pair_level(e, out, scratch):
+    """One level of the product tree: out[..., k] = e[..., 2k+1] e[..., 2k],
+    and an odd leftover column of e carried to the tail of out. e is
+    (2, 2, n_lam, m), out (2, 2, n_lam, ceil(m/2)) and scratch
+    (2, n_lam, m // 2); row i of the products is :func:`_product`'s,
+    fl(fl(a_i1 b[0]) + fl(a_i2 b[1]))."""
+    m = e.shape[-1]
+    half = m // 2
+    a, b = e[..., 1:2 * half:2], e[..., 0:2 * half:2]
+    for row, c in zip(a, out[..., :half]):
+        np.multiply(row[0], b[0], out=c)
+        np.multiply(row[1], b[1], out=scratch)
+        np.add(c, scratch, out=c)
+    if m % 2:
+        out[..., half] = e[..., m - 1]
+
+
 def _magnus_pass(qvals, h, lam, u, du):
     """One sweep of fourth-order Magnus steps.
 
@@ -233,21 +296,34 @@ def _magnus_pass(qvals, h, lam, u, du):
     keeps chronological order: entry 2k+1 acts after entry 2k, and an odd
     leftover (the latest product) stays at the tail for the next level.
     Every lambda's bits are its own, so the row blocks do not move them.
+
+    A block runs in place in this thread's workspace (:func:`_workspace`):
+    the step matrices and their scratch take its first 5 E entries, E the
+    block's lambda-steps; each level of the tree goes to the part the
+    level before it left free, above 4 E or from 0 in turn, followed by
+    a scratch for the second product terms. Only the end states leave the
+    workspace.
     """
     lam, u, du = np.broadcast_arrays(lam, u, du)
     shape = lam.shape
     lam, u, du = lam.ravel(), u.ravel(), du.ravel()
+    n_steps = len(qvals)
     ends = []
-    for rows in row_blocks(lam.size, len(qvals)):
-        e = magnus_steps(qvals, h, lam[rows, None])
-        while e[0].shape[-1] > 1:
-            m = e[0].shape[-1]
-            even = m - m % 2
-            c = _product([x[..., 1:even:2] for x in e], [x[..., 0:even:2] for x in e])
-            if m % 2:
-                c = [np.concatenate([y, x[..., -1:]], axis=-1) for x, y in zip(e, c)]
-            e = c
-        ends.append(_product([x[..., 0] for x in e], (u[rows], du[rows])))
+    for rows in row_blocks(lam.size, n_steps):
+        lam_f = lam[rows, None]
+        n_lam = len(lam_f)
+        entries = n_lam * n_steps
+        ws = _workspace(np.result_type(qvals, lam_f))
+        e = _steps_into(qvals, h, lam_f, ws[:5 * entries].reshape(5, n_lam, n_steps))
+        free = 4 * entries
+        while e.shape[-1] > 1:
+            m, half = e.shape[-1], e.shape[-1] // 2
+            size = n_lam * (m - half)
+            out = ws[free:free + 4 * size].reshape(2, 2, n_lam, m - half)
+            scratch = ws[free + 4 * size:free + 4 * size + 2 * n_lam * half]
+            _pair_level(e, out, scratch.reshape(2, n_lam, half))
+            e, free = out, 4 * entries - free
+        ends.append(_product(e[..., 0], (u[rows], du[rows])))
     return tuple(np.concatenate(col).reshape(shape) for col in zip(*ends))
 
 

@@ -308,12 +308,32 @@ class TestExpand:
         ({"kind": "eigenfunction", "n": 1.5}, "non-negative integer"),
         ({"kind": "eigenfunction", "n": "1"}, "non-negative integer"),
         ({"kind": "eigenfunction"}, "non-negative integer"),
+        ({"kind": "eigenfunction", "n": 3}, "needs nmax > 3"),
+        ({"kind": "bump", "center": float("nan"), "halfwidth": 0.3},
+         "center must be finite"),
+        ({"kind": "bump", "center": 0.1, "halfwidth": float("inf")},
+         "halfwidth must be finite"),
+        ({"kind": "bump", "center": 0.1, "halfwidth": 0.3,
+          "amplitude": float("-inf")}, "amplitude must be finite"),
+        ({"kind": "polynomial", "coeffs": [1.0, float("nan")]},
+         "coeffs must be finite"),
+        ({"kind": "polynomial", "f1": float("inf")}, "f1 must be finite"),
+        ({"kind": "scalar", "f1": float("nan")}, "f1 must be finite"),
     ], ids=["number", "list", "no-center", "no-halfwidth", "text-coeff",
             "coeffs-not-list", "negative-index", "fractional-index",
-            "string-index", "no-index"])
+            "string-index", "no-index", "index-beyond-nmax", "nan-center",
+            "infinite-halfwidth", "infinite-amplitude", "nan-coeff",
+            "infinite-polynomial-f1", "nan-scalar"])
     def test_malformed_target_is_a_config_error(self, problem_file, tmp_path,
-                                                capsys, target, message):
+                                                capsys, monkeypatch, target,
+                                                message):
+        # The target is checked before the solve, so a bad one costs none.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the target was checked")
+
+        monkeypatch.setattr(cli, "_solve", no_solve)
         path = tmp_path / "target.json"
+        # Python's json writes and reads NaN and Infinity.
         path.write_text(json.dumps(target))
         code, out, err = run_cli(
             ["expand", "--problem", problem_file, "--target", str(path),

@@ -11,7 +11,7 @@ step count returns the cold ladder's pass, that a ladder which cannot
 settle says where and at which lambda, and that the ladder's fallback to
 its closest pair carries a variable-q problem to n = 100.
 
-The Magnus kernel runs lambda-major, in two rows of step matrices. A
+The Magnus kernel runs lambda-major, in one array of step matrices. A
 step-major copy of the kernel as it was before that layout lives here, and
 only here, so the tests can pin that the layout moved no bit; they compare
 on the machine they run on, since numpy's SIMD sin and cos may round
@@ -19,10 +19,18 @@ differently on another CPU. Each lambda also has the same bits alone as in
 a batch at a fixed step count, which is what makes any layout, and the
 row blocks a wide batch runs in, safe. Those blocks bound the memory of a
 wide omega or eigenvalue count.
+
+A block of the endpoint pass runs in place in a per-thread workspace. The
+pass as it was before, on fresh arrays, lives here as the reference it
+must match bit for bit, through odd tree levels, a block that fills the
+workspace, partial blocks and every cos_sinc branch. Two threads keep
+their own workspaces, and a warm pass allocates almost nothing.
 """
 
 import importlib.util
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +42,8 @@ from sltrans.characteristic import _NODE_WEIGHT, eigenvalue_count, omega
 from sltrans.eigensolve import find_eigenvalues
 from sltrans.problem import PotentialPiece, load_problem, problem_to_json, save_problem
 from sltrans.propagator import (_GAUSS_OFFSETS, BLOCK_ENTRIES, StepSizeUnderflow,
-                                _magnus_pass, _piece_node_q, cos_sinc, magnus_ladder,
-                                magnus_nodes, propagate_piece, row_blocks)
+                                _magnus_pass, _piece_node_q, cos_sinc, magnus_exponent,
+                                magnus_ladder, magnus_nodes, propagate_piece, row_blocks)
 
 
 def _sampled_spec() -> st.ProblemSpec:
@@ -172,10 +180,10 @@ def test_mixed_array_matches_one_call_per_element(branches):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_cos_sinc_nan_in_gives_nan_out(dtype):
-    # Leave freed buffers of the output's size holding finite junk, so an
-    # output slot no branch writes would show it.
+    # Leave freed buffers of the outputs' size (C, S and scratch) holding
+    # finite junk, so an output slot no branch writes would show it.
     for _ in range(50):
-        junk = np.full(4, 5.8e252, dtype=dtype)
+        junk = np.full((3, 4), 5.8e252, dtype=dtype)
         del junk
     z = np.array([np.nan, -1.0, np.nan, 2.0], dtype=dtype)
     with np.errstate(invalid="ignore"):  # complex NaN division warns
@@ -428,27 +436,38 @@ def test_eigenvalue_count_is_the_same_alone_and_in_a_batch():
     vp = st.validate_problem(_sampled_spec())
     eigs = np.array([e.lam for e in find_eigenvalues(vp, 8)])
     gap = 1e-6 * np.maximum(1.0, np.abs(eigs))
-    lam = np.concatenate([eigs - gap, eigs + gap, [-40.0, 5e3]])
-    wide = np.append(lam, np.linspace(-40.0, 5e3, 40))
-    # The wide batch's node sweep on its longest piece runs in row blocks.
-    for batch_lam, blocked in ((lam, False), (wide, True)):
+    below, above = eigs - gap, eigs + gap
+    # The longest piece settles at 2304 steps, so a node-sweep block of
+    # 2**14 lambda-steps holds 7 lambda: the narrow batch runs in one
+    # block, the wide one in four.
+    narrow = np.concatenate([below[:3], above[:3], [-40.0]])
+    wide = np.concatenate([below, above, [-40.0], np.linspace(-40.0, 150.0, 6)])
+    for batch_lam, counts, blocked in ((narrow, [0, 1, 2, 1, 2, 3, 0], False),
+                                       (wide, [*range(8), *range(1, 9), 0], True)):
         batch = eigenvalue_count(vp, batch_lam)
-        assert batch[:17].tolist() == [*range(8), *range(1, 9), 0]
+        assert batch[:len(counts)].tolist() == counts
         n_steps = max(piece.settled[(a, b, True)]
                       for piece, (a, b) in zip(vp.pieces, vp.subintervals()))
+        blocks = row_blocks(batch_lam.size, _NODE_WEIGHT * n_steps)
+        assert (len(blocks) == 1) != blocked
         assert _spans_row_blocks(batch_lam.size, _NODE_WEIGHT * n_steps) == blocked
         assert [int(eigenvalue_count(vp, x)) for x in batch_lam] == batch.tolist()
+
+
+def _wide_batch_problem():
+    return st.validate_problem(st.ProblemSpec(
+        st.PiecewisePotential.from_pieces([_cubic_piece(),
+                                           PotentialPiece("polynomial", coeffs=(2.0, -0.5))]),
+        (0.2,), (1.5,), (1.0, 1.0), (0.0, 1.0), (1.0, 0.3)))
 
 
 def test_a_wide_batch_has_a_bounded_working_set():
     # 400 lambda settle at 2560 steps on [-1, 0.2]: about 1e6 lambda-steps,
     # 8 MB an array, of which an unblocked sweep holds a dozen at once. A
-    # block of 2**18 lambda-steps peaks near 14 MB.
-    spec = st.ProblemSpec(
-        st.PiecewisePotential.from_pieces([_cubic_piece(),
-                                           PotentialPiece("polynomial", coeffs=(2.0, -0.5))]),
-        (0.2,), (1.5,), (1.0, 1.0), (0.0, 1.0), (1.0, 0.3))
-    vp = st.validate_problem(spec)
+    # block of 2**16 lambda-steps runs in a 4 MiB workspace, made on a
+    # thread's first pass, and a count's node-sweep block of 2**14 peaks
+    # near 3 MiB.
+    vp = _wide_batch_problem()
     lam = np.linspace(-5.0, 100.0, 400)
     for f in (omega, eigenvalue_count):
         tracemalloc.start()
@@ -458,4 +477,105 @@ def test_a_wide_batch_has_a_bounded_working_set():
         finally:
             tracemalloc.stop()
         assert vp.pieces[0].settled[(-1.0, 0.2, True)] >= 1280
-        assert peak < 24 * 2 ** 20, (f.__name__, peak)
+        assert peak < 6 * 2 ** 20, (f.__name__, peak)
+
+
+# ----------------------------------------------------------------------
+# Magnus workspace
+# ----------------------------------------------------------------------
+
+def _allocating_cos_sinc(z):
+    """cos_sinc by its three formulas on fresh arrays, picked per element."""
+    with np.errstate(all="ignore"):
+        r = np.sqrt(z)
+        hyp = np.cosh(r), np.sinh(r) / r
+        taylor = 1.0 + z / 2.0 + z * z / 24.0, 1.0 + z / 6.0 + z * z / 120.0
+        if np.iscomplexobj(z):
+            return tuple(np.where(np.abs(z) < 1e-8, t, x) for t, x in zip(taylor, hyp))
+        r = np.sqrt(-z)
+        trig = np.cos(r), np.sin(r) / r
+    return tuple(np.where(z <= -1e-8, a, np.where(z >= 1e-8, b, t))
+                 for a, b, t in zip(trig, hyp, taylor))
+
+
+def _allocating_pass(qvals, h, lam, u, du):
+    """The Magnus pass as it was before it ran in a workspace: fresh arrays
+    for every step-matrix entry and tree level, the whole batch at once."""
+    lam, u, du = np.broadcast_arrays(lam, u, du)
+    q1, q2 = qvals.T
+    wbar = 0.5 * (q1 + q2) - lam.reshape(-1, 1)
+    d = (-(np.sqrt(3.0) * h * h / 12.0)) * (q2 - q1)
+    z = d * d + (h * h) * wbar
+    C, S = _allocating_cos_sinc(z)
+    e = [np.stack([C + S * d, S * h]), np.stack([S * h * wbar, C - S * d])]
+    while e[0].shape[-1] > 1:
+        m = e[0].shape[-1]
+        even = m - m % 2
+        a = [x[..., 1:even:2] for x in e]
+        b = [x[..., 0:even:2] for x in e]
+        c = [row[0] * b[0] + row[1] * b[1] for row in a]
+        e = [np.concatenate([y, x[..., even:]], axis=-1) for x, y in zip(e, c)]
+    return tuple((row[0, :, 0] * u.ravel() + row[1, :, 0] * du.ravel()).reshape(lam.shape)
+                 for row in e)
+
+
+# Step counts with an odd level: 11 -> 6 -> 3 -> 2 -> 1 and
+# 21 -> 11 -> 6 -> 3 -> 2 -> 1. A block of BLOCK_ENTRIES // 3 or // 7
+# rows is within one row of BLOCK_ENTRIES, so its first level, ceil(m / 2)
+# columns and a scratch for the second product terms, reaches into the
+# workspace's last array.
+WORKSPACE_CASES = [(n_steps, batch, kind)
+                   for kind in (float, complex)
+                   for n_steps, batch in ((11, None), (11, 1), (3, BLOCK_ENTRIES // 3),
+                                          (7, BLOCK_ENTRIES // 7),
+                                          (21, 5 * (BLOCK_ENTRIES // 21) // 2))]
+
+
+@pytest.mark.parametrize("case", range(len(WORKSPACE_CASES)), ids=[
+    f"{n}-steps-{'scalar' if b is None else b}-{kind.__name__}"
+    for n, b, kind in WORKSPACE_CASES])
+def test_workspace_pass_matches_the_allocating_pass(case):
+    n_steps, batch, kind = WORKSPACE_CASES[case]
+    args = _kernel_case(100 + case, n_steps, (-1.0) ** case, batch, kind)
+    if batch is not None and batch > 1:
+        blocks = row_blocks(batch, n_steps)
+        assert len(blocks) == 1 or _spans_row_blocks(batch, n_steps)
+        assert len(blocks) > 1 or batch * n_steps > BLOCK_ENTRIES - n_steps
+    if batch is not None:
+        z = magnus_exponent(args[0], args[1], args[2][:, None])[2]
+        branches = [np.abs(z) < 1e-8] + ([] if kind is complex else [z <= -1e-8, z >= 1e-8])
+        assert all(b.any() for b in branches)
+    got = _magnus_pass(*args)
+    assert _hex(*got) == _hex(*_allocating_pass(*args))
+    for ws in propagator._WORKSPACES.by_dtype.values():
+        assert not any(np.shares_memory(x, ws) for x in got)
+
+
+def test_threads_keep_their_own_workspace():
+    lams = [np.linspace(-5.0, 100.0, 400), np.linspace(-3.0, 2000.0, 300)]
+
+    def run(lam):  # a fresh problem, so no ladder starts warm
+        return omega(_wide_batch_problem(), lam)
+
+    alone = [run(lam) for lam in lams]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads between most ufunc calls
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            together = list(pool.map(run, lams, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [x.tobytes() for x in together] == [x.tobytes() for x in alone]
+
+
+def test_a_warm_wide_omega_allocates_less_than_a_workspace_row():
+    vp = _wide_batch_problem()
+    lam = np.linspace(-5.0, 100.0, 400)
+    omega(vp, lam)
+    tracemalloc.start()
+    try:
+        omega(vp, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < BLOCK_ENTRIES * np.dtype(float).itemsize, peak
