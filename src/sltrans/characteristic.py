@@ -54,22 +54,30 @@ class CharacteristicSample:
         return self.chain_residual_max / max(1.0, abs(self.omega))
 
 
+def real_lambda(lam) -> np.ndarray:
+    """lam as a float array of its shape, checked before any propagation:
+    TypeError for a complex lam, ValueError for a NaN or infinite one."""
+    arr = np.asarray(lam)
+    if arr.dtype.kind == "c":
+        raise TypeError(f"lambda must be real, not {arr.dtype}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ValueError("lambda must be finite")
+    return arr
+
+
 def omega(problem, lam, *, rtol: float = 1e-12):
     """Characteristic function via the left solution only.
 
-    Vectorized: lam may be a scalar or an array. The right solution never
-    enters; its boundary data appears through the closed boundary form.
-    Complex lam is supported (the function is entire in lambda).
+    Vectorized: lam may be a real scalar or array (see :func:`real_lambda`).
+    The right solution never enters; its boundary data appears through the
+    closed boundary form.
     """
     vp = as_validated(problem)
-    lam_arr = np.asarray(lam)
-    if not np.iscomplexobj(lam_arr):
-        lam_arr = lam_arr.astype(float)
+    lam_arr = real_lambda(lam)
     end = propagator.endpoint_chain(vp, lam_arr, rtol=rtol)[1][-1]
     out = vp.delta_sq_prod * propagator.boundary_form(vp, lam_arr, *end)
-    if np.ndim(lam) == 0:
-        return complex(out) if np.iscomplexobj(out) else float(out)
-    return out
+    return float(out) if np.ndim(lam) == 0 else out
 
 
 def _line_angle(y, x):
@@ -116,7 +124,7 @@ def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
     (k = 0 is the bottom eigenvalue a nonzero b2' adds).
     """
     vp = as_validated(problem)
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam_arr = np.atleast_1d(real_lambda(lam))
 
     def cross(piece, x0, x1, u, du):
         if piece.is_constant:
@@ -163,7 +171,7 @@ def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicS
     the one-sided ambiguity at the interfaces).
     """
     vp = as_validated(problem)
-    lam_arr = np.atleast_1d(np.asarray(lams, dtype=float))
+    lam_arr = np.atleast_1d(real_lambda(lams))
     phi_left, phi_right = propagator.endpoint_chain(vp, lam_arr, rtol=rtol)
     chi_right = propagator.endpoint_chain(vp, lam_arr, backward=True, rtol=rtol)[1]
     # omega() of the batch, read from phi's end state.
@@ -201,15 +209,28 @@ def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicS
     return out
 
 
-def omega_derivative(problem, lam: float, *, rtol: float = 1e-12) -> float:
-    """d omega / d lambda by a complex step.
+def omega_derivative(problem, lam, *, rtol: float = 1e-12):
+    """d omega / d lambda, vectorized over lam as :func:`omega` is.
 
-    omega is entire in lambda, so Im(omega(lambda + i h)) / h with a tiny h
-    has no subtractive cancellation and is exact to roundoff, also near a
-    root, where a difference quotient loses digits to the integrator noise.
+    The left solution and its lambda-derivative travel together along
+    :func:`sltrans.propagator.chain` (:func:`sltrans.propagator.tangent_piece`
+    on every piece), so omega' comes in real arithmetic from one chain for
+    the whole batch, also near a root, where a difference quotient loses
+    digits to the integrator noise. On a variable piece the tangent pass
+    runs at the step count the ladder settles on for the whole batch.
     """
-    hc = 1e-150
-    return float(omega(problem, complex(float(lam), hc), rtol=rtol).imag / hc)
+    vp = as_validated(problem)
+    lam_arr = np.atleast_1d(real_lambda(lam))
+
+    def cross(piece, x0, x1, u, du):
+        return (None, *propagator.tangent_piece(piece, x0, x1, lam_arr, u, du, rtol=rtol))
+
+    u, du = propagator.chain(vp, lam_arr, cross, tangent=True)[2][-1]
+    # d/dlambda of boundary_form: the state's derivative, then the form's own.
+    form = (propagator.boundary_form(vp, lam_arr, u[1], du[1])
+            + (vp.beta1p * u[0] - vp.beta2p * du[0]))
+    out = vp.delta_sq_prod * form
+    return float(out[0]) if np.ndim(lam) == 0 else out
 
 
 def write_scan_csv(samples: list[CharacteristicSample], out) -> None:

@@ -18,9 +18,10 @@ That shapes the solver:
    the derivative of omega, the norm-identity diagnostics (the
    weighted square integral of phi, :func:`sltrans.hilbert.weighted_square_integral`:
    exact in O(1) on each constant piece, :mod:`sltrans.quadrature`'s rule
-   on the others), and a normalized eigenvector. That takes three
-   transmission chains per root (the dense phi and chi and the
-   complex-step omega'); omega at the root is read from phi's end state.
+   on the others), and a normalized eigenvector. That takes two
+   transmission chains per root (the dense phi and chi); omega at the root
+   is read from phi's end state, and omega' of all roots comes from one
+   batched tangent chain (:func:`sltrans.characteristic.omega_derivative`).
 
 So the roots returned are certified to be lambda_0 ... lambda_{n-1}; when
 they cannot be, SuspectedMissedRoot carries both counts and the interval.
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics
-from .characteristic import eigenvalue_count, omega, omega_derivative
+from .characteristic import eigenvalue_count, omega, omega_derivative, real_lambda
 from .hilbert import r1_form, r1p_form, weighted_square_integral
 from .ode import PiecewiseSolution, shoot_chi, shoot_phi
 from .problem import as_validated, classify_case
@@ -300,13 +301,15 @@ def _ratio_from_values(vp, pv, cv):
 
 
 def build_eigenpair(problem, lam: float, *, n: int = -1,
-                    scan: ScanResult | None = None,
-                    rtol: float = 1e-12) -> Eigenpair:
+                    scan: ScanResult | None = None, rtol: float = 1e-12,
+                    omega_prime: float | None = None) -> Eigenpair:
     """Assemble the full Eigenpair record at lam, normally a refined root.
 
     Any lam gives the record, so its k_spread and residuals also tell how
     far lam is from an eigenvalue. Three transmission chains: phi, chi and
-    the complex-step omega'. phi and chi are evaluated at k_ratio's points
+    omega' (:func:`sltrans.characteristic.omega_derivative` at lam), unless
+    the caller passes omega_prime from a batch over all its roots, as
+    :func:`find_eigenvalues` does. phi and chi are evaluated at k_ratio's points
     only (K_SAMPLES interior points of each subinterval); the weighted
     square integral of phi is
     :func:`sltrans.hilbert.weighted_square_integral`, exact on constant
@@ -324,14 +327,14 @@ def build_eigenpair(problem, lam: float, *, n: int = -1,
     substitution R1'(phi) * k = rho is residuals["k_substitution"].
     """
     vp = as_validated(problem)
-    lam = float(lam)
+    lam = float(real_lambda(lam))
     s = float(np.sqrt(lam)) if lam >= 0.0 else None
 
     phi = shoot_phi(vp, lam, rtol=rtol)
     chi = shoot_chi(vp, lam, rtol=rtol)
     xs = _ratio_points(vp)
     k, spread = _ratio_from_values(vp, phi.u(xs), chi.u(xs))
-    omp = omega_derivative(vp, lam, rtol=rtol)
+    omp = omega_derivative(vp, lam, rtol=rtol) if omega_prime is None else omega_prime
     u1, du1 = phi.boundary_state("right")
     r1p_phi = r1p_form(vp, u1, du1)
     lhs = weighted_square_integral(vp, phi)
@@ -427,5 +430,7 @@ def find_eigenvalues(problem, n_max: int, *, rtol: float = 1e-12,
                 expected=expected, found=len(roots),
                 interval=(floor, float(top)))
 
-    return [build_eigenpair(vp, lam, n=i, scan=scan, rtol=rtol)
-            for i, lam in enumerate(roots[:n_max])]
+    roots = roots[:n_max]
+    slopes = omega_derivative(vp, roots, rtol=rtol)
+    return [build_eigenpair(vp, lam, n=i, scan=scan, rtol=rtol, omega_prime=float(omp))
+            for i, (lam, omp) in enumerate(zip(roots, slopes))]

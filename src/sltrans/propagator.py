@@ -27,19 +27,27 @@ batched sweep (:func:`_magnus_pass`, and the node sweep of the eigenvalue
 count) runs in balanced blocks of lambda rows, :func:`row_blocks`, each of
 at most BLOCK_ENTRIES = 2**16 lambda-steps (a quarter of that in the node
 sweep), so the working set of a wide scan or count does not grow with its
-width. A block of :func:`_magnus_pass` runs in place, in a workspace that
-each thread allocates once per dtype and keeps: the step matrices, the
-cos_sinc branches and every level of the pairwise product tree write into
-it, so a pass allocates no block-sized array and faults in no fresh pages.
-Every ufunc gets the operands it would get on fresh arrays, in the same
-order, and every lambda's bits are its own in a batch, so neither the
+width. A block of :func:`_magnus_pass` runs in place, in a float
+workspace that each thread allocates once and keeps: the step matrices,
+the cos_sinc branches and every level of the pairwise product tree write
+into it, so a pass allocates no block-sized array and faults in no fresh
+pages. Every ufunc gets the operands it would get on fresh arrays, in the
+same order, and every lambda's bits are its own in a batch, so neither the
 workspace nor the blocks move a bit.
+
+The lambda-derivative of a state travels the same way, in real arithmetic:
+:func:`tangent_piece` carries a state and its derivative across a piece,
+by the closed form on a constant piece and by :func:`_tangent_pass` on a
+variable one: step matrices E and dE/dlambda, a product tree of (E, E')
+pairs, and half-width blocks in the same workspace. That is where
+:func:`sltrans.characteristic.omega_derivative` gets omega'.
 
 All functions are vectorized over a lambda array and return states at
 piece ends only. :func:`chain` is the one place that knows the start states
-of the two shot solutions and the interface jump rule; the endpoint states
-(:func:`endpoint_chain`), the dense trajectories of :mod:`sltrans.ode` and
-the eigenvalue count each run on it with their own per-piece crossing.
+of the two shot solutions (and their lambda-derivatives) and the interface
+jump rule; the endpoint states (:func:`endpoint_chain`), omega', the dense
+trajectories of :mod:`sltrans.ode` and the eigenvalue count each run on it
+with their own per-piece crossing.
 :mod:`sltrans.ode` builds its dense (plottable) trajectories of one lambda
 from the same kernel: :func:`magnus_ladder` picks the step count and
 :func:`magnus_steps` gives the step matrices it chains.
@@ -47,6 +55,7 @@ from the same kernel: :func:`magnus_ladder` picks the step count and
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -58,12 +67,15 @@ _GAUSS_OFFSETS = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 # The lambda-steps one block of a batched Magnus sweep holds; see row_blocks.
 # A block of _magnus_pass runs in a workspace of _WS_ARRAYS arrays of
 # BLOCK_ENTRIES entries (4 MiB of float64) that each thread allocates
-# once per dtype and keeps, so a small block costs no page faults; a
-# larger one would only hold more memory.
+# once and keeps, so a small block costs no page faults; a larger one
+# would only hold more memory.
 BLOCK_ENTRIES = 1 << 16
 # The four step-matrix entries and a scratch array, then the first level
 # of the product tree: four entries of ceil(n_steps / 2) columns and two
-# scratch entries of n_steps // 2, up to three arrays and a column.
+# scratch entries of n_steps // 2, up to three arrays and a column. With
+# lambda-derivatives a block holds half the lambda-steps: eight entries
+# and a scratch, then a level of eight entries and two scratch, at most
+# seven arrays in all.
 _WS_ARRAYS = 8
 
 
@@ -86,12 +98,17 @@ class StepSizeUnderflow(RuntimeError):
 
 
 _TAYLOR_RADIUS = 1e-8
+# Below it S'(z) = dS/dz takes its series, the k / (2k + 1)! z^(k - 1)
+# terms to k = 9: the first one left out is below 2e-18 relative on
+# |z| < 1, and above it the quotient (C - S) / (2 z) loses at most a few
+# ulps to cancellation.
+_SLOPE_RADIUS = 1.0
+_SLOPE_SERIES = tuple(k / math.factorial(2 * k + 1) for k in range(9, 0, -1))
 
 
-# Each branch writes C and S at the elements `where` selects (all of them
-# without it), with r as scratch. Only the Taylor sums write over one of
-# their inputs: numpy runs such calls about twice as slowly on the 0-d
-# arrays of a scalar z, the common case of constant pieces.
+# Each branch writes its outputs at the elements `where` selects (all of
+# them without it). A cos_sinc branch writes C and S with r as scratch;
+# only the Taylor sums write over one of their inputs.
 
 def _hyperbolic(z, C, S, r, where=True):
     np.sqrt(z, out=r, where=where)
@@ -117,23 +134,50 @@ def _taylor(z, C, S, r, where=True):
         np.add(out, r, out=out, where=where)
 
 
-def _cos_sinc_into(z, C, S, r):
-    """cos_sinc of z written into C and S, arrays of z's shape and dtype,
-    with r as scratch; see :func:`cos_sinc`."""
-    if z.dtype.kind == "c":
-        branches = [(~(np.abs(z) < _TAYLOR_RADIUS), _hyperbolic)]
-    else:
-        branches = [(z <= -_TAYLOR_RADIUS, _trigonometric),
-                    (z >= _TAYLOR_RADIUS, _hyperbolic)]
+def _slope_series(z, C, S, out, where=True):
+    """S'(z) by Horner's rule on _SLOPE_SERIES."""
+    np.multiply(z, _SLOPE_SERIES[0], out=out, where=where)
+    for c in _SLOPE_SERIES[1:-1]:
+        np.add(out, c, out=out, where=where)
+        np.multiply(out, z, out=out, where=where)
+    np.add(out, _SLOPE_SERIES[-1], out=out, where=where)
+
+
+def _slope_quotient(z, C, S, out, where=True):
+    """S'(z) = (C - S) / (2 z); the halving is exact."""
+    np.subtract(C, S, out=out, where=where)
+    np.divide(out, z, out=out, where=where)
+    np.multiply(out, 0.5, out=out, where=where)
+
+
+def _run_branches(branches, *args):
+    """Run each (sel, branch) of branches on the elements sel picks: the
+    one branch that picks every element runs on the whole array, with no
+    mask. The same ufunc reaches every element either way, so the bits are
+    the same."""
     for sel, branch in branches:
         if np.count_nonzero(sel) == sel.size:  # sel.all(), a third of the cost
-            branch(z, C, S, r)
+            branch(*args)
             return
     for sel, branch in branches:
-        branch(z, C, S, r, where=sel)
-    rest = ~np.logical_or.reduce([sel for sel, _ in branches])
-    if np.count_nonzero(rest):
-        _taylor(z, C, S, r, where=rest)
+        if np.count_nonzero(sel):
+            branch(*args, where=sel)
+
+
+def _cos_sinc_into(z, C, S, r):
+    """cos_sinc of z written into C and S, float arrays of z's shape, with
+    r as scratch; see :func:`cos_sinc`."""
+    trig, hyp = z <= -_TAYLOR_RADIUS, z >= _TAYLOR_RADIUS
+    _run_branches([(trig, _trigonometric), (hyp, _hyperbolic), (~(trig | hyp), _taylor)],
+                  z, C, S, r)
+
+
+def _slope_into(z, C, S, out):
+    """S'(z) = dS/dz written into out, for the C and S that cos_sinc gives
+    at z: the quotient (C - S) / (2 z), or its series on |z| < _SLOPE_RADIUS.
+    C'(z) = S / 2 needs no function of its own."""
+    small = (z > -_SLOPE_RADIUS) & (z < _SLOPE_RADIUS)
+    _run_branches([(small, _slope_series), (~small, _slope_quotient)], z, C, S, out)
 
 
 def cos_sinc(z):
@@ -143,23 +187,28 @@ def cos_sinc(z):
     near z = 0 a Taylor series avoids the 0/0. Both are entire functions of
     z, which is what makes the propagation seamless across lambda = q.
 
-    Complex z is accepted too (the entire-function branch applies), which
-    lets callers differentiate in lambda by a complex step.
-
-    Each branch writes C and S in place. When every z takes one branch (the
-    usual case for the points of one piece at one lambda) that branch runs
-    on the whole array, of any shape, with no masks; otherwise each branch
-    runs under its mask, so the long runs of one sign along a lambda row
-    need no gather or scatter. The same ufunc reaches every element either
-    way, so the bits are the same. Every z lands in exactly one branch, NaN
+    An array z runs each branch in place. When every z takes one branch
+    (the usual case for the points of one piece at one lambda) that branch
+    runs on the whole array, of any shape, with no masks; otherwise each
+    branch runs under its mask, so the long runs of one sign along a lambda
+    row need no gather or scatter. Every z lands in exactly one branch, NaN
     included (the Taylor branch takes what the others leave), so NaN in
-    gives NaN out. C and S are arrays of z's shape, 0-d for a scalar: numpy
-    multiplies complex scalars with other rounding than complex arrays, so
-    scalars would move the complex-step omega' bits.
+    gives NaN out. A scalar z, the common case of a constant piece at one
+    lambda, picks its branch by one Python comparison and returns numpy
+    float64 scalars. Every path calls the same numpy ufuncs in the same
+    order (math.sin may round differently), so it has the same bits.
     """
-    z = np.asarray(z)
-    z = np.asarray(z, dtype=complex if z.dtype.kind == "c" else float)
-    out = np.empty((3, *z.shape), z.dtype)
+    if np.ndim(z) == 0:
+        z = np.float64(z)
+        if z <= -_TAYLOR_RADIUS:
+            r = np.sqrt(-z)
+            return np.cos(r), np.sin(r) / r
+        if z >= _TAYLOR_RADIUS:
+            r = np.sqrt(z)
+            return np.cosh(r), np.sinh(r) / r
+        return 1.0 + z / 2.0 + z * z / 24.0, 1.0 + z / 6.0 + z * z / 120.0
+    z = np.asarray(z, dtype=float)
+    out = np.empty((3, *z.shape))
     C, S = out[0, ...], out[1, ...]
     _cos_sinc_into(z, C, S, out[2, ...])
     return C, S
@@ -186,9 +235,8 @@ def _exponent_into(qvals, h, lam_f, wbar, z):
 
 
 def _slots(n_slots, qvals, lam_f):
-    """An uninitialised (n_slots, n_lam, n_steps) array of the step
-    matrices' dtype."""
-    return np.empty((n_slots, len(lam_f), len(qvals)), np.result_type(qvals, lam_f))
+    """An uninitialised (n_slots, n_lam, n_steps) float array."""
+    return np.empty((n_slots, len(lam_f), len(qvals)))
 
 
 def magnus_exponent(qvals, h, lam_f):
@@ -215,6 +263,38 @@ def _steps_into(qvals, h, lam_f, slots):
     return slots[:4].reshape(2, 2, *C.shape)
 
 
+def _tangent_steps_into(qvals, h, lam_f, slots):
+    """The step matrices E and their lambda-derivatives E' written into
+    slots, a (9, n_lam, n_steps) array, as one (2, 2, 2, n_lam, n_steps)
+    view of its first eight entries: E has the bits of :func:`magnus_steps`,
+    and the ninth entry is scratch.
+
+    E = C I + S Omega with C, S = cos_sinc(z) and dz/dlambda = -h^2, so
+    dC = -h^2 S / 2, dS = -h^2 S'(z) and, since dOmega/dlambda has -h at
+    (2, 1) only, E' = dC I + dS Omega - h S E_21: the entries of E with
+    (C, S) replaced by (dC, dS), and -S h (that is, -e12) added to e21.
+    """
+    e11, e12, e21, e22, f11, f12, f21, f22, z = slots
+    wbar, C, S, dS, dC = f22, f21, f12, f11, z
+    d = _exponent_into(qvals, h, lam_f, wbar, z)
+    _cos_sinc_into(z, C, S, e22)
+    _slope_into(z, C, S, dS)
+    np.multiply(S, h, out=e12)
+    np.multiply(e12, wbar, out=e21)
+    np.multiply(S, d, out=e22)
+    np.add(C, e22, out=e11)
+    np.subtract(C, e22, out=e22)
+    np.multiply(S, -0.5 * h * h, out=dC)
+    np.multiply(dS, -(h * h), out=dS)
+    np.multiply(dS, h, out=f12)
+    np.multiply(f12, wbar, out=f21)
+    np.subtract(f21, e12, out=f21)
+    np.multiply(dS, d, out=f22)
+    np.add(dC, f22, out=f11)
+    np.subtract(dC, f22, out=f22)
+    return slots[:8].reshape(2, 2, 2, *z.shape)
+
+
 def magnus_steps(qvals, h, lam_f):
     """Fourth-order Magnus step matrices as one (2, 2, n_lam, n_steps)
     array e: e[i, j] is the (i+1, j+1) entry of every step, and the rows
@@ -235,6 +315,18 @@ def _product(a, b):
     return [row[0] * b[0] + row[1] * b[1] for row in a]
 
 
+def _carry(a, da, u, du):
+    """States (u, du), each a (2, ...) stack of a value and its
+    lambda-derivative, carried by a transfer matrix a with derivative da:
+    the value goes to a (u, du) and the derivative to
+    fl(da (u, du) + a (u', du')), each product formed as :func:`_product`
+    forms it."""
+    state, slope = (u[0], du[0]), (u[1], du[1])
+    value = _product(a, state)
+    slope = [x + y for x, y in zip(_product(da, state), _product(a, slope))]
+    return tuple(np.stack(pair) for pair in zip(value, slope))
+
+
 def row_blocks(n_rows: int, n_steps: int) -> list[slice]:
     """Balanced slices of range(n_rows), each of at most
     max(1, BLOCK_ENTRIES // n_steps) rows: a lambda-batched sweep over
@@ -245,25 +337,23 @@ def row_blocks(n_rows: int, n_steps: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-class _Workspaces(threading.local):
-    """Each thread's flat Magnus workspaces, one per dtype, each
-    _WS_ARRAYS * BLOCK_ENTRIES entries, allocated on first use and kept."""
+class _Workspace(threading.local):
+    """Each thread's flat float Magnus workspace of _WS_ARRAYS *
+    BLOCK_ENTRIES entries, allocated on first use and kept."""
 
-    def __init__(self):
-        self.by_dtype = {}
-
-
-_WORKSPACES = _Workspaces()
+    array = None
 
 
-def _workspace(dtype):
-    """This thread's workspace of dtype. It holds any block of
-    :func:`row_blocks` with at most BLOCK_ENTRIES steps; the ladder stops
-    at 2**14."""
-    ws = _WORKSPACES.by_dtype.get(dtype)
-    if ws is None:
-        ws = _WORKSPACES.by_dtype[dtype] = np.empty(_WS_ARRAYS * BLOCK_ENTRIES, dtype)
-    return ws
+_WORKSPACE = _Workspace()
+
+
+def _workspace():
+    """This thread's workspace. It holds any block of :func:`row_blocks`
+    with at most BLOCK_ENTRIES steps (half that with derivatives); the
+    ladder stops at 2**14."""
+    if _WORKSPACE.array is None:
+        _WORKSPACE.array = np.empty(_WS_ARRAYS * BLOCK_ENTRIES)
+    return _WORKSPACE.array
 
 
 def _pair_level(e, out, scratch):
@@ -283,48 +373,90 @@ def _pair_level(e, out, scratch):
         out[..., half] = e[..., m - 1]
 
 
+def _tangent_level(p, out, scratch):
+    """:func:`_pair_level` of the pairs (E, E') in p, (2, 2, 2, n_lam, m),
+    into out: a later B and an earlier A give (B A, B' A + B A'), row i of
+    B' A + B A' summed left to right as
+    fl(fl(fl(b'_i1 A[0] + b'_i2 A[1]) + b_i1 A'[0]) + b_i2 A'[1])."""
+    m = p.shape[-1]
+    half = m // 2
+    _pair_level(p[0], out[0], scratch)
+    later, dlater = p[..., 1:2 * half:2]
+    earlier, dearlier = p[..., 0:2 * half:2]
+    for row, drow, c in zip(later, dlater, out[1, ..., :half]):
+        np.multiply(drow[0], earlier[0], out=c)
+        for x, y in ((drow[1], earlier[1]), (row[0], dearlier[0]), (row[1], dearlier[1])):
+            np.multiply(x, y, out=scratch)
+            np.add(c, scratch, out=c)
+    if m % 2:
+        out[1, ..., half] = p[1, ..., m - 1]
+
+
+def _step_products(qvals, h, lam, tangent=False):
+    """For each block of :func:`row_blocks` over the 1-D lam, the rows and
+    the product of all step matrices at those lambda, (2, 2, n_lam); with
+    tangent, the product and its lambda-derivative, (2, 2, 2, n_lam). The
+    product is a view into this thread's workspace, valid until the next
+    block.
+
+    In a block all step matrices are formed at once (vectorized over steps
+    and lambda) and combined by pairwise products, so the Python-level work
+    is log2(n_steps) array operations instead of n_steps of them. The
+    pairing keeps chronological order: entry 2k+1 acts after entry 2k, and
+    an odd leftover (the latest product) stays at the tail for the next
+    level. Every lambda's bits are its own, so the row blocks do not move
+    them.
+
+    A block runs in place in the workspace (:func:`_workspace`): the step
+    matrices and one scratch take its first (w + 1) E entries, with E the
+    block's lambda-steps and w = 4 entries per matrix (8 with the
+    derivatives); each level of the tree goes to the part the level before
+    it left free, above w E or from 0 in turn, followed by a scratch for
+    the second product terms. With derivatives a block has half as many
+    rows, so its at most 14 E entries fit the same workspace.
+    """
+    width = 8 if tangent else 4
+    n_steps = len(qvals)
+    ws = _workspace()
+    for rows in row_blocks(lam.size, n_steps * width // 4):
+        lam_f = lam[rows, None]
+        n_lam = len(lam_f)
+        entries = n_lam * n_steps
+        slots = ws[:(width + 1) * entries].reshape(width + 1, n_lam, n_steps)
+        e = (_tangent_steps_into if tangent else _steps_into)(qvals, h, lam_f, slots)
+        free = width * entries
+        while e.shape[-1] > 1:
+            m, half = e.shape[-1], e.shape[-1] // 2
+            size = n_lam * (m - half)
+            out = ws[free:free + width * size].reshape(*e.shape[:-1], m - half)
+            scratch = ws[free + width * size:free + width * size + 2 * n_lam * half]
+            (_tangent_level if tangent else _pair_level)(e, out, scratch.reshape(2, n_lam, half))
+            e, free = out, width * entries - free
+        yield rows, e[..., 0]
+
+
 def _magnus_pass(qvals, h, lam, u, du):
-    """One sweep of fourth-order Magnus steps.
+    """One sweep of fourth-order Magnus steps; see :func:`_step_products`.
 
     qvals has shape (n_steps, 2): the potential at the two Gauss nodes of
     each step. h is the signed step. lam, u, du are broadcastable arrays.
-
-    The batch runs in the row blocks of :func:`row_blocks`. In a block all
-    step matrices are formed at once (vectorized over steps and lambda)
-    and combined by pairwise products, so the Python-level work is
-    log2(n_steps) array operations instead of n_steps of them. The pairing
-    keeps chronological order: entry 2k+1 acts after entry 2k, and an odd
-    leftover (the latest product) stays at the tail for the next level.
-    Every lambda's bits are its own, so the row blocks do not move them.
-
-    A block runs in place in this thread's workspace (:func:`_workspace`):
-    the step matrices and their scratch take its first 5 E entries, E the
-    block's lambda-steps; each level of the tree goes to the part the
-    level before it left free, above 4 E or from 0 in turn, followed by
-    a scratch for the second product terms. Only the end states leave the
-    workspace.
+    Only the end states leave the workspace.
     """
     lam, u, du = np.broadcast_arrays(lam, u, du)
     shape = lam.shape
     lam, u, du = lam.ravel(), u.ravel(), du.ravel()
-    n_steps = len(qvals)
-    ends = []
-    for rows in row_blocks(lam.size, n_steps):
-        lam_f = lam[rows, None]
-        n_lam = len(lam_f)
-        entries = n_lam * n_steps
-        ws = _workspace(np.result_type(qvals, lam_f))
-        e = _steps_into(qvals, h, lam_f, ws[:5 * entries].reshape(5, n_lam, n_steps))
-        free = 4 * entries
-        while e.shape[-1] > 1:
-            m, half = e.shape[-1], e.shape[-1] // 2
-            size = n_lam * (m - half)
-            out = ws[free:free + 4 * size].reshape(2, 2, n_lam, m - half)
-            scratch = ws[free + 4 * size:free + 4 * size + 2 * n_lam * half]
-            _pair_level(e, out, scratch.reshape(2, n_lam, half))
-            e, free = out, 4 * entries - free
-        ends.append(_product(e[..., 0], (u[rows], du[rows])))
+    ends = [_product(top, (u[rows], du[rows])) for rows, top in _step_products(qvals, h, lam)]
     return tuple(np.concatenate(col).reshape(shape) for col in zip(*ends))
+
+
+def _tangent_pass(qvals, h, lam, u, du):
+    """:func:`_magnus_pass` with lambda-derivatives: lam is 1-D, u and du
+    are (2, n_lam) stacks of the start states and their derivatives, and
+    so are the end states returned (see :func:`_carry`). The values have
+    the bits :func:`_magnus_pass` gives."""
+    ends = [_carry(a, da, u[:, rows], du[:, rows])
+            for rows, (a, da) in _step_products(qvals, h, lam, tangent=True)]
+    return tuple(np.concatenate(col, axis=1) for col in zip(*ends))
 
 
 def magnus_nodes(qvals, h, lam, u, du):
@@ -443,16 +575,41 @@ def propagate_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e
     """
     if x1 == x0:
         return u, du
-    lam = np.asarray(lam)
-    if not np.iscomplexobj(lam):
-        lam = lam.astype(float)
+    lam = np.asarray(lam, dtype=float)
     if piece.is_constant:
         w = piece.constant_value - lam
         return constant_step(w, x1 - x0, u, du)
     return magnus_ladder(piece, x0, x1, lam, u, du, rtol=rtol)[2]
 
 
-def chain(problem, lam, cross, *, backward=False):
+def tangent_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e-12):
+    """:func:`propagate_piece` with lambda-derivatives: lam is 1-D, and u,
+    du and the end states returned are (2, n_lam) stacks of a state and its
+    derivative in lambda (see :func:`_carry`).
+
+    A constant piece carries them by its exact matrix
+    T = [[C, t S], [w t S, C]] and the closed form
+    T' = [[dC, t dS], [w t dS - t S, dC]], with dC = -t^2 S / 2 and
+    dS = -t^2 S'(z), so the values have :func:`constant_step`'s bits. A
+    variable piece runs the real ladder on the batch, then one tangent
+    pass (:func:`_tangent_pass`) at the step count it settles on.
+    """
+    if piece.is_constant:
+        t = x1 - x0
+        w = piece.constant_value - lam
+        z = w * t * t
+        C, S = cos_sinc(z)
+        dS = np.empty_like(z)
+        _slope_into(z, C, S, dS)
+        np.multiply(dS, -(t * t), out=dS)
+        dC = S * (-0.5 * t * t)
+        return _carry([[C, t * S], [w * t * S, C]],
+                      [[dC, t * dS], [w * t * dS - t * S, dC]], u, du)
+    qv, h, _ = magnus_ladder(piece, x0, x1, lam, u[0], du[0], rtol=rtol)
+    return _tangent_pass(qv, h, lam, u, du)
+
+
+def chain(problem, lam, cross, *, backward=False, tangent=False):
     """Carry a shot solution across every subinterval, with its jumps.
 
     The left solution starts at x = -1 from (alpha_2, -alpha_1) and divides
@@ -463,16 +620,22 @@ def chain(problem, lam, cross, *, backward=False):
 
     cross(piece, x0, x1, u, du) -> (segment, u1, du1) carries a state over
     one piece. Returns (segments, left, right): per subinterval j, whatever
-    cross made there and the (u, du) at its left and right ends.
+    cross made there and the (u, du) at its left and right ends. With
+    tangent, u and du are stacks of the state and its lambda-derivative,
+    starting from the start state's; the jumps do not depend on lambda.
     """
     vp = as_validated(problem)
     bp = vp.breakpoints
     if backward:
         u, du = vp.beta2p * lam + vp.beta2, vp.beta1p * lam + vp.beta1
+        slopes = vp.beta2p, vp.beta1p
         order = range(vp.m, -1, -1)
     else:
         u, du = np.full_like(lam, vp.alpha2), np.full_like(lam, -vp.alpha1)
+        slopes = 0.0, 0.0
         order = range(vp.m + 1)
+    if tangent:
+        u, du = (np.stack([x, np.full_like(x, dx)]) for x, dx in zip((u, du), slopes))
     segments, starts, ends = [], [], []
     for j in order:
         if starts:  # the interface just crossed
@@ -492,9 +655,7 @@ def endpoint_chain(problem, lam, *, backward=False, rtol: float = 1e-12):
     """(left, right): the states of a shot solution at the two ends of every
     subinterval, each (u, du) an array over the lambda batch; see :func:`chain`.
     """
-    lam = np.asarray(lam)
-    if not np.iscomplexobj(lam):
-        lam = lam.astype(float)
+    lam = np.asarray(lam, dtype=float)
 
     def cross(piece, x0, x1, u, du):
         return (None, *propagate_piece(piece, x0, x1, lam, u, du, rtol=rtol))

@@ -124,6 +124,30 @@ def constant_q_omega(lam: float, c: float, interfaces, jumps,
     return val.real
 
 
+def constant_q_omega_derivative(lam: float, c: float, interfaces, jumps,
+                                alpha, beta, beta_prime) -> float:
+    """d/dlambda of constant_q_omega by a complex step.
+
+    The construction is analytic in lambda, so Im omega(lambda + i h) / h
+    with a tiny h has no subtractive cancellation: it is exact to round-off.
+    """
+    step = 1e-150
+    lam_c = complex(lam, step)
+    u, du = complex(alpha[1]), complex(-alpha[0])
+    x = -1.0
+    for h, d in zip(interfaces, jumps):
+        u, du = _const_step(c, lam_c, h - x, u, du)
+        u, du = u / d, du / d
+        x = h
+    u, du = _const_step(c, lam_c, 1.0 - x, u, du)
+    d2 = 1.0
+    for d in jumps:
+        d2 *= d * d
+    val = d2 * ((lam_c * beta_prime[0] + beta[0]) * u
+                - (lam_c * beta_prime[1] + beta[1]) * du)
+    return val.imag / step
+
+
 def constant_q_eigenvalues(count: int, c: float, interfaces, jumps,
                            alpha, beta, beta_prime, *,
                            lam_min: float) -> list[float]:

@@ -1,16 +1,22 @@
 """The characteristic function: closed forms, jumps, the derivative."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 import sltrans as st
+from sltrans import ode, propagator
 from sltrans.characteristic import (
+    eigenvalue_count,
     omega,
     omega_derivative,
     omega_samples,
     write_scan_csv,
 )
+from sltrans.eigensolve import build_eigenpair, find_eigenvalues
 from sltrans.ode import shoot_chi, shoot_phi
 from conftest import make_canonical, make_two_interface
 
@@ -54,22 +60,97 @@ class TestClosedForm:
 
 
 class TestDerivative:
-    def test_complex_step_is_exact_at_zero(self, canonical):
+    def test_tangent_is_exact_at_zero(self, canonical):
         # omega(lam) = -s sin 2s + cos 2s has omega'(0) = -4 exactly
         d = omega_derivative(canonical, 0.0)
         assert d == pytest.approx(-4.0, abs=1e-13)
 
-    def test_complex_step_matches_closed_form(self, canonical):
+    def test_tangent_matches_closed_form(self, canonical):
         # d/dlam (-s sin 2s + cos 2s) = (-3 sin 2s - 2s cos 2s) / (2s)
         for lam in (0.29, 3.3, 25.0):
             s = np.sqrt(lam)
             want = (-3.0 * np.sin(2 * s) - 2 * s * np.cos(2 * s)) / (2 * s)
             assert omega_derivative(canonical, lam) == pytest.approx(want, rel=1e-12)
 
-    def test_complex_lambda_input_supported(self, canonical):
-        val = omega(canonical, 2.0 + 1e-150j)
-        assert isinstance(val, complex)
-        assert val.real == pytest.approx(float(omega(canonical, 2.0)))
+    def test_matches_the_oracle_at_every_const_deep_root(self):
+        # Every root of the 16 const-deep seed-1 specs (n = 200): 1-4
+        # interfaces and all four cases, in one batch per spec.
+        for entry in _bench_specs().run_specs("const-deep", 1):
+            spec = entry["spec"]
+            vp = st.validate_problem(spec)
+            roots = np.array([e.lam for e in find_eigenvalues(vp, 200)])
+            got = omega_derivative(vp, roots)
+            want = np.array([oracles.constant_q_omega_derivative(
+                lam, spec.potential.pieces[0].value, spec.interfaces, spec.jumps,
+                spec.alpha, spec.beta, spec.beta_prime) for lam in roots])
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, entry["label"]
+
+    def test_right_solution_tangent_matches_a_difference_quotient(self, case1_linear):
+        # chain(tangent=True) also starts the right solution's derivative,
+        # (b2', b1'), at x = 1.
+        vp = st.validate_problem(case1_linear)
+        lam, step = np.array([7.3]), 1e-5
+
+        def left_end(lam, tangent):
+            def cross(piece, x0, x1, u, du):
+                if tangent:
+                    return (None, *propagator.tangent_piece(piece, x0, x1, lam, u, du))
+                return (None, *propagator.propagate_piece(piece, x0, x1, lam, u, du))
+            return propagator.chain(vp, lam, cross, backward=True, tangent=tangent)[1][0]
+
+        u, du = left_end(lam, True)
+        plus, minus = left_end(lam + step, False), left_end(lam - step, False)
+        for k, x in enumerate((u, du)):
+            fd = (plus[k] - minus[k]) / (2 * step)
+            assert x[1] == pytest.approx(fd, rel=1e-7)
+
+
+def _bench_specs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "specs.py"
+    loader = importlib.util.spec_from_file_location("bench_specs", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
+# omega, omega_derivative, eigenvalue_count, omega_samples and
+# build_eigenpair all check lambda through characteristic.real_lambda.
+ENTRY_POINTS = {
+    "omega": omega,
+    "omega_derivative": omega_derivative,
+    "eigenvalue_count": eigenvalue_count,
+    "omega_samples": omega_samples,
+    "build_eigenpair": build_eigenpair,
+}
+BAD_LAMBDA = {
+    "complex-scalar": (30 + 5j, TypeError),
+    "complex-array": (np.array([2.0, 30 + 5j]), TypeError),
+    "nan": (np.nan, ValueError),
+    "inf": (np.array([1.0, np.inf]), ValueError),
+    "minus-inf": (-np.inf, ValueError),
+}
+
+
+@pytest.mark.parametrize("problem", ["constant", "magnus"])
+@pytest.mark.parametrize("bad", list(BAD_LAMBDA))
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_bad_lambda_is_rejected_before_propagation(entry, bad, problem, monkeypatch,
+                                                   canonical, case1_linear):
+    # A complex lambda used to run as its real part (eigenvalue_count gave
+    # N(30) for 30 + 5j), and NaN raised StepSizeUnderflow on Magnus pieces
+    # or NonFiniteState from the count.
+    vp = st.validate_problem(canonical if problem == "constant" else case1_linear)
+    lam, error = BAD_LAMBDA[bad]
+    if entry == "build_eigenpair" and np.ndim(lam):
+        lam = lam[-1]  # it takes one lambda
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("propagation started")
+
+    monkeypatch.setattr(propagator, "chain", no_chain)
+    monkeypatch.setattr(ode, "chain", no_chain)
+    with pytest.raises(error, match="lambda must be"):
+        ENTRY_POINTS[entry](vp, lam)
 
 
 class TestChain:

@@ -189,8 +189,8 @@ class TestEigenpairRecords:
 
     def test_three_transmission_chains_per_root(self, three_interface_eigs,
                                                 monkeypatch):
-        # phi, chi and the complex-step omega'; omega at the root comes
-        # from phi's end state.
+        # phi, chi and the tangent chain of omega' at the one lambda;
+        # omega at the root comes from phi's end state.
         vp, eigs = three_interface_eigs
         calls = []
         original = propagator.chain

@@ -37,13 +37,14 @@ import numpy as np
 import pytest
 
 import sltrans as st
-from sltrans import problem, propagator
-from sltrans.characteristic import _NODE_WEIGHT, eigenvalue_count, omega
+from sltrans import eigensolve, problem, propagator
+from sltrans.characteristic import _NODE_WEIGHT, eigenvalue_count, omega, omega_derivative
 from sltrans.eigensolve import find_eigenvalues
 from sltrans.problem import PotentialPiece, load_problem, problem_to_json, save_problem
-from sltrans.propagator import (_GAUSS_OFFSETS, BLOCK_ENTRIES, StepSizeUnderflow,
-                                _magnus_pass, _piece_node_q, cos_sinc, magnus_exponent,
-                                magnus_ladder, magnus_nodes, propagate_piece, row_blocks)
+from sltrans.propagator import (_GAUSS_OFFSETS, _SLOPE_SERIES, BLOCK_ENTRIES,
+                                StepSizeUnderflow, _magnus_pass, _piece_node_q,
+                                _tangent_pass, cos_sinc, magnus_exponent, magnus_ladder,
+                                magnus_nodes, propagate_piece, row_blocks)
 
 
 def _sampled_spec() -> st.ProblemSpec:
@@ -136,64 +137,79 @@ REAL_BRANCHES = {
     "trigonometric": -np.geomspace(1e-8, 1e7, 40),
     "taylor": np.linspace(-9.9e-9, 9.9e-9, 21),
 }
-_ANGLES = np.linspace(-np.pi, np.pi, 40)
-COMPLEX_BRANCHES = {
-    "hyperbolic": np.geomspace(1e-8, 400.0, 40) * np.exp(1j * _ANGLES),
-    "taylor": np.geomspace(1e-12, 9.9e-9, 40) * np.exp(1j * _ANGLES[::-1]),
+# S'(z) takes its series on |z| < 1 and the quotient (C - S) / (2 z) from
+# |z| = 1 on, so both sets hold the values at and next to the switch.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+SLOPE_BRANCHES = {
+    "series": np.concatenate([np.geomspace(1e-12, _BELOW_ONE, 20),
+                              -np.geomspace(1e-12, _BELOW_ONE, 20), [0.0]]),
+    "quotient": np.concatenate([np.geomspace(1.0, 700.0, 20), -np.geomspace(1.0, 1e7, 20)]),
 }
+
+
+def _slope(z):
+    """(S'(z),) as the kernel forms it from cos_sinc's C and S."""
+    z = np.asarray(z, dtype=float)
+    C, S = cos_sinc(z)
+    out = np.empty_like(z)
+    propagator._slope_into(z, C, S, out)
+    return (out,)
+
+
+BRANCH_CASES = {"real": (cos_sinc, REAL_BRANCHES), "slope": (_slope, SLOPE_BRANCHES)}
 
 
 def _bits(pair):
     return [np.asarray(v).tobytes() for v in pair]
 
 
-@pytest.mark.parametrize("branches", [REAL_BRANCHES, COMPLEX_BRANCHES],
-                         ids=["real", "complex"])
-def test_whole_array_branch_matches_masked_branch(branches):
+@pytest.mark.parametrize("case", list(BRANCH_CASES))
+def test_whole_array_branch_matches_masked_branch(case):
+    f, branches = BRANCH_CASES[case]
     for name, z in branches.items():
-        if name == "taylor":
-            continue
         others = [v for k, v in branches.items() if k != name]
-        mixed = cos_sinc(np.concatenate([z, *others]))
-        assert _bits(cos_sinc(z)) == _bits(v[:len(z)] for v in mixed)
-        # Magnus batches are 2-D: (steps, lambdas)
-        grid = cos_sinc(z.reshape(4, -1))
-        assert grid[0].shape == grid[1].shape == (4, 10)
-        assert _bits(grid) == _bits(v.reshape(4, -1) for v in cos_sinc(z))
-        # A scalar gives 0-d arrays, as the masked path does.
-        for k, zk in enumerate(z):
-            Ck, Sk = cos_sinc(zk)
-            assert isinstance(Ck, np.ndarray) and Ck.shape == Sk.shape == ()
-            assert _bits((Ck, Sk)) == _bits((mixed[0][k], mixed[1][k]))
+        mixed = f(np.concatenate([z, *others]))
+        assert _bits(f(z)) == _bits(v[:len(z)] for v in mixed)
+        # Magnus batches are 2-D: (lambdas, steps)
+        z4 = z[:len(z) // 4 * 4]
+        grid = f(z4.reshape(4, -1))
+        assert all(v.shape == (4, len(z) // 4) for v in grid)
+        assert _bits(grid) == _bits(v.reshape(4, -1) for v in f(z4))
+        if f is cos_sinc:
+            # A scalar takes cos_sinc's Python branch, with the masked bits.
+            for k, zk in enumerate(z):
+                assert _bits(cos_sinc(zk)) == _bits((mixed[0][k], mixed[1][k]))
 
 
-@pytest.mark.parametrize("branches", [REAL_BRANCHES, COMPLEX_BRANCHES],
-                         ids=["real", "complex"])
-def test_mixed_array_matches_one_call_per_element(branches):
+@pytest.mark.parametrize("case", list(BRANCH_CASES))
+def test_mixed_array_matches_one_call_per_element(case):
+    f, branches = BRANCH_CASES[case]
     z = np.concatenate(list(branches.values()))
     z = z[np.random.default_rng(3).permutation(len(z))]
-    C, S = cos_sinc(z)
+    together = f(z)
     for k, zk in enumerate(z):
-        Ck, Sk = cos_sinc(zk)
-        assert _bits((C[k], S[k])) == _bits((Ck, Sk))
+        alone = f(zk if f is cos_sinc else z[k:k + 1])
+        assert _bits(v[k] for v in together) == _bits(np.ravel(v)[0] for v in alone)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_cos_sinc_nan_in_gives_nan_out(dtype):
-    # Leave freed buffers of the outputs' size (C, S and scratch) holding
-    # finite junk, so an output slot no branch writes would show it.
+@pytest.mark.parametrize("case", ["float", "slope"])
+def test_cos_sinc_nan_in_gives_nan_out(case):
+    f = cos_sinc if case == "float" else _slope
+    # Leave freed buffers of the outputs' size holding finite junk, so an
+    # output slot no branch writes would show it.
     for _ in range(50):
-        junk = np.full((3, 4), 5.8e252, dtype=dtype)
+        junk = np.full((3, 4), 5.8e252)
         del junk
-    z = np.array([np.nan, -1.0, np.nan, 2.0], dtype=dtype)
-    with np.errstate(invalid="ignore"):  # complex NaN division warns
-        C, S = cos_sinc(z)
-        C_all, S_all = cos_sinc(np.full(3, np.nan, dtype=dtype))
-    assert np.all(np.isnan(C[[0, 2]])) and np.all(np.isnan(S[[0, 2]]))
-    r = np.sqrt(2.0)
-    assert [C[1], S[1]] == pytest.approx([np.cos(1.0), np.sin(1.0)], rel=1e-15)
-    assert [C[3], S[3]] == pytest.approx([np.cosh(r), np.sinh(r) / r], rel=1e-15)
-    assert np.all(np.isnan(C_all)) and np.all(np.isnan(S_all))
+    z = np.array([np.nan, -1.0, np.nan, 2.0])
+    out = f(z)
+    assert all(np.all(np.isnan(v[[0, 2]])) and np.all(np.isfinite(v[[1, 3]])) for v in out)
+    assert all(np.all(np.isnan(v)) for v in f(np.full(3, np.nan)))
+    if f is cos_sinc:
+        C, S = out
+        r = np.sqrt(2.0)
+        assert [C[1], S[1]] == pytest.approx([np.cos(1.0), np.sin(1.0)], rel=1e-15)
+        assert [C[3], S[3]] == pytest.approx([np.cosh(r), np.sinh(r) / r], rel=1e-15)
+        assert all(np.isnan(v) for v in cos_sinc(np.nan))
 
 
 # ----------------------------------------------------------------------
@@ -334,6 +350,53 @@ def _step_major_pass(qvals, h, lam, u, du):
     return u_new.reshape(target), du_new.reshape(target)
 
 
+def _step_major_slope(z, C, S):
+    """S'(z) on fresh arrays: the Horner series on |z| < 1, else
+    (C - S) / z / 2, picked per element."""
+    series = z * _SLOPE_SERIES[0]
+    for c in _SLOPE_SERIES[1:-1]:
+        series = (series + c) * z
+    series = series + _SLOPE_SERIES[-1]
+    with np.errstate(all="ignore"):
+        quotient = (C - S) / z * 0.5
+    return np.where(np.abs(z) < 1.0, series, quotient)
+
+
+def _step_major_tangent_pass(qvals, h, lam, u, du):
+    """_step_major_pass with lambda-derivatives, on fresh arrays: lam is
+    1-D, u and du are (2, n_lam) stacks of states and their derivatives.
+    The tree carries (E, E') pairs: a later B and an earlier A give
+    (B A, B' A + B A'), each entry summed left to right."""
+    q1, q2 = qvals[:, 0][:, None], qvals[:, 1][:, None]
+    wbar = 0.5 * (q1 + q2) - np.reshape(lam, (1, -1))
+    d = (-(np.sqrt(3.0) * h * h / 12.0)) * (q2 - q1)
+    z = d * d + (h * h) * wbar
+    C, S = cos_sinc(z)
+    dS = _step_major_slope(z, C, S) * (-(h * h))
+    dC = S * (-0.5 * h * h)
+    e = [C + S * d, S * h, S * h * wbar, C - S * d]
+    de = [dC + dS * d, dS * h, dS * h * wbar - S * h, dC - dS * d]
+    while e[0].shape[0] > 1:
+        m = e[0].shape[0]
+        even = m - m % 2
+        a11, a12, a21, a22 = (x[1:even:2] for x in e)
+        b11, b12, b21, b22 = (x[0:even:2] for x in e)
+        f11, f12, f21, f22 = (x[1:even:2] for x in de)
+        g11, g12, g21, g22 = (x[0:even:2] for x in de)
+        c = [a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22]
+        dc = [f11 * b11 + f12 * b21 + a11 * g11 + a12 * g21,
+              f11 * b12 + f12 * b22 + a11 * g12 + a12 * g22,
+              f21 * b11 + f22 * b21 + a21 * g11 + a22 * g21,
+              f21 * b12 + f22 * b22 + a21 * g12 + a22 * g22]
+        e = [np.concatenate([y, x[even:]]) for x, y in zip(e, c)]
+        de = [np.concatenate([y, x[even:]]) for x, y in zip(de, dc)]
+    (e11, e12, e21, e22), (f11, f12, f21, f22) = [x[0] for x in e], [x[0] for x in de]
+    u_end = [e11 * u[0] + e12 * du[0], f11 * u[0] + f12 * du[0] + (e11 * u[1] + e12 * du[1])]
+    du_end = [e21 * u[0] + e22 * du[0], f21 * u[0] + f22 * du[0] + (e21 * u[1] + e22 * du[1])]
+    return np.stack(u_end), np.stack(du_end)
+
+
 def _step_major_nodes(qvals, h, lam, u, du):
     e = list(_step_major_steps(qvals, h, np.reshape(lam, (1, -1))))
     span = 1
@@ -352,48 +415,51 @@ def _step_major_nodes(qvals, h, lam, u, du):
 
 
 def _hex(*arrays):
-    """Shape and float.hex of every real and imaginary part."""
-    out = []
-    for a in map(np.asarray, arrays):
-        parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-        out.append((a.shape, [[float(x).hex() for x in p.ravel()] for p in parts]))
-    return out
+    """Shape and float.hex of every entry."""
+    return [(a.shape, [float(x).hex() for x in a.ravel()]) for a in map(np.asarray, arrays)]
 
 
 # 20 steps pair down through odd levels: 20 -> 10 -> 5 -> 3 -> 2 -> 1.
+# "tangent" runs the pass with lambda-derivatives on a batch.
 KERNEL_CASES = [(n_steps, sign, batch, kind)
                 for n_steps in (1, 20, 3840) for sign in (1.0, -1.0)
-                for batch, kind in ((None, float), (1, float), (20, float), (244, float),
-                                    (None, complex), (1, complex), (20, complex))]
+                for batch, kind in ((None, "float"), (1, "float"), (20, "float"), (244, "float"),
+                                    (1, "tangent"), (20, "tangent"))]
 
 
 def _kernel_case(seed, n_steps, sign, batch, kind):
     """Node potentials, step, lambda and start state of one kernel case.
 
     q and lambda share a range, so z lands on both sides of 0 in one call
-    and cos_sinc takes its masked branch; one step has q1 = q2 = lambda_0,
-    so z = 0 there (the Taylor branch). Complex lambda carry the complex
-    step of omega_derivative or a wider one. batch None is a scalar lambda.
+    and cos_sinc takes its masked branch. One step has q1 = q2 = lambda_0,
+    so z = 0 there (the Taylor branch), and with more than one step the
+    first and last steps put z near 2 and -2, past S'(z)'s series switch
+    at |z| = 1 on both sides. batch None is a scalar lambda; a tangent
+    case starts from (2, batch) stacks of states and their derivatives.
     """
     rng = np.random.default_rng([11, seed])
     size = 1 if batch is None else batch
     lam = rng.uniform(-30.0, 30.0, size)
     qvals = rng.uniform(-30.0, 30.0, (n_steps, 2))
-    qvals[n_steps // 2] = lam[0]
-    if kind is complex:
-        lam = lam + 1j * np.where(np.arange(size) % 2, rng.uniform(0.1, 5.0, size), 1e-150)
-    u, du = rng.uniform(-1.0, 1.0, (2, size))
+    u, du = rng.uniform(-1.0, 1.0, (2, 2, size) if kind == "tangent" else (2, size))
     h = sign * rng.uniform(0.5, 2.0) / n_steps
+    qvals[0] = lam[0] + 2.0 / (h * h)
+    qvals[-1] = lam[0] - 2.0 / (h * h)
+    qvals[n_steps // 2] = lam[0]
     if batch is None:
         return qvals, h, lam[0], u[0], du[0]
     return qvals, h, lam, u, du
 
 
 @pytest.mark.parametrize("seed", range(len(KERNEL_CASES)), ids=[
-    f"{n}-steps-h{'+' if sign > 0 else '-'}-{'scalar' if b is None else b}-{kind.__name__}"
+    f"{n}-steps-h{'+' if sign > 0 else '-'}-{'scalar' if b is None else b}-{kind}"
     for n, sign, b, kind in KERNEL_CASES])
 def test_kernel_matches_its_step_major_copy(seed):
+    kind = KERNEL_CASES[seed][3]
     args = _kernel_case(seed, *KERNEL_CASES[seed])
+    if kind == "tangent":
+        assert _hex(*_tangent_pass(*args)) == _hex(*_step_major_tangent_pass(*args))
+        return
     assert _hex(*_magnus_pass(*args)) == _hex(*_step_major_pass(*args))
     if np.ndim(args[2]):
         # Byte equality implies float.hex equality and is cheaper on the
@@ -411,20 +477,27 @@ def _spans_row_blocks(n_rows, n_steps):
     return len(blocks) >= 3 and last < BLOCK_ENTRIES // n_steps
 
 
-@pytest.mark.parametrize("kind, wide", [(float, False), (complex, False),
-                                        (float, True), (complex, True)],
-                         ids=["float", "complex", "float-wide", "complex-wide"])
+@pytest.mark.parametrize("kind, wide", [("float", False), ("tangent", False),
+                                        ("float", True), ("tangent", True)],
+                         ids=["float", "tangent", "float-wide", "tangent-wide"])
 def test_each_lambda_has_its_own_bits_in_a_batch(kind, wide):
     n_steps = 2560 if wide else 640
     qvals, h = _piece_node_q(_cubic_piece(), -1.0, 0.2, n_steps)
     size = 5 * (BLOCK_ENTRIES // n_steps) // 2 if wide else 20
-    assert _spans_row_blocks(size, n_steps) == wide
+    # A block of the tangent pass holds half as many lambda.
+    width = 2 if kind == "tangent" else 1
+    assert _spans_row_blocks(size, width * n_steps) == wide
     rng = np.random.default_rng(5)
     # From below q (every z > 0) to far above it, so the batch mixes
     # cos_sinc branches while each lambda alone takes one.
-    lam = np.sort(rng.uniform(-5.0, 3000.0, size)).astype(kind)
-    if kind is complex:
-        lam += 1e-150j
+    lam = np.sort(rng.uniform(-5.0, 3000.0, size))
+    if kind == "tangent":
+        u, du = rng.uniform(-1.0, 1.0, (2, 2, size))
+        batch = _tangent_pass(qvals, h, lam, u, du)
+        for k in range(size):
+            alone = _tangent_pass(qvals, h, lam[k:k + 1], u[:, k:k + 1], du[:, k:k + 1])
+            assert _hex(*alone) == _hex(*(x[:, k:k + 1] for x in batch))
+        return
     u, du = rng.uniform(-1.0, 1.0, (2, size))
     batch = _magnus_pass(qvals, h, lam, u, du)
     for k in range(size):
@@ -469,7 +542,7 @@ def test_a_wide_batch_has_a_bounded_working_set():
     # near 3 MiB.
     vp = _wide_batch_problem()
     lam = np.linspace(-5.0, 100.0, 400)
-    for f in (omega, eigenvalue_count):
+    for f in (omega, eigenvalue_count, omega_derivative):
         tracemalloc.start()
         try:
             f(vp, lam)
@@ -490,8 +563,6 @@ def _allocating_cos_sinc(z):
         r = np.sqrt(z)
         hyp = np.cosh(r), np.sinh(r) / r
         taylor = 1.0 + z / 2.0 + z * z / 24.0, 1.0 + z / 6.0 + z * z / 120.0
-        if np.iscomplexobj(z):
-            return tuple(np.where(np.abs(z) < 1e-8, t, x) for t, x in zip(taylor, hyp))
         r = np.sqrt(-z)
         trig = np.cos(r), np.sin(r) / r
     return tuple(np.where(z <= -1e-8, a, np.where(z >= 1e-8, b, t))
@@ -521,34 +592,39 @@ def _allocating_pass(qvals, h, lam, u, du):
 
 # Step counts with an odd level: 11 -> 6 -> 3 -> 2 -> 1 and
 # 21 -> 11 -> 6 -> 3 -> 2 -> 1. A block of BLOCK_ENTRIES // 3 or // 7
-# rows is within one row of BLOCK_ENTRIES, so its first level, ceil(m / 2)
-# columns and a scratch for the second product terms, reaches into the
-# workspace's last array.
+# rows (half that with derivatives, "tangent") is within one row of a full
+# block, so its first level, ceil(m / 2) columns and a scratch for the
+# second product terms, reaches into the workspace's last arrays. The
+# tangent pass has no scalar form; its 21-step batch spans three blocks.
 WORKSPACE_CASES = [(n_steps, batch, kind)
-                   for kind in (float, complex)
-                   for n_steps, batch in ((11, None), (11, 1), (3, BLOCK_ENTRIES // 3),
-                                          (7, BLOCK_ENTRIES // 7),
-                                          (21, 5 * (BLOCK_ENTRIES // 21) // 2))]
+                   for kind, entries in (("float", BLOCK_ENTRIES), ("tangent", BLOCK_ENTRIES // 2))
+                   for n_steps, batch in ((11, None), (11, 1), (3, entries // 3),
+                                          (7, entries // 7),
+                                          (21, 5 * (entries // 21) // 2))
+                   if batch is not None or kind == "float"]
 
 
 @pytest.mark.parametrize("case", range(len(WORKSPACE_CASES)), ids=[
-    f"{n}-steps-{'scalar' if b is None else b}-{kind.__name__}"
+    f"{n}-steps-{'scalar' if b is None else b}-{kind}"
     for n, b, kind in WORKSPACE_CASES])
 def test_workspace_pass_matches_the_allocating_pass(case):
     n_steps, batch, kind = WORKSPACE_CASES[case]
+    width = 2 if kind == "tangent" else 1
     args = _kernel_case(100 + case, n_steps, (-1.0) ** case, batch, kind)
     if batch is not None and batch > 1:
-        blocks = row_blocks(batch, n_steps)
-        assert len(blocks) == 1 or _spans_row_blocks(batch, n_steps)
-        assert len(blocks) > 1 or batch * n_steps > BLOCK_ENTRIES - n_steps
+        blocks = row_blocks(batch, width * n_steps)
+        assert len(blocks) == 1 or _spans_row_blocks(batch, width * n_steps)
+        assert len(blocks) > 1 or batch * width * n_steps > BLOCK_ENTRIES - width * n_steps
     if batch is not None:
         z = magnus_exponent(args[0], args[1], args[2][:, None])[2]
-        branches = [np.abs(z) < 1e-8] + ([] if kind is complex else [z <= -1e-8, z >= 1e-8])
+        branches = [np.abs(z) < 1e-8, z <= -1e-8, z >= 1e-8, np.abs(z) >= 1.0]
         assert all(b.any() for b in branches)
-    got = _magnus_pass(*args)
-    assert _hex(*got) == _hex(*_allocating_pass(*args))
-    for ws in propagator._WORKSPACES.by_dtype.values():
-        assert not any(np.shares_memory(x, ws) for x in got)
+    if kind == "tangent":
+        got, want = _tangent_pass(*args), _step_major_tangent_pass(*args)
+    else:
+        got, want = _magnus_pass(*args), _allocating_pass(*args)
+    assert _hex(*got) == _hex(*want)
+    assert not any(np.shares_memory(x, propagator._WORKSPACE.array) for x in got)
 
 
 def test_threads_keep_their_own_workspace():
@@ -571,11 +647,30 @@ def test_threads_keep_their_own_workspace():
 def test_a_warm_wide_omega_allocates_less_than_a_workspace_row():
     vp = _wide_batch_problem()
     lam = np.linspace(-5.0, 100.0, 400)
-    omega(vp, lam)
-    tracemalloc.start()
-    try:
-        omega(vp, lam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < BLOCK_ENTRIES * np.dtype(float).itemsize, peak
+    for f in (omega, omega_derivative):
+        f(vp, lam)
+        tracemalloc.start()
+        try:
+            f(vp, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK_ENTRIES * np.dtype(float).itemsize, (f.__name__, peak)
+
+
+def test_find_eigenvalues_takes_omega_prime_from_one_batch(problem_file, monkeypatch):
+    vp = _fresh(problem_file)
+    sizes = []
+    batched = eigensolve.omega_derivative
+
+    def counting(problem, lam, **kwargs):
+        sizes.append(np.size(lam))
+        return batched(problem, lam, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "omega_derivative", counting)
+    eigs = find_eigenvalues(vp, 6)
+    assert sizes == [6]
+    roots = np.array([e.lam for e in eigs])
+    assert [e.omega_prime for e in eigs] == omega_derivative(vp, roots).tolist()
+    # A scalar lambda is a batch of one.
+    assert omega_derivative(vp, roots[2]) == omega_derivative(vp, roots[2:3])[0]
