@@ -69,7 +69,7 @@ def real_lambda(lam) -> np.ndarray:
 def omega(problem, lam, *, rtol: float = 1e-12):
     """Characteristic function via the left solution only.
 
-    Vectorized: lam may be a real scalar or array (see :func:`real_lambda`).
+    Vectorized over a real scalar or an array of any shape (:func:`real_lambda`).
     The right solution never enters; its boundary data appears through the
     closed boundary form.
     """
@@ -80,73 +80,28 @@ def omega(problem, lam, *, rtol: float = 1e-12):
     return float(out) if np.ndim(lam) == 0 else out
 
 
-def _line_angle(y, x):
-    """atan2(y, x) mod pi in [0, pi]; 0 exactly when y == 0, and pi only
-    for an angle a rounding error short of it."""
-    a = np.arctan2(y, x)
-    return np.where(y == 0, 0.0, np.where(a < 0, a + np.pi, a))
-
-
-def _step_zeros(z, d, h, u0, du0, u1, du1):
-    """Zeros of u in (0, 1] along exp(t Omega) (u0, du0), where
-    Omega = [[d, h], [., -d]] and Omega^2 = z I.
-
-    For z < 0 the phase of (sqrt(-z) u, d u + h u') turns by exactly
-    sqrt(-z), so the end phases give the count, and a zero at a node falls
-    to the step that ends there. For z >= 0 there is at most one zero.
-    """
-    osc = z < 0
-    om = np.sqrt(np.where(osc, -z, 0.0))
-    psi0 = _line_angle(om * u0, d * u0 + h * du0)
-    psi1 = _line_angle(om * u1, d * u1 + h * du1)
-    turns = np.rint((psi0 + om - psi1) / np.pi)
-    crossed = (u0 != 0) & ((u1 == 0) | (np.sign(u0) != np.sign(u1)))
-    return np.where(osc, turns, crossed).astype(np.int64)
-
-
-# The node sweep of eigenvalue_count holds every node state and the zero
-# count's temporaries: about four times a Magnus pass's bytes per
-# lambda-step, so its row blocks are a quarter as wide.
-_NODE_WEIGHT = 4
-
-
 def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
     """N(lambda), the number of eigenvalues strictly below lambda (vectorized).
 
     The Pruefer angle Theta of the line through (u', u) of the left solution
     is continuous across the jumps, which scale u and u' alike, and
     Theta(1) = pi Z + atan2(u, u') mod pi with Z the zeros of u on (-1, 1],
-    counted per constant piece or Magnus step. The right condition asks for
-    the line through (A, B) = (lambda b1' + b1, lambda b2' + b2), which
-    turns back by pi at the rate rho / (A^2 + B^2) as lambda grows. So
-    G = Theta(1) + atan2(rho, -(A b1' + B b2')) rises strictly from 0, and
-    N = #{k : 0 < k pi + phi_beta < G} with phi_beta = atan2(b2', b1') mod pi
-    (k = 0 is the bottom eigenvalue a nonzero b2' adds).
+    counted per piece on the Magnus product tree (:func:`propagator.count_pass`).
+    The right condition asks for the line through (A, B) = (lambda b1' + b1,
+    lambda b2' + b2), which turns back by pi at the rate rho / (A^2 + B^2)
+    as lambda grows. So G = Theta(1) + atan2(rho, -(A b1' + B b2')) rises
+    strictly from 0, and N = #{k : 0 < k pi + phi_beta < G} with phi_beta =
+    atan2(b2', b1') mod pi (k = 0 is the bottom eigenvalue a nonzero b2' adds).
     """
     vp = as_validated(problem)
-    lam_arr = np.atleast_1d(real_lambda(lam))
+    lam_arr = real_lambda(lam).ravel()
 
     def cross(piece, x0, x1, u, du):
-        if piece.is_constant:
-            # One exact step: the Magnus exponent of constant q.
+        if piece.is_constant:  # one exact step, the Magnus step of constant q
             qv, h = np.full((1, 2), piece.constant_value), x1 - x0
         else:
-            qv, h, _ = propagator.magnus_ladder(piece, x0, x1, lam_arr, u, du,
-                                                rtol=rtol)
-        zeros = np.empty(lam_arr.size, dtype=np.int64)
-        u1, du1 = np.empty((2, lam_arr.size))
-        # The end columns are copied out, which frees each block.
-        for rows in propagator.row_blocks(lam_arr.size, _NODE_WEIGHT * len(qv)):
-            d, _, z = propagator.magnus_exponent(qv, h, lam_arr[rows, None])
-            us, dus = propagator.magnus_nodes(qv, h, lam_arr[rows], u[rows], du[rows])
-            zeros[rows] = _step_zeros(z, d, h, us[:, :-1], dus[:, :-1],
-                                      us[:, 1:], dus[:, 1:]).sum(axis=1)
-            u1[rows], du1[rows] = us[:, -1], dus[:, -1]
-        # Only the line matters: rescale to unit max-norm.
-        scale = np.maximum(np.abs(u1), np.abs(du1))
-        if not np.all(np.isfinite(scale)):
-            raise propagator.NonFiniteState("counting produced non-finite states")
-        return zeros, u1 / scale, du1 / scale
+            qv, h, _ = propagator.magnus_ladder(piece, x0, x1, lam_arr, u, du, rtol=rtol)
+        return propagator.count_pass(qv, h, lam_arr, u, du)
 
     piece_zeros, _, right = propagator.chain(vp, lam_arr, cross)
     zeros = sum(piece_zeros)
@@ -154,12 +109,12 @@ def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
 
     a = lam_arr * vp.beta1p + vp.beta1
     b = lam_arr * vp.beta2p + vp.beta2
-    g = (np.pi * zeros + _line_angle(u, du)
+    g = (np.pi * zeros + propagator.line_angle(u, du)
          + np.arctan2(vp.rho, -(a * vp.beta1p + b * vp.beta2p)))
-    phi_beta = float(_line_angle(vp.beta2p, vp.beta1p))
+    phi_beta = float(propagator.line_angle(vp.beta2p, vp.beta1p))
     n = np.maximum(np.ceil((g - phi_beta) / np.pi) - (phi_beta == 0.0), 0)
     n = n.astype(np.int64)
-    return int(n[0]) if np.ndim(lam) == 0 else n
+    return int(n[0]) if np.ndim(lam) == 0 else n.reshape(np.shape(lam))
 
 
 def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicSample]:
@@ -220,7 +175,7 @@ def omega_derivative(problem, lam, *, rtol: float = 1e-12):
     runs at the step count the ladder settles on for the whole batch.
     """
     vp = as_validated(problem)
-    lam_arr = np.atleast_1d(real_lambda(lam))
+    lam_arr = real_lambda(lam).ravel()
 
     def cross(piece, x0, x1, u, du):
         return (None, *propagator.tangent_piece(piece, x0, x1, lam_arr, u, du, rtol=rtol))
@@ -230,7 +185,7 @@ def omega_derivative(problem, lam, *, rtol: float = 1e-12):
     form = (propagator.boundary_form(vp, lam_arr, u[1], du[1])
             + (vp.beta1p * u[0] - vp.beta2p * du[0]))
     out = vp.delta_sq_prod * form
-    return float(out[0]) if np.ndim(lam) == 0 else out
+    return float(out[0]) if np.ndim(lam) == 0 else out.reshape(np.shape(lam))
 
 
 def write_scan_csv(samples: list[CharacteristicSample], out) -> None:

@@ -126,11 +126,11 @@ def bracket_scan(problem, s_max: float, lam_floor: float | None = None, *,
     is reported in `suspicious`.
     """
     vp = as_validated(problem)
-    if s_max <= 0:
+    if not 0 < s_max < np.inf:
         raise ValueError("s_max must be positive")
     if lam_floor is None:
         lam_floor = default_lambda_floor(vp)
-    if lam_floor >= 0:
+    if not -np.inf < lam_floor < 0:
         raise ValueError("lam_floor must be negative")
 
     lams = _scan_grid(s_max, lam_floor)
@@ -403,6 +403,8 @@ def find_eigenvalues(problem, n_max: int, *, rtol: float = 1e-12,
     error; the extra bisection steps are cheap.
     """
     vp = as_validated(problem)
+    if not isinstance(n_max, (int, np.integer)):
+        raise TypeError(f"n_max must be an integer, not {type(n_max).__name__}")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
 

@@ -23,24 +23,21 @@ at many lambda. States are propagated with 2x2 transfer matrices:
 The kernel is lambda-major. :func:`magnus_steps` gives the step matrices
 as one (2, 2, n_lam, n_steps) array, so every ufunc's inner loop runs
 along the steps, not along a lambda batch that is often one long. A
-batched sweep (:func:`_magnus_pass`, and the node sweep of the eigenvalue
-count) runs in balanced blocks of lambda rows, :func:`row_blocks`, each of
-at most BLOCK_ENTRIES = 2**16 lambda-steps (a quarter of that in the node
-sweep), so the working set of a wide scan or count does not grow with its
-width. A block of :func:`_magnus_pass` runs in place, in a float
-workspace that each thread allocates once and keeps: the step matrices,
-the cos_sinc branches and every level of the pairwise product tree write
-into it, so a pass allocates no block-sized array and faults in no fresh
-pages. Every ufunc gets the operands it would get on fresh arrays, in the
-same order, and every lambda's bits are its own in a batch, so neither the
-workspace nor the blocks move a bit.
+batched sweep runs in balanced blocks of lambda rows, :func:`row_blocks`,
+each of at most BLOCK_ENTRIES = 2**16 lambda-steps, so the working set of
+a wide scan or count does not grow with its width. A block runs in place,
+in a float workspace that each thread allocates once and keeps: the step
+matrices, the cos_sinc branches and every level of the pairwise product
+tree (:func:`_step_products`) write into it, so a pass allocates no
+block-sized array and faults in no fresh pages. Every ufunc gets the
+operands it would get on fresh arrays, in the same order, and every
+lambda's bits are its own in a batch, so neither the workspace nor the
+blocks move a bit.
 
-The lambda-derivative of a state travels the same way, in real arithmetic:
-:func:`tangent_piece` carries a state and its derivative across a piece,
-by the closed form on a constant piece and by :func:`_tangent_pass` on a
-variable one: step matrices E and dE/dlambda, a product tree of (E, E')
-pairs, and half-width blocks in the same workspace. That is where
-:func:`sltrans.characteristic.omega_derivative` gets omega'.
+The same tree carries a state's lambda-derivative for omega' (a variable
+piece of :func:`tangent_piece` pairs (E, dE/dlambda) in :func:`_tangent_pass`)
+and the zeros of u for N(lambda) (:func:`count_pass`: Pryce's (1993) Pruefer
+counting on the tree's nodes), each in blocks of half as many lambda.
 
 All functions are vectorized over a lambda array and return states at
 piece ends only. :func:`chain` is the one place that knows the start states
@@ -75,7 +72,7 @@ BLOCK_ENTRIES = 1 << 16
 # scratch entries of n_steps // 2, up to three arrays and a column. With
 # lambda-derivatives a block holds half the lambda-steps: eight entries
 # and a scratch, then a level of eight entries and two scratch, at most
-# seven arrays in all.
+# seven arrays in all (fewer in the count, whose nodes hold seven).
 _WS_ARRAYS = 8
 
 
@@ -224,28 +221,14 @@ def constant_step(w, t, u, du):
 
 
 def _exponent_into(qvals, h, lam_f, wbar, z):
-    """d of :func:`magnus_exponent`, with wbar and z written into the given
-    (n_lam, n_steps) arrays."""
+    """The step exponents Omega = [[d, h], [h * wbar, -d]], Omega^2 = z I:
+    wbar and z written into (n_lam, n_steps) arrays, d returned as a row."""
     q1, q2 = qvals.T
     np.subtract(0.5 * (q1 + q2), lam_f, out=wbar)
     d = (-(_SQRT3 * h * h / 12.0)) * (q2 - q1)
     np.multiply(h * h, wbar, out=z)
     np.add(d * d, z, out=z)
     return d
-
-
-def _slots(n_slots, qvals, lam_f):
-    """An uninitialised (n_slots, n_lam, n_steps) float array."""
-    return np.empty((n_slots, len(lam_f), len(qvals)))
-
-
-def magnus_exponent(qvals, h, lam_f):
-    """(d, wbar, z) of the step exponents Omega = [[d, h], [h * wbar, -d]],
-    Omega^2 = z I, for qvals (n_steps, 2), h a scalar or an (n_steps,) row
-    and lam_f an (n_lam, 1) column: d is (n_steps,), wbar and z are
-    (n_lam, n_steps)."""
-    wbar, z = _slots(2, qvals, lam_f)
-    return _exponent_into(qvals, h, lam_f, wbar, z), wbar, z
 
 
 def _steps_into(qvals, h, lam_f, slots):
@@ -295,6 +278,40 @@ def _tangent_steps_into(qvals, h, lam_f, slots):
     return slots[:8].reshape(2, 2, 2, *z.shape)
 
 
+def line_angle(y, x, out=None):
+    """atan2(y, x) mod pi in [0, pi], into out if given: 0 exactly when
+    y == 0, and pi only for an angle a rounding error short of it."""
+    out = np.empty(np.broadcast(y, x).shape) if out is None else out
+    zero = np.equal(y, 0)  # out may be y
+    np.arctan2(y, x, out=out)
+    np.add(out, np.pi, out=out, where=out < 0)
+    np.copyto(out, 0.0, where=zero)
+    return out
+
+
+def _count_steps_into(qvals, h, lam_f, slots):
+    """The count's leaves written into slots, (8, n_lam, n_steps), as a
+    (7, n_lam, n_steps) view: each step matrix E (the bits of
+    :func:`magnus_steps`), the zeros K of u in (0, 1] along exp(t Omega) v0
+    from v0 = (u, u') = (0, 1), the line angle of E v0 and det E = 1.
+
+    For z < 0 the phase of (sqrt(-z) u, d u + h u') turns by exactly
+    sqrt(-z) from 0 to (sqrt(-z) e12, h C), so K is the whole half-turns;
+    a zero at the end of the step falls to it. For z >= 0, K = 0.
+    """
+    _steps_into(qvals, h, lam_f, slots[:5])
+    e12, e22, k, phi, det, r = slots[1], slots[3], *slots[4:]
+    np.multiply(k, h, out=det)  # k holds C
+    _exponent_into(qvals, h, lam_f, r, k)
+    np.sqrt(np.maximum(np.negative(k, out=k), 0.0, out=k), out=k)
+    line_angle(np.multiply(k, e12, out=phi), det, out=phi)
+    np.subtract(k, phi, out=k)
+    np.rint(np.divide(k, np.pi, out=k), out=k)
+    line_angle(e12, e22, out=phi)
+    det.fill(1.0)
+    return slots[:7]
+
+
 def magnus_steps(qvals, h, lam_f):
     """Fourth-order Magnus step matrices as one (2, 2, n_lam, n_steps)
     array e: e[i, j] is the (i+1, j+1) entry of every step, and the rows
@@ -304,7 +321,7 @@ def magnus_steps(qvals, h, lam_f):
     each step. h is the signed step, a scalar or an (n_steps,) row, and
     lam_f an (n_lam, 1) column.
     """
-    return _steps_into(qvals, h, lam_f, _slots(5, qvals, lam_f))
+    return _steps_into(qvals, h, lam_f, np.empty((5, len(lam_f), len(qvals))))
 
 
 def _product(a, b):
@@ -349,28 +366,24 @@ _WORKSPACE = _Workspace()
 
 def _workspace():
     """This thread's workspace. It holds any block of :func:`row_blocks`
-    with at most BLOCK_ENTRIES steps (half that with derivatives); the
-    ladder stops at 2**14."""
+    with at most BLOCK_ENTRIES steps (half that with derivatives and in
+    the count); the ladder stops at 2**14."""
     if _WORKSPACE.array is None:
         _WORKSPACE.array = np.empty(_WS_ARRAYS * BLOCK_ENTRIES)
     return _WORKSPACE.array
 
 
 def _pair_level(e, out, scratch):
-    """One level of the product tree: out[..., k] = e[..., 2k+1] e[..., 2k],
-    and an odd leftover column of e carried to the tail of out. e is
-    (2, 2, n_lam, m), out (2, 2, n_lam, ceil(m/2)) and scratch
-    (2, n_lam, m // 2); row i of the products is :func:`_product`'s,
-    fl(fl(a_i1 b[0]) + fl(a_i2 b[1]))."""
-    m = e.shape[-1]
-    half = m // 2
+    """One level of the product tree: out[..., k] = e[..., 2k+1] e[..., 2k]
+    for k < m // 2. e is (2, 2, n_lam, m), out (2, 2, n_lam, ceil(m/2))
+    and scratch (2, n_lam, m // 2); row i of the products is
+    :func:`_product`'s, fl(fl(a_i1 b[0]) + fl(a_i2 b[1]))."""
+    half = e.shape[-1] // 2
     a, b = e[..., 1:2 * half:2], e[..., 0:2 * half:2]
     for row, c in zip(a, out[..., :half]):
         np.multiply(row[0], b[0], out=c)
         np.multiply(row[1], b[1], out=scratch)
         np.add(c, scratch, out=c)
-    if m % 2:
-        out[..., half] = e[..., m - 1]
 
 
 def _tangent_level(p, out, scratch):
@@ -378,8 +391,7 @@ def _tangent_level(p, out, scratch):
     into out: a later B and an earlier A give (B A, B' A + B A'), row i of
     B' A + B A' summed left to right as
     fl(fl(fl(b'_i1 A[0] + b'_i2 A[1]) + b_i1 A'[0]) + b_i2 A'[1])."""
-    m = p.shape[-1]
-    half = m // 2
+    half = p.shape[-1] // 2
     _pair_level(p[0], out[0], scratch)
     later, dlater = p[..., 1:2 * half:2]
     earlier, dearlier = p[..., 0:2 * half:2]
@@ -388,16 +400,50 @@ def _tangent_level(p, out, scratch):
         for x, y in ((drow[1], earlier[1]), (row[0], dearlier[0]), (row[1], dearlier[1])):
             np.multiply(x, y, out=scratch)
             np.add(c, scratch, out=c)
-    if m % 2:
-        out[1, ..., half] = p[1, ..., m - 1]
 
 
-def _step_products(qvals, h, lam, tangent=False):
+def _count_level(e, out, scratch):
+    """:func:`_pair_level` of the count's nodes, (7, n_lam, m) in e: a
+    product rescaled to unit max-norm, the zeros K of u along it from
+    v0 = (u, u') = (0, 1), the line angle phi of its image of v0, its det.
+
+    A later B takes the line of an earlier A's A v0, at phi_A, to K_B pi +
+    phi_B + delta, delta in [0, pi) the angle from B v0 to B A v0 mod pi.
+    Their cross product det B a12 has no cancellation where B stretches by
+    e^100 and they are nearly parallel. phi_B + delta and B A's own phi
+    are one line, so their difference rounds to the carry, 0 or pi.
+    """
+    half = e.shape[-1] // 2
+    _pair_level(e[:4].reshape(2, 2, *e.shape[1:]), out[:4].reshape(2, 2, *out.shape[1:]),
+                scratch)
+    a, b, p = e[..., 0:2 * half:2], e[..., 1:2 * half:2], out[..., :half]
+    s1, s2 = scratch
+    np.add(np.multiply(b[1], p[1], out=s1), np.multiply(b[3], p[3], out=s2), out=s1)
+    line_angle(np.multiply(b[6], a[1], out=s2), s1, out=s1)
+    line_angle(p[1], p[3], out=p[5])
+    np.subtract(np.add(s1, b[5], out=s1), p[5], out=s1)
+    np.rint(np.divide(s1, np.pi, out=s1), out=s1)
+    np.add(np.add(a[4], b[4], out=p[4]), s1, out=p[4])
+    np.maximum(np.abs(p[0], out=s1), np.abs(p[1], out=s2), out=s1)
+    np.maximum(s1, np.abs(p[2], out=s2), out=s1)
+    np.maximum(s1, np.abs(p[3], out=s2), out=s1)
+    np.divide(p[:4], s1, out=p[:4])
+    np.divide(np.multiply(a[6], b[6], out=p[6]), s1, out=p[6])
+    np.divide(p[6], s1, out=p[6])  # not by s1^2, which can underflow
+
+
+# Product trees: entries of a node, leaves, level, row_blocks weight.
+_MATRIX = (4, _steps_into, _pair_level, 1)
+_TANGENT = (8, _tangent_steps_into, _tangent_level, 2)
+_COUNT = (7, _count_steps_into, _count_level, 2)
+
+
+def _step_products(qvals, h, lam, tree=_MATRIX):
     """For each block of :func:`row_blocks` over the 1-D lam, the rows and
-    the product of all step matrices at those lambda, (2, 2, n_lam); with
-    tangent, the product and its lambda-derivative, (2, 2, 2, n_lam). The
-    product is a view into this thread's workspace, valid until the next
-    block.
+    the root of the tree at those lambda: the product of all step matrices,
+    (2, 2, n_lam), with its lambda-derivative (_TANGENT, (2, 2, 2, n_lam))
+    or a count node (_COUNT, (7, n_lam)), a view into this thread's
+    workspace, valid until the next block.
 
     In a block all step matrices are formed at once (vectorized over steps
     and lambda) and combined by pairwise products, so the Python-level work
@@ -407,30 +453,32 @@ def _step_products(qvals, h, lam, tangent=False):
     level. Every lambda's bits are its own, so the row blocks do not move
     them.
 
-    A block runs in place in the workspace (:func:`_workspace`): the step
-    matrices and one scratch take its first (w + 1) E entries, with E the
-    block's lambda-steps and w = 4 entries per matrix (8 with the
-    derivatives); each level of the tree goes to the part the level before
-    it left free, above w E or from 0 in turn, followed by a scratch for
-    the second product terms. With derivatives a block has half as many
-    rows, so its at most 14 E entries fit the same workspace.
+    A block runs in place in the workspace (:func:`_workspace`): the
+    leaves and one scratch take its first (w + 1) E entries, with E the
+    block's lambda-steps and w the entries of a node (4, 8 or 7); each
+    level goes to the part the level before it left free, above w E or
+    from 0 in turn, followed by two scratch entries. With derivatives and
+    in the count a block has half as many rows, so its at most 14 E entries
+    fit the same workspace.
     """
-    width = 8 if tangent else 4
+    width, leaves, level, weight = tree
     n_steps = len(qvals)
     ws = _workspace()
-    for rows in row_blocks(lam.size, n_steps * width // 4):
+    for rows in row_blocks(lam.size, weight * n_steps):
         lam_f = lam[rows, None]
         n_lam = len(lam_f)
         entries = n_lam * n_steps
         slots = ws[:(width + 1) * entries].reshape(width + 1, n_lam, n_steps)
-        e = (_tangent_steps_into if tangent else _steps_into)(qvals, h, lam_f, slots)
+        e = leaves(qvals, h, lam_f, slots)
         free = width * entries
         while e.shape[-1] > 1:
             m, half = e.shape[-1], e.shape[-1] // 2
             size = n_lam * (m - half)
             out = ws[free:free + width * size].reshape(*e.shape[:-1], m - half)
             scratch = ws[free + width * size:free + width * size + 2 * n_lam * half]
-            (_tangent_level if tangent else _pair_level)(e, out, scratch.reshape(2, n_lam, half))
+            level(e, out, scratch.reshape(2, n_lam, half))
+            if m % 2:  # the odd leftover, the latest product, to the tail
+                out[..., half] = e[..., m - 1]
             e, free = out, width * entries - free
         yield rows, e[..., 0]
 
@@ -455,30 +503,8 @@ def _tangent_pass(qvals, h, lam, u, du):
     so are the end states returned (see :func:`_carry`). The values have
     the bits :func:`_magnus_pass` gives."""
     ends = [_carry(a, da, u[:, rows], du[:, rows])
-            for rows, (a, da) in _step_products(qvals, h, lam, tangent=True)]
+            for rows, (a, da) in _step_products(qvals, h, lam, _TANGENT)]
     return tuple(np.concatenate(col, axis=1) for col in zip(*ends))
-
-
-def magnus_nodes(qvals, h, lam, u, du):
-    """(u, du) at every Magnus node, each (n_lam, n_steps + 1), up to a
-    positive factor per entry; lam, u and du are 1-D of length n_lam.
-
-    The prefix products of the step matrices take log2(n_steps) doubling
-    passes, each rescaled to unit max-norm, which keeps the direction.
-    The result holds every node of every lambda, so a wide batch calls
-    this once per :func:`row_blocks` block (as the eigenvalue count does);
-    every lambda's bits are its own, whatever block it runs in.
-    """
-    e = magnus_steps(qvals, h, np.reshape(lam, (-1, 1)))
-    span = 1
-    while span < e[0].shape[-1]:
-        c = _product([x[..., span:] for x in e], [x[..., :-span] for x in e])
-        scale = np.maximum(*(np.max(np.abs(y), axis=0) for y in c))
-        for x, y in zip(e, c):
-            np.divide(y, scale, out=x[..., span:])
-        span *= 2
-    start = (u[:, None], du[:, None])
-    return tuple(np.concatenate([s, y], axis=1) for s, y in zip(start, _product(e, start)))
 
 
 def _piece_node_q(piece, x0: float, x1: float, n_steps: int):
@@ -607,6 +633,23 @@ def tangent_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e-1
                       [[dC, t * dS], [w * t * dS - t * S, dC]], u, du)
     qv, h, _ = magnus_ladder(piece, x0, x1, lam, u[0], du[0], rtol=rtol)
     return _tangent_pass(qv, h, lam, u, du)
+
+
+def count_pass(qvals, h, lam, u, du):
+    """(zeros, u1, du1): the zeros of u along a forward Magnus sweep from
+    (u, du), a zero at the start left out and one at the end counted, and
+    the end state at unit max-norm; lam, u and du are 1-D. The start state
+    is the count tree's first factor, a node with column (u, du), no zeros."""
+    ends = []
+    for rows, top in _step_products(qvals, h, lam, _COUNT):
+        e, out = np.zeros((7, len(top[0]), 2)), np.empty((7, len(top[0]), 1))
+        e[1, :, 0], e[3, :, 0], e[:, :, 1] = u[rows], du[rows], top
+        _count_level(e, out, np.empty((2, len(top[0]), 1)))
+        ends.append(out[[4, 1, 3], :, 0])
+    zeros, u1, du1 = np.concatenate(ends, axis=1)
+    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(du1))):
+        raise NonFiniteState("counting produced non-finite states")
+    return zeros.astype(np.int64), u1, du1
 
 
 def chain(problem, lam, cross, *, backward=False, tangent=False):

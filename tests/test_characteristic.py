@@ -153,6 +153,19 @@ def test_bad_lambda_is_rejected_before_propagation(entry, bad, problem, monkeypa
         ENTRY_POINTS[entry](vp, lam)
 
 
+@pytest.mark.parametrize("problem", ["constant", "magnus"])
+@pytest.mark.parametrize("entry", ["omega", "omega_derivative", "eigenvalue_count"])
+def test_a_lambda_grid_gives_the_flat_batch_reshaped(entry, problem, canonical, case1_linear):
+    # Each call gets a fresh problem, so both ladders start cold.
+    spec = canonical if problem == "constant" else case1_linear
+    grid = np.array([[-3.0, 4.5], [17.0, 60.0]])
+    f = ENTRY_POINTS[entry]
+    got = f(st.validate_problem(spec), grid)
+    flat = f(st.validate_problem(spec), grid.ravel())
+    assert got.shape == grid.shape
+    assert got.tobytes() == flat.reshape(grid.shape).tobytes()
+
+
 class TestChain:
     def test_per_interval_wronskians_obey_weight_chain(self, two_interface):
         for lam in (-5.0, 1.2, 80.0):

@@ -25,6 +25,12 @@ pass as it was before, on fresh arrays, lives here as the reference it
 must match bit for bit, through odd tree levels, a block that fills the
 workspace, partial blocks and every cos_sinc branch. Two threads keep
 their own workspaces, and a warm pass allocates almost nothing.
+
+The eigenvalue count runs on the same product tree. The count it replaced,
+which read the zeros of u between every pair of nodes of a doubling
+sweep, lives here as its reference: on random steps, on a piece stretched
+by e^200, and where u vanishes exactly at a node, the two count the same
+zeros, and on random problems they give the same N(lambda).
 """
 
 import importlib.util
@@ -38,13 +44,13 @@ import pytest
 
 import sltrans as st
 from sltrans import eigensolve, problem, propagator
-from sltrans.characteristic import _NODE_WEIGHT, eigenvalue_count, omega, omega_derivative
+from sltrans.characteristic import eigenvalue_count, omega, omega_derivative
 from sltrans.eigensolve import find_eigenvalues
 from sltrans.problem import PotentialPiece, load_problem, problem_to_json, save_problem
-from sltrans.propagator import (_GAUSS_OFFSETS, _SLOPE_SERIES, BLOCK_ENTRIES,
+from sltrans.propagator import (_COUNT, _GAUSS_OFFSETS, _SLOPE_SERIES, BLOCK_ENTRIES,
                                 StepSizeUnderflow, _magnus_pass, _piece_node_q,
-                                _tangent_pass, cos_sinc, magnus_exponent, magnus_ladder,
-                                magnus_nodes, propagate_piece, row_blocks)
+                                _tangent_pass, cos_sinc, count_pass, magnus_ladder,
+                                propagate_piece, row_blocks)
 
 
 def _sampled_spec() -> st.ProblemSpec:
@@ -414,6 +420,34 @@ def _step_major_nodes(qvals, h, lam, u, du):
     return u_nodes, du_nodes
 
 
+def _line_angle(y, x):
+    a = np.arctan2(y, x)
+    return np.where(y == 0, 0.0, np.where(a < 0, a + np.pi, a))
+
+
+def _node_zeros(qvals, h, lam, u, du):
+    """The eigenvalue count of one sweep as it was before it ran on the
+    product tree: the zeros of u between each pair of nodes of
+    _step_major_nodes, summed over the steps, and the end state.
+
+    On a step with z < 0 the phase of (sqrt(-z) u, d u + h u') turns by
+    exactly sqrt(-z), so the end phases give the count; with z >= 0 there
+    is at most one zero. A zero at a node falls to the step that ends there.
+    """
+    us, dus = _step_major_nodes(qvals, h, lam, u, du)
+    u0, du0, u1, du1 = us[:-1], dus[:-1], us[1:], dus[1:]
+    q1, q2 = qvals[:, :1], qvals[:, 1:]
+    d = (-(np.sqrt(3.0) * h * h / 12.0)) * (q2 - q1)
+    z = d * d + (h * h) * (0.5 * (q1 + q2) - lam)
+    osc = z < 0
+    om = np.sqrt(np.where(osc, -z, 0.0))
+    psi0 = _line_angle(om * u0, d * u0 + h * du0)
+    psi1 = _line_angle(om * u1, d * u1 + h * du1)
+    turns = np.rint((psi0 + om - psi1) / np.pi)
+    crossed = (u0 != 0) & ((u1 == 0) | (np.sign(u0) != np.sign(u1)))
+    return np.where(osc, turns, crossed).sum(axis=0).astype(np.int64), us[-1], dus[-1]
+
+
 def _hex(*arrays):
     """Shape and float.hex of every entry."""
     return [(a.shape, [float(x).hex() for x in a.ravel()]) for a in map(np.asarray, arrays)]
@@ -461,12 +495,92 @@ def test_kernel_matches_its_step_major_copy(seed):
         assert _hex(*_tangent_pass(*args)) == _hex(*_step_major_tangent_pass(*args))
         return
     assert _hex(*_magnus_pass(*args)) == _hex(*_step_major_pass(*args))
-    if np.ndim(args[2]):
-        # Byte equality implies float.hex equality and is cheaper on the
-        # 2 x 244 x 3841 node states.
-        nodes, reference = magnus_nodes(*args), [x.T for x in _step_major_nodes(*args)]
-        assert [x.shape for x in nodes] == [x.shape for x in reference]
-        assert _bits(nodes) == _bits(reference)
+
+
+# ----------------------------------------------------------------------
+# Eigenvalue count on the product tree
+# ----------------------------------------------------------------------
+
+def _count_case(kind, n_steps):
+    """Node potentials, step, lambda and start states of one count case.
+
+    "random" mixes oscillating and growing steps. "stretched" is lambda =
+    -1e4 on a cubic piece of length 2, which stretches by e^100 per unit,
+    from starts near the decaying solution u' = -sqrt(q - lambda) u, so
+    that u has its one zero anywhere on the piece, or none. "node" starts
+    each lambda from (-e12, e11) of its first step matrix, so u vanishes
+    exactly at the end of the first step, and "start" from u = 0.
+    """
+    rng = np.random.default_rng([29, n_steps, len(kind)])
+    if kind == "stretched":
+        qvals, h = _piece_node_q(_cubic_piece(), -1.0, 1.0, n_steps)
+        ratio = np.concatenate([np.geomspace(1e-30, 1.0, 30), -np.geomspace(1e-30, 1.0, 30)])
+        lam = np.full(ratio.size, -1e4)
+        return qvals, h, lam, np.ones_like(lam), -np.sqrt(1e4 + qvals[0, 0]) * (1.0 + ratio)
+    qvals = rng.uniform(-50.0, 50.0, (n_steps, 2))
+    h = rng.uniform(0.5, 2.0) / n_steps
+    lam = rng.uniform(-100.0, 3000.0, 40)
+    u, du = rng.uniform(-1.0, 1.0, (2, lam.size))
+    if kind == "node":
+        e11, e12 = (x[0] for x in _step_major_steps(qvals[:1], h, lam[None, :])[:2])
+        u, du = -e12, e11
+    elif kind == "start":
+        u = np.zeros_like(lam)
+    return qvals, h, lam, u, du
+
+
+COUNT_CASES = [(kind, n_steps) for kind, steps in (("random", (1, 2, 7, 640)),
+                                                   ("stretched", (512, 2048)),
+                                                   ("node", (1, 3, 640)),
+                                                   ("start", (1, 640)))
+               for n_steps in steps]
+
+
+@pytest.mark.parametrize("kind, n_steps", COUNT_CASES,
+                         ids=[f"{k}-{n}" for k, n in COUNT_CASES])
+def test_count_pass_matches_the_node_count(kind, n_steps):
+    args = _count_case(kind, n_steps)
+    zeros, u1, du1 = count_pass(*args)
+    reference, ru, rdu = _node_zeros(*args)
+    assert zeros.tolist() == reference.tolist()
+    # The same end line, so the next piece starts where the node sweep did.
+    assert np.all(np.abs(u1 * rdu - du1 * ru) <= 1e-10 * np.maximum(np.abs(ru), np.abs(rdu)))
+    if kind == "node":
+        us = _step_major_nodes(*args)[0]
+        assert np.all(us[1] == 0.0)
+    if kind == "stretched":
+        assert set(zeros.tolist()) == {0, 1}
+
+
+def _node_count_pass(qvals, h, lam, u, du):
+    """count_pass as it was before the count ran on the product tree."""
+    zeros, u1, du1 = _node_zeros(qvals, h, lam, u, du)
+    scale = np.maximum(np.abs(u1), np.abs(du1))
+    return zeros, u1 / scale, du1 / scale
+
+
+def _random_problem(seed):
+    """Cubic-or-lower polynomial pieces, one to three interfaces with
+    signed jumps, and u(-1) = 0 (alpha_2 = 0) for every other seed."""
+    rng = np.random.default_rng([31, seed])
+    m = 1 + seed % 3
+    hs = np.sort(rng.uniform(-0.8, 0.8, m))
+    pieces = [PotentialPiece("polynomial", coeffs=tuple(rng.uniform(-30.0, 30.0, 4)))
+              for _ in range(m + 1)]
+    jumps = rng.choice((-1.0, 1.0), m) * rng.uniform(0.3, 3.0, m)
+    alpha = (1.0, 0.0) if seed % 2 else (rng.uniform(-2.0, 2.0), 1.0)
+    return st.ProblemSpec(st.PiecewisePotential.from_pieces(pieces), tuple(hs), tuple(jumps),
+                          alpha, (rng.uniform(-1.0, 1.0), 1.0), (1.0, rng.uniform(0.0, 0.5)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eigenvalue_count_matches_the_node_count(seed, monkeypatch):
+    spec = _random_problem(seed)
+    lam = np.concatenate([[-1e4], np.linspace(-300.0, 3000.0, 150)])
+    count = eigenvalue_count(st.validate_problem(spec), lam)
+    monkeypatch.setattr(propagator, "count_pass", _node_count_pass)
+    assert count.tolist() == eigenvalue_count(st.validate_problem(spec), lam).tolist()
+    assert count[0] == 0 and count[-1] > 10
 
 
 def _spans_row_blocks(n_rows, n_steps):
@@ -510,20 +624,21 @@ def test_eigenvalue_count_is_the_same_alone_and_in_a_batch():
     eigs = np.array([e.lam for e in find_eigenvalues(vp, 8)])
     gap = 1e-6 * np.maximum(1.0, np.abs(eigs))
     below, above = eigs - gap, eigs + gap
-    # The longest piece settles at 2304 steps, so a node-sweep block of
-    # 2**14 lambda-steps holds 7 lambda: the narrow batch runs in one
-    # block, the wide one in four.
+    # The longest piece settles at 2304 steps, so a block of the count,
+    # which takes half the lambda of a block of BLOCK_ENTRIES lambda-steps,
+    # holds 14 lambda: the narrow batch runs in one block, the wide one in
+    # three.
     narrow = np.concatenate([below[:3], above[:3], [-40.0]])
-    wide = np.concatenate([below, above, [-40.0], np.linspace(-40.0, 150.0, 6)])
+    wide = np.concatenate([below, above, [-40.0], np.linspace(-40.0, 150.0, 18)])
     for batch_lam, counts, blocked in ((narrow, [0, 1, 2, 1, 2, 3, 0], False),
                                        (wide, [*range(8), *range(1, 9), 0], True)):
         batch = eigenvalue_count(vp, batch_lam)
         assert batch[:len(counts)].tolist() == counts
         n_steps = max(piece.settled[(a, b, True)]
                       for piece, (a, b) in zip(vp.pieces, vp.subintervals()))
-        blocks = row_blocks(batch_lam.size, _NODE_WEIGHT * n_steps)
+        blocks = row_blocks(batch_lam.size, _COUNT[3] * n_steps)
         assert (len(blocks) == 1) != blocked
-        assert _spans_row_blocks(batch_lam.size, _NODE_WEIGHT * n_steps) == blocked
+        assert _spans_row_blocks(batch_lam.size, _COUNT[3] * n_steps) == blocked
         assert [int(eigenvalue_count(vp, x)) for x in batch_lam] == batch.tolist()
 
 
@@ -538,8 +653,8 @@ def test_a_wide_batch_has_a_bounded_working_set():
     # 400 lambda settle at 2560 steps on [-1, 0.2]: about 1e6 lambda-steps,
     # 8 MB an array, of which an unblocked sweep holds a dozen at once. A
     # block of 2**16 lambda-steps runs in a 4 MiB workspace, made on a
-    # thread's first pass, and a count's node-sweep block of 2**14 peaks
-    # near 3 MiB.
+    # thread's first pass, and so do a count's and a tangent pass's blocks
+    # of half as many lambda.
     vp = _wide_batch_problem()
     lam = np.linspace(-5.0, 100.0, 400)
     for f in (omega, eigenvalue_count, omega_derivative):
@@ -616,7 +731,9 @@ def test_workspace_pass_matches_the_allocating_pass(case):
         assert len(blocks) == 1 or _spans_row_blocks(batch, width * n_steps)
         assert len(blocks) > 1 or batch * width * n_steps > BLOCK_ENTRIES - width * n_steps
     if batch is not None:
-        z = magnus_exponent(args[0], args[1], args[2][:, None])[2]
+        (q1, q2), h, lam = args[0].T, args[1], args[2]
+        d = (-(np.sqrt(3.0) * h * h / 12.0)) * (q2 - q1)
+        z = d * d + (h * h) * (0.5 * (q1 + q2) - lam[:, None])
         branches = [np.abs(z) < 1e-8, z <= -1e-8, z >= 1e-8, np.abs(z) >= 1.0]
         assert all(b.any() for b in branches)
     if kind == "tangent":
@@ -647,7 +764,7 @@ def test_threads_keep_their_own_workspace():
 def test_a_warm_wide_omega_allocates_less_than_a_workspace_row():
     vp = _wide_batch_problem()
     lam = np.linspace(-5.0, 100.0, 400)
-    for f in (omega, omega_derivative):
+    for f in (omega, omega_derivative, eigenvalue_count):
         f(vp, lam)
         tracemalloc.start()
         try:
