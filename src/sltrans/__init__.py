@@ -11,7 +11,7 @@ from .asymptotics import (EigenvalueEstimate, asymptotics_report,
                           eigenfunction_estimate, eigenvalue_estimate,
                           leading_omega, nearest_index)
 from .characteristic import (CharacteristicSample, eigenvalue_count, omega,
-                             omega_derivative, omega_samples, write_scan_csv)
+                             omega_derivative, omega_samples)
 from .eigensolve import (DegeneratePhi, Eigenpair, LostBracket, ScanResult,
                          SuspectedMissedRoot, bracket_scan, build_eigenpair,
                          default_lambda_floor, find_eigenvalues, validate_floor)
@@ -50,5 +50,4 @@ __all__ = [
     "problem_from_json", "problem_to_json", "r1_form", "r1p_form",
     "r_form_identity_residual", "save_problem", "shoot_chi", "shoot_phi",
     "validate_floor", "validate_problem", "weighted_square_integral",
-    "write_scan_csv",
 ]

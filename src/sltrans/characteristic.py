@@ -15,14 +15,14 @@ solution at all; the right boundary data makes
 
 with u the left solution, and that is one endpoint propagation
 (:func:`sltrans.propagator.boundary_form` of its end state).
-`omega_samples` reads omega from the same forward chain that gives its
-per-subinterval states.
+`omega_samples` runs both endpoint chains once and takes each omega_i at
+the left end of its subinterval, so omega_1 comes from the right
+solution's left boundary form; omega itself it reads from the forward
+chain's end state.
 """
 
 from __future__ import annotations
 
-import contextlib
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +36,7 @@ class CharacteristicSample:
     """One evaluation of the characteristic function with diagnostics.
 
     omega_i[i] is the Wronskian of the two shot solutions on subinterval i
-    (at its midpoint). chain_residuals[i] = omega - (prod of the first i
+    (at its left end). chain_residuals[i] = omega - (prod of the first i
     delta^2 factors) * omega_i, which vanishes in exact arithmetic.
     """
 
@@ -119,49 +119,30 @@ def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
 
 def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicSample]:
     """Every per-subinterval Wronskian and the chain residuals, one
-    CharacteristicSample per lambda of the batch.
+    CharacteristicSample per lambda, in ``np.ravel`` order for a lams of
+    any shape.
 
-    Both shot solutions are propagated to each subinterval midpoint (the
-    Wronskian is constant inside a subinterval, and midpoints stay clear of
-    the one-sided ambiguity at the interfaces).
+    The left and the right solution each run one endpoint chain, and
+    omega_i[j] is their Wronskian at the left end of subinterval j, where
+    both chained states are one-sided on piece j; so omega_i[0] is the
+    right solution's left boundary form, alpha_2 chi'(-1) + alpha_1 chi(-1).
     """
     vp = as_validated(problem)
-    lam_arr = np.atleast_1d(real_lambda(lams))
+    lam_arr = real_lambda(lams).ravel()
     phi_left, phi_right = propagator.endpoint_chain(vp, lam_arr, rtol=rtol)
-    chi_right = propagator.endpoint_chain(vp, lam_arr, backward=True, rtol=rtol)[1]
+    chi_left = propagator.endpoint_chain(vp, lam_arr, backward=True, rtol=rtol)[0]
     # omega() of the batch, read from phi's end state.
     omega_fast = vp.delta_sq_prod * propagator.boundary_form(vp, lam_arr,
                                                             *phi_right[-1])
-
-    mids = [0.5 * (a + b) for a, b in vp.subintervals()]
-    omega_cols = []
-    for j, xm in enumerate(mids):
-        pu, pdu = propagator.propagate_piece(
-            vp.pieces[j], vp.breakpoints[j], xm, lam_arr, *phi_left[j], rtol=rtol)
-        cu, cdu = propagator.propagate_piece(
-            vp.pieces[j], vp.breakpoints[j + 1], xm, lam_arr, *chi_right[j], rtol=rtol)
-        omega_cols.append(pu * cdu - pdu * cu)
-
-    out = []
-    for k, lamk in enumerate(lam_arr):
-        w_prefix = 1.0
-        om1 = float(omega_cols[0][k])
-        omis = []
-        resids = []
-        for j in range(vp.m + 1):
-            if j > 0:
-                w_prefix *= vp.jumps[j - 1] ** 2
-            omij = float(omega_cols[j][k])
-            omis.append(omij)
-            resids.append(om1 - w_prefix * omij)
-        out.append(CharacteristicSample(
-            lam=float(lamk),
-            omega=om1,
-            omega_i=omis,
-            chain_residuals=resids,
-            metadata={"rtol": rtol, "omega_boundary_form": float(omega_fast[k])},
-        ))
-    return out
+    w = np.array([pu * cdu - pdu * cu
+                  for (pu, pdu), (cu, cdu) in zip(phi_left, chi_left)])
+    prefix = np.cumprod([1.0, *(d ** 2 for d in vp.jumps)])
+    resid = w[0] - prefix[:, None] * w
+    return [CharacteristicSample(
+                lam=lamk, omega=wk[0], omega_i=wk, chain_residuals=rk,
+                metadata={"rtol": rtol, "omega_boundary_form": fk})
+            for lamk, wk, rk, fk in zip(lam_arr.tolist(), w.T.tolist(),
+                                        resid.T.tolist(), omega_fast.tolist())]
 
 
 def omega_derivative(problem, lam, *, rtol: float = 1e-12):
@@ -186,24 +167,3 @@ def omega_derivative(problem, lam, *, rtol: float = 1e-12):
             + (vp.beta1p * u[0] - vp.beta2p * du[0]))
     out = vp.delta_sq_prod * form
     return float(out[0]) if np.ndim(lam) == 0 else out.reshape(np.shape(lam))
-
-
-def write_scan_csv(samples: list[CharacteristicSample], out) -> None:
-    """CSV scan dump to a path or a text stream: lambda, s (when
-    lambda >= 0), omega, each omega_i, and the worst chain residual."""
-    if not samples:
-        raise ValueError("no samples to write")
-    n_intervals = len(samples[0].omega_i)
-    header = ["lambda", "s_if_nonneg", "omega"]
-    header += [f"omega{i + 1}" for i in range(n_intervals)]
-    header += ["chain_residual_max"]
-    with (contextlib.nullcontext(out) if hasattr(out, "write")
-          else open(out, "w", newline="")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for sam in samples:
-            s = np.sqrt(sam.lam) if sam.lam >= 0 else ""
-            row = [repr(sam.lam), repr(float(s)) if s != "" else "", repr(sam.omega)]
-            row += [repr(v) for v in sam.omega_i]
-            row += [repr(sam.chain_residual_max)]
-            writer.writerow(row)

@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import asymptotics
-from .characteristic import omega_samples, write_scan_csv
+from .characteristic import omega_samples
 from .eigensolve import (SuspectedMissedRoot, bracket_scan, find_eigenvalues)
 from .hilbert import HElement, expand, gram_matrix, greens_identity_residual
 from .problem import (PiecewisePotential, ProblemError, ProblemSpec,
@@ -470,16 +470,18 @@ def run_scan(config: RunConfig) -> int:
     vp = _load(config)
     scan = bracket_scan(vp, config.s_max, config.lam_floor, rtol=config.ode_tol)
     samples = omega_samples(vp, scan.lams, rtol=config.ode_tol)
-    if config.format == "csv":
-        write_scan_csv(samples, config.out or sys.stdout)
-    else:
-        _emit(config, {
-            "brackets": [list(b) for b in scan.brackets],
-            "suspicious": scan.suspicious,
-            "samples": [{"lambda": s.lam, "omega": s.omega, "omega_i": s.omega_i,
-                         "chain_residual_max": s.chain_residual_max}
-                        for s in samples],
-        }, None, None)
+    header = ["lambda", "s_if_nonneg", "omega",
+              *(f"omega{j + 1}" for j in range(vp.m + 1)), "chain_residual_max"]
+    rows = [[repr(s.lam), repr(float(np.sqrt(s.lam))) if s.lam >= 0 else "",
+             repr(s.omega), *map(repr, s.omega_i), repr(s.chain_residual_max)]
+            for s in samples]
+    _emit(config, {
+        "brackets": [list(b) for b in scan.brackets],
+        "suspicious": scan.suspicious,
+        "samples": [{"lambda": s.lam, "omega": s.omega, "omega_i": s.omega_i,
+                     "chain_residual_max": s.chain_residual_max}
+                    for s in samples],
+    }, header, rows)
     return 0
 
 

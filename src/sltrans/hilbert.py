@@ -327,10 +327,11 @@ def greens_identity_residual(problem, lam_a: float, lam_b: float, *,
              + scal * (abs(ra * rpb) + abs(rpa * rb)) + 1e-300)
 
     jump_worst = 0.0
-    for i, h in enumerate(vp.interfaces):
-        wm = _wronskian_side(pa, pb, h, "left")
-        wp = _wronskian_side(pa, pb, h, "right")
-        d2 = vp.jumps[i] ** 2
+    for i, d in enumerate(vp.jumps):
+        # The chained states at h_i - 0 and h_i + 0 (the shots are unscaled).
+        wm = _wronskian(pa.right_states[i], pb.right_states[i])
+        wp = _wronskian(pa.left_states[i + 1], pb.left_states[i + 1])
+        d2 = d ** 2
         denom = max(abs(wm), d2 * abs(wp), 1e-300)
         jump_worst = max(jump_worst, abs(wm - d2 * wp) / denom)
 
@@ -354,10 +355,8 @@ def greens_identity_residual(problem, lam_a: float, lam_b: float, *,
     }
 
 
-def _wronskian_side(pa, pb, x: float, side: str) -> float:
-    ua, dua = pa.eval(x, side)
-    ub, dub = pb.eval(x, side)
-    return ua * dub - dua * ub
+def _wronskian(a, b) -> float:
+    return a[0] * b[1] - a[1] * b[0]
 
 
 # ----------------------------------------------------------------------

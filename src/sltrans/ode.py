@@ -187,9 +187,6 @@ class PiecewiseSolution:
     def u(self, x, side: str | None = None):
         return self.eval(x, side)[0]
 
-    def du(self, x, side: str | None = None):
-        return self.eval(x, side)[1]
-
     def boundary_state(self, which: str) -> StateVector:
         """State at x=-1 ('left') or x=+1 ('right')."""
         state = self.left_states[0] if which == "left" else self.right_states[-1]

@@ -14,7 +14,6 @@ from sltrans.characteristic import (
     omega,
     omega_derivative,
     omega_samples,
-    write_scan_csv,
 )
 from sltrans.eigensolve import build_eigenpair, find_eigenvalues
 from sltrans.ode import shoot_chi, shoot_phi
@@ -154,7 +153,8 @@ def test_bad_lambda_is_rejected_before_propagation(entry, bad, problem, monkeypa
 
 
 @pytest.mark.parametrize("problem", ["constant", "magnus"])
-@pytest.mark.parametrize("entry", ["omega", "omega_derivative", "eigenvalue_count"])
+@pytest.mark.parametrize("entry", ["omega", "omega_derivative", "eigenvalue_count",
+                                   "omega_samples"])
 def test_a_lambda_grid_gives_the_flat_batch_reshaped(entry, problem, canonical, case1_linear):
     # Each call gets a fresh problem, so both ladders start cold.
     spec = canonical if problem == "constant" else case1_linear
@@ -162,8 +162,41 @@ def test_a_lambda_grid_gives_the_flat_batch_reshaped(entry, problem, canonical, 
     f = ENTRY_POINTS[entry]
     got = f(st.validate_problem(spec), grid)
     flat = f(st.validate_problem(spec), grid.ravel())
+    if entry == "omega_samples":  # a list of samples in ravel order
+        assert [s.lam for s in got] == grid.ravel().tolist()
+        assert got == flat
+        return
     assert got.shape == grid.shape
     assert got.tobytes() == flat.reshape(grid.shape).tobytes()
+
+
+@pytest.mark.parametrize("problem", ["two_interface", "case1_linear"])
+def test_omega_samples_runs_each_endpoint_chain_once(problem, monkeypatch, request):
+    # One forward and one backward chain, one propagate_piece call per
+    # piece each; no extra sweeps to interior points.
+    vp = st.validate_problem(request.getfixturevalue(problem))
+    calls = []
+    real = propagator.propagate_piece
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "propagate_piece", counted)
+    omega_samples(vp, [-5.0, 1.2, 80.0])
+    assert len(calls) == 2 * (vp.m + 1)
+
+
+@pytest.mark.parametrize("problem, lams", [
+    ("canonical", (-5.0, 30.0)),     # q = 0
+    ("case1_linear", (-4.0, 50.0)),  # 0 <= q <= 1.9, two Magnus pieces
+])
+def test_omega_1_is_the_right_solutions_left_boundary_form(problem, lams, request):
+    vp = st.validate_problem(request.getfixturevalue(problem))
+    for lam, sample in zip(lams, omega_samples(vp, lams)):
+        chi, dchi = shoot_chi(vp, lam).boundary_state("left")
+        want = vp.alpha2 * dchi + vp.alpha1 * chi
+        assert sample.omega_i[0] == pytest.approx(want, rel=1e-12)
 
 
 class TestChain:
@@ -184,14 +217,6 @@ class TestChain:
         values = pu * cdu - pdu * cu
         spread = max(values) - min(values)
         assert spread <= 1e-10 * max(1.0, abs(values[0]))
-
-    def test_scan_csv_columns(self, two_interface, tmp_path):
-        samples = omega_samples(two_interface, [1.0, 5.0])
-        path = tmp_path / "scan.csv"
-        write_scan_csv(samples, path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[0] == "lambda"
-        assert "omega" in header
 
 
 @settings(max_examples=25)
