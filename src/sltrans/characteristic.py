@@ -30,6 +30,8 @@ import numpy as np
 from . import propagator
 from .problem import as_validated
 
+SIGN_MARGIN = 4.0  # omega_sign's bound on |omega_2n| over |omega_2n - omega_n|
+
 
 @dataclass
 class CharacteristicSample:
@@ -78,6 +80,26 @@ def omega(problem, lam, *, rtol: float = 1e-12):
     end = propagator.endpoint_chain(vp, lam_arr, rtol=rtol)[1][-1]
     out = vp.delta_sq_prod * propagator.boundary_form(vp, lam_arr, *end)
     return float(out) if np.ndim(lam) == 0 else out
+
+
+def omega_sign(problem, lam, level: int):
+    """(signs, ratio): omega's signs at lam from omega_n and omega_2n of
+    :func:`sltrans.propagator.level_chain`, or None unless |omega_2n| >
+    SIGN_MARGIN |omega_2n - omega_n| =: bound at every lambda; ratio is the
+    worst |omega_2n| / bound. The difference is about 15 times omega_2n's
+    error (fourth order), and the ladder's omega, at 2n steps or more, is
+    closer still."""
+    vp = as_validated(problem)
+    lam_arr = real_lambda(lam)
+    ends = propagator.level_chain(vp, lam_arr, level)
+    if ends is None:
+        return None
+    coarse, fine = vp.delta_sq_prod * propagator.boundary_form(vp, lam_arr, *ends)
+    size, bound = np.abs(fine), SIGN_MARGIN * np.abs(fine - coarse)
+    if not np.all(size > bound):
+        return None
+    with np.errstate(divide="ignore", over="ignore"):  # inf where the levels agree
+        return np.sign(fine), float(np.min(size / bound))
 
 
 def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import asymptotics
 from .characteristic import omega_samples
-from .eigensolve import (SuspectedMissedRoot, bracket_scan, find_eigenvalues)
+from .eigensolve import (SuspectedMissedRoot, default_lambda_floor, find_eigenvalues,
+                         scan_grid, sift_scan)
 from .hilbert import HElement, expand, gram_matrix, greens_identity_residual
 from .problem import (PiecewisePotential, ProblemError, ProblemSpec,
                       as_validated, load_problem, problem_to_json)
@@ -468,8 +469,11 @@ def run_expand(config: RunConfig) -> int:
 
 def run_scan(config: RunConfig) -> int:
     vp = _load(config)
-    scan = bracket_scan(vp, config.s_max, config.lam_floor, rtol=config.ode_tol)
-    samples = omega_samples(vp, scan.lams, rtol=config.ode_tol)
+    lams = scan_grid(config.s_max, config.lam_floor or default_lambda_floor(vp))
+    samples = omega_samples(vp, lams, rtol=config.ode_tol)
+    # The samples' omega has omega()'s bits: one forward chain serves both.
+    oms = np.array([s.metadata["omega_boundary_form"] for s in samples])
+    scan = sift_scan(vp, lams, oms, rtol=config.ode_tol)
     header = ["lambda", "s_if_nonneg", "omega",
               *(f"omega{j + 1}" for j in range(vp.m + 1)), "chain_residual_max"]
     rows = [[repr(s.lam), repr(float(np.sqrt(s.lam))) if s.lam >= 0 else "",

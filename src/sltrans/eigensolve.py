@@ -9,7 +9,8 @@ That shapes the solver:
 2. scan omega over a grid that is uniform in s = sqrt(lambda) for
    lambda >= 0 (roots space out like pi/2 in s) and uniform in lambda on
    the negative tail, and refine all sign-change brackets together by
-   vectorized bisection (one batched omega evaluation per iteration),
+   vectorized bisection (one batched sign of omega per iteration, from
+   the coarsest Magnus level that certifies it or else from omega),
 3. if the roots found do not number N(top), bisect on N where they disagree
    until each part holds one eigenvalue (a close pair in one scan cell
    shows no sign change), and refine those parts the same way,
@@ -34,11 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics
-from .characteristic import eigenvalue_count, omega, omega_derivative, real_lambda
+from .characteristic import (eigenvalue_count, omega, omega_derivative, omega_sign,
+                             real_lambda)
 from .hilbert import r1_form, r1p_form, weighted_square_integral
 from .ode import PiecewiseSolution, shoot_chi, shoot_phi
 from .problem import as_validated, classify_case
-from .propagator import boundary_form
+from .propagator import boundary_form, magnus_levels
 # fixed_quad is no longer called here, but perfbench/tracing.py wraps
 # eigensolve.fixed_quad by name, so the name stays importable.
 from .quadrature import fixed_quad  # noqa: F401
@@ -48,6 +50,7 @@ NEG_SCAN_STEP = 0.5
 K_SAMPLES = 24  # k_ratio's interior sample points per subinterval
 SCALE_WINDOW = 16  # scan samples behind ScanResult.local_scale
 MAX_BISECTIONS = 90  # bisection steps of one refinement batch, at most
+KEEP_RATIO = 2.0  # refinement keeps a sign level while omega_sign's ratio is this
 
 
 class LostBracket(RuntimeError):
@@ -108,7 +111,8 @@ def validate_floor(problem, lam_floor: float, *, rtol: float = 1e-12) -> bool:
     return eigenvalue_count(problem, lam_floor, rtol=rtol) == 0
 
 
-def _scan_grid(s_max: float, lam_floor: float) -> np.ndarray:
+def scan_grid(s_max: float, lam_floor: float) -> np.ndarray:
+    """The scan's lambda grid on [lam_floor, s_max^2]; see :func:`bracket_scan`."""
     n_neg = max(8, int(np.ceil(abs(lam_floor) / NEG_SCAN_STEP)))
     neg = np.linspace(lam_floor, 0.0, n_neg, endpoint=False)
     n_pos = int(np.ceil(s_max / S_SCAN_STEP)) + 1
@@ -133,14 +137,12 @@ def bracket_scan(problem, s_max: float, lam_floor: float | None = None, *,
     if not -np.inf < lam_floor < 0:
         raise ValueError("lam_floor must be negative")
 
-    lams = _scan_grid(s_max, lam_floor)
-    oms = np.asarray(omega(vp, lams, rtol=rtol))
-
-    return ScanResult(lams, oms, *_sift(vp, lams, oms, rtol))
+    lams = scan_grid(s_max, lam_floor)
+    return sift_scan(vp, lams, np.asarray(omega(vp, lams, rtol=rtol)), rtol=rtol)
 
 
-def _sift(vp, lams, oms, rtol):
-    """Extract sign-change brackets and exact zeros from scan samples."""
+def sift_scan(vp, lams, oms, *, rtol: float = 1e-12) -> ScanResult:
+    """The ScanResult of omega's values oms on lams: brackets and exact zeros."""
     sgn = np.sign(oms)
     brackets = []
     suspicious = []
@@ -160,7 +162,7 @@ def _sift(vp, lams, oms, rtol):
             suspicious.append({"lam": float(lams[i]), "omega": 0.0,
                                "note": "exact zero on grid, no sign change around"})
     brackets.sort(key=lambda br: 0.5 * (br[0] + br[1]))
-    return brackets, suspicious
+    return ScanResult(lams, oms, brackets, suspicious)
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +171,14 @@ def _sift(vp, lams, oms, rtol):
 
 def _refine_batch(vp, brackets, *, rel_tol: float = 1e-12,
                   rtol: float = 1e-12) -> np.ndarray:
-    """Bisection on all brackets at once; one batched omega call per step.
+    """Bisection on all brackets at once, one batched sign of omega per step.
+
+    With a variable piece the signs come from the coarsest Magnus level
+    that certifies them (:func:`sltrans.characteristic.omega_sign`), kept
+    while its ratio is at least KEEP_RATIO; a level that fails passes the
+    same midpoints to the next finer one. Once the finest fails, each step
+    calls omega, so the steps near the roots get omega's own signs; a
+    certified sign is omega's too, so no step moves.
 
     Raises LostBracket if a bracket's endpoints no longer straddle a sign
     change (integrator noise near a tangential dip can do that).
@@ -186,10 +195,16 @@ def _refine_batch(vp, brackets, *, rel_tol: float = 1e-12,
         raise LostBracket(
             f"omega has the same sign at both ends of [{la[k]}, {lb[k]}]")
     sa = np.sign(fa)
+    level = magnus_levels(vp, la.size > 1)  # 0: omega is exact, or no level
     for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (la + lb)
-        fm = np.asarray(omega(vp, mid, rtol=rtol))
-        ms = np.sign(fm)
+        ms = None
+        while level and ms is None:
+            ms, ratio = omega_sign(vp, mid, level) or (None, 0.0)
+            if ratio < KEEP_RATIO:
+                level -= 1
+        if ms is None:
+            ms = np.sign(np.asarray(omega(vp, mid, rtol=rtol)))
         exact = ms == 0
         go_left = ms == sa
         la = np.where(go_left, mid, la)
@@ -412,10 +427,10 @@ def find_eigenvalues(problem, n_max: int, *, rtol: float = 1e-12,
     while not validate_floor(vp, floor, rtol=rtol):
         floor *= 2.0
     s_max = asymptotics._base_angle(classify_case(vp), n_max + 2) / 2.0 + 1.0
-    top = _scan_grid(s_max, floor)[-1]
+    top = scan_grid(s_max, floor)[-1]
     while (expected := eigenvalue_count(vp, top, rtol=rtol)) < n_max:
         s_max += 4.0 * np.pi
-        top = _scan_grid(s_max, floor)[-1]
+        top = scan_grid(s_max, floor)[-1]
 
     scan = bracket_scan(vp, s_max, floor, rtol=rtol)
     roots = np.sort(_refine_batch(vp, scan.brackets, rel_tol=root_rel_tol,

@@ -44,7 +44,7 @@ piece ends only. :func:`chain` is the one place that knows the start states
 of the two shot solutions (and their lambda-derivatives) and the interface
 jump rule; the endpoint states (:func:`endpoint_chain`), omega', the dense
 trajectories of :mod:`sltrans.ode` and the eigenvalue count each run on it
-with their own per-piece crossing.
+with their own per-piece crossing, as does :func:`level_chain` at two counts.
 :mod:`sltrans.ode` builds its dense (plottable) trajectories of one lambda
 from the same kernel: :func:`magnus_ladder` picks the step count and
 :func:`magnus_steps` gives the step matrices it chains.
@@ -525,6 +525,11 @@ def _piece_node_q(piece, x0: float, x1: float, n_steps: int):
     return hit
 
 
+def _cold_steps(x0: float, x1: float) -> int:
+    """The step count the cold ladder starts from on [x0, x1]."""
+    return max(8, int(np.ceil(16 * abs(x1 - x0))))
+
+
 def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
                   rtol: float = 1e-12, scale_floor: float = 1.0):
     """Double the Magnus step count on a variable piece until it settles.
@@ -550,7 +555,7 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
     round-off, and one lambda left on that floor above rtol must not fail
     the batch. Otherwise :class:`StepSizeUnderflow` reports the last pair.
     """
-    n_cold = max(8, int(np.ceil(16 * abs(x1 - x0))))
+    n_cold = _cold_steps(x0, x1)
     n_max = n_cold << 9
     key = (x0, x1, np.size(lam) > 1)
     start = max(piece.settled.get(key, 0) // 4, n_cold)
@@ -704,6 +709,40 @@ def endpoint_chain(problem, lam, *, backward=False, rtol: float = 1e-12):
         return (None, *propagate_piece(piece, x0, x1, lam, u, du, rtol=rtol))
 
     return chain(problem, lam, cross, backward=backward)[1:]
+
+
+def magnus_levels(problem, batch: bool) -> int:
+    """The coarsest level of :func:`level_chain` for a batch (batch=True) or
+    one lambda: the largest s with M / 2**s at least the cold count on some
+    variable piece, M its settled count; 0 if none, or one has no M."""
+    vp = as_validated(problem)
+    bp = vp.breakpoints
+    ratios = [piece.settled.get((x0, x1, batch), 0) // _cold_steps(x0, x1)
+              for piece, x0, x1 in zip(vp.pieces, bp[:-1], bp[1:]) if not piece.is_constant]
+    return 0 if 0 in ratios else max(ratios, default=1).bit_length() - 1
+
+
+def level_chain(problem, lam, level: int):
+    """The left solution's end states with no ladder: (u, du), each
+    (2, *lam.shape), row 0 from n = max(M / 2**level, cold count) steps on
+    each variable piece (see :func:`magnus_levels`), row 1 from 2n: passes
+    the ladder runs, on node potentials from ``piece.memo``. Constant
+    pieces take their one exact step. None where magnus_levels is 0."""
+    vp = as_validated(problem)
+    lam = np.asarray(lam, dtype=float)
+    batch = lam.size > 1
+    if not magnus_levels(vp, batch):
+        return None
+
+    def cross(piece, x0, x1, u, du):
+        if piece.is_constant:
+            return (None, *constant_step(piece.constant_value - lam, x1 - x0, u, du))
+        n = max(piece.settled[x0, x1, batch] >> level, _cold_steps(x0, x1))
+        ends = [_magnus_pass(*_piece_node_q(piece, x0, x1, k), lam, u[i], du[i])
+                for i, k in enumerate((n, 2 * n))]
+        return (None, *(np.stack(col) for col in zip(*ends)))
+
+    return chain(vp, np.stack([lam, lam]), cross)[2][-1]
 
 
 def boundary_form(problem, lam, u1, du1):

@@ -82,6 +82,18 @@ def make_two_interface() -> st.ProblemSpec:
     )
 
 
+def make_sampled() -> st.ProblemSpec:
+    """Two sampled pieces, 23 and 31 points of 1.5 cos 3x - x^2 + 0.4,
+    one interface at 0.1 with jump 1.5."""
+    pieces = []
+    for a, b, n_pts in ((-1.0, 0.1, 23), (0.1, 1.0, 31)):
+        xs = np.linspace(a, b, n_pts)
+        vals = 1.5 * np.cos(3.0 * xs) - xs * xs + 0.4
+        pieces.append(PotentialPiece("sampled", x=tuple(xs), values=tuple(vals)))
+    return st.ProblemSpec(st.PiecewisePotential.from_pieces(pieces), (0.1,), (1.5,),
+                          alpha=(1.0, 0.5), beta=(0.0, 1.0), beta_prime=(1.0, 0.0))
+
+
 def make_barrier() -> st.ProblemSpec:
     """Constant pieces 0 / 400 / 0 with jumps (1.5, 0.8): below lambda = 400
     every eigenvector decays or grows through the middle piece."""

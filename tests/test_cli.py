@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import sltrans.cli as cli
-from sltrans import asymptotics
-from sltrans.eigensolve import SuspectedMissedRoot
+from sltrans import asymptotics, propagator
+from sltrans.eigensolve import SuspectedMissedRoot, bracket_scan
 from sltrans.problem import PiecewisePotential, ProblemSpec, problem_to_json
-from conftest import make_canonical
+from conftest import make_canonical, make_case1_linear
 
 import oracles
 
@@ -370,6 +370,26 @@ class TestScan:
         code, _, _ = run_cli(argv + ["--out", str(path)], capsys)
         assert code == 0
         assert out.encode() == path.read_bytes()
+
+    def test_one_forward_chain_gives_the_brackets(self, tmp_path, capsys, monkeypatch):
+        # The brackets come from omega_samples' omega values, so phi's
+        # forward chain crosses the grid once, and chi's backward chain once.
+        path = tmp_path / "case1.json"
+        path.write_text(json.dumps(problem_to_json(make_case1_linear())))
+        calls = []
+        original = propagator.endpoint_chain
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("backward", False))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(propagator, "endpoint_chain", counting)
+        code, out, _ = run_cli(["scan", "--problem", str(path), "--smax", "8.0"], capsys)
+        assert code == 0
+        assert sorted(calls) == [False, True]
+        monkeypatch.undo()
+        scan = bracket_scan(make_case1_linear(), 8.0)
+        assert json.loads(out)["brackets"] == [list(b) for b in scan.brackets]
 
 
 class TestFailureModes:

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 import sltrans as st
 from sltrans import eigensolve, ode, propagator
-from sltrans.characteristic import eigenvalue_count, omega
+from sltrans.characteristic import eigenvalue_count, omega, omega_sign
 from sltrans.eigensolve import (
     Eigenpair,
     LostBracket,
@@ -22,8 +22,9 @@ from sltrans.eigensolve import (
 from sltrans.hilbert import HElement, h_inner_product, weighted_square_integral
 from sltrans.ode import PiecewiseSolution
 from sltrans.problem import PotentialPiece
-from sltrans.propagator import StepSizeUnderflow
-from conftest import make_barrier, make_canonical
+from sltrans.propagator import StepSizeUnderflow, magnus_levels
+from conftest import (make_barrier, make_canonical, make_case1_linear, make_case3_linear,
+                      make_sampled)
 import oracles
 
 
@@ -102,6 +103,71 @@ class TestRefine:
         # omega keeps one sign on [1, 2] (the roots sit at 0.29 and 3.32)
         with pytest.raises(LostBracket):
             _refine_batch(canonical_vp, [(1.0, 2.0)])
+
+
+# Problems with Magnus pieces for the sign filter, and the n solved.
+FILTERED = {
+    "case1_linear": (make_case1_linear, 20),
+    "case3_linear": (make_case3_linear, 20),
+    "sampled": (make_sampled, 10),
+    "barrier-100": (lambda: _stiff_barrier(100.0), 10),
+}
+# eigensolve.omega calls in one find_eigenvalues before refinement took
+# its signs from omega_sign: the scan, both bracket ends and every step.
+FULL_OMEGA_CALLS = {"case1_linear": 49, "sampled": 48}
+
+
+class TestSignFilter:
+    @pytest.mark.parametrize("name", list(FILTERED))
+    def test_no_bit_moves(self, name, monkeypatch):
+        # With no sign ever certified, refinement calls omega at every
+        # midpoint, the bisection without the filter.
+        make, n = FILTERED[name]
+        got = find_eigenvalues(st.validate_problem(make()), n)
+        monkeypatch.setattr(eigensolve, "omega_sign", lambda *args: None)
+        want = find_eigenvalues(st.validate_problem(make()), n)
+        assert ([(e.lam.hex(), e.omega_prime.hex()) for e in got]
+                == [(e.lam.hex(), e.omega_prime.hex()) for e in want])
+
+    @pytest.mark.parametrize("name", list(FILTERED))
+    def test_certified_signs_are_omegas(self, name):
+        make, n = FILTERED[name]
+        vp = st.validate_problem(make())
+        roots = np.array([e.lam for e in find_eigenvalues(vp, n)])
+        if name == "barrier-100":  # evanescent through the barrier below 100
+            assert np.count_nonzero(roots < 100.0) >= 2
+        certified = 0
+        for j in range(2, 10):
+            for side in (-1.0, 1.0):
+                lam = roots * (1.0 + side * 10.0 ** -j)
+                want = np.sign(omega(vp, lam))
+                for level in range(1, magnus_levels(vp, True) + 1):
+                    cert = omega_sign(vp, lam, level)
+                    if cert is not None:
+                        certified += 1
+                        assert np.array_equal(cert[0], want), (j, side, level)
+        assert certified >= 4
+
+    @pytest.mark.parametrize("make", [make_canonical, make_barrier])
+    def test_constant_q_asks_for_no_certificate(self, make, monkeypatch):
+        def no_filter(*args):
+            raise AssertionError("omega_sign called on constant q")
+
+        monkeypatch.setattr(eigensolve, "omega_sign", no_filter)
+        assert len(find_eigenvalues(st.validate_problem(make()), 10)) == 10
+
+    @pytest.mark.parametrize("name", list(FULL_OMEGA_CALLS))
+    def test_filter_halves_the_omega_calls(self, name, monkeypatch):
+        make, n = FILTERED[name]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return omega(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "omega", counting)
+        find_eigenvalues(st.validate_problem(make()), n)
+        assert len(calls) <= FULL_OMEGA_CALLS[name] // 2
 
 
 class TestFloor:

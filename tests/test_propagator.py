@@ -51,22 +51,13 @@ from sltrans.propagator import (_COUNT, _GAUSS_OFFSETS, _SLOPE_SERIES, BLOCK_ENT
                                 StepSizeUnderflow, _magnus_pass, _piece_node_q,
                                 _tangent_pass, cos_sinc, count_pass, magnus_ladder,
                                 propagate_piece, row_blocks)
-
-
-def _sampled_spec() -> st.ProblemSpec:
-    pieces = []
-    for a, b, n_pts in ((-1.0, 0.1, 23), (0.1, 1.0, 31)):
-        xs = np.linspace(a, b, n_pts)
-        vals = 1.5 * np.cos(3.0 * xs) - xs * xs + 0.4
-        pieces.append(PotentialPiece("sampled", x=tuple(xs), values=tuple(vals)))
-    return st.ProblemSpec(st.PiecewisePotential.from_pieces(pieces), (0.1,), (1.5,),
-                          alpha=(1.0, 0.5), beta=(0.0, 1.0), beta_prime=(1.0, 0.0))
+from conftest import make_sampled
 
 
 @pytest.fixture(scope="module")
 def problem_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("sampled") / "sampled.json"
-    save_problem(_sampled_spec(), path)
+    save_problem(make_sampled(), path)
     return path
 
 
@@ -620,7 +611,7 @@ def test_each_lambda_has_its_own_bits_in_a_batch(kind, wide):
 
 
 def test_eigenvalue_count_is_the_same_alone_and_in_a_batch():
-    vp = st.validate_problem(_sampled_spec())
+    vp = st.validate_problem(make_sampled())
     eigs = np.array([e.lam for e in find_eigenvalues(vp, 8)])
     gap = 1e-6 * np.maximum(1.0, np.abs(eigs))
     below, above = eigs - gap, eigs + gap
