@@ -83,23 +83,21 @@ def omega(problem, lam, *, rtol: float = 1e-12):
 
 
 def omega_sign(problem, lam, level: int):
-    """(signs, ratio): omega's signs at lam from omega_n and omega_2n of
-    :func:`sltrans.propagator.level_chain`, or None unless |omega_2n| >
-    SIGN_MARGIN |omega_2n - omega_n| =: bound at every lambda; ratio is the
-    worst |omega_2n| / bound. The difference is about 15 times omega_2n's
-    error (fourth order), and the ladder's omega, at 2n steps or more, is
-    closer still."""
+    """omega's signs at lam from omega_n and omega_2n of
+    :func:`sltrans.propagator.level_chain`, whose n is read off the node
+    memo's largest step count, or None unless |omega_2n| > SIGN_MARGIN
+    |omega_2n - omega_n| at every lambda. The difference is about 15 times
+    omega_2n's error (fourth order), and the ladder's omega, at 2n steps or
+    more, is closer still."""
     vp = as_validated(problem)
     lam_arr = real_lambda(lam)
     ends = propagator.level_chain(vp, lam_arr, level)
     if ends is None:
         return None
     coarse, fine = vp.delta_sq_prod * propagator.boundary_form(vp, lam_arr, *ends)
-    size, bound = np.abs(fine), SIGN_MARGIN * np.abs(fine - coarse)
-    if not np.all(size > bound):
+    if not np.all(np.abs(fine) > SIGN_MARGIN * np.abs(fine - coarse)):
         return None
-    with np.errstate(divide="ignore", over="ignore"):  # inf where the levels agree
-        return np.sign(fine), float(np.min(size / bound))
+    return np.sign(fine)
 
 
 def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):

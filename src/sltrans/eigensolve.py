@@ -50,7 +50,6 @@ NEG_SCAN_STEP = 0.5
 K_SAMPLES = 24  # k_ratio's interior sample points per subinterval
 SCALE_WINDOW = 16  # scan samples behind ScanResult.local_scale
 MAX_BISECTIONS = 90  # bisection steps of one refinement batch, at most
-KEEP_RATIO = 2.0  # refinement keeps a sign level while omega_sign's ratio is this
 
 
 class LostBracket(RuntimeError):
@@ -174,11 +173,12 @@ def _refine_batch(vp, brackets, *, rel_tol: float = 1e-12,
     """Bisection on all brackets at once, one batched sign of omega per step.
 
     With a variable piece the signs come from the coarsest Magnus level
-    that certifies them (:func:`sltrans.characteristic.omega_sign`), kept
-    while its ratio is at least KEEP_RATIO; a level that fails passes the
-    same midpoints to the next finer one. Once the finest fails, each step
-    calls omega, so the steps near the roots get omega's own signs; a
-    certified sign is omega's too, so no step moves.
+    that certifies them (:func:`sltrans.characteristic.omega_sign`), the
+    levels counted down from the largest step count each piece's node
+    memo holds; whenever a level fails, the same midpoints go to the next
+    finer one. Once the finest fails, each step calls omega, so the steps
+    near the roots get omega's own signs; a certified sign is omega's too,
+    so no step moves.
 
     Raises LostBracket if a bracket's endpoints no longer straddle a sign
     change (integrator noise near a tangential dip can do that).
@@ -195,13 +195,13 @@ def _refine_batch(vp, brackets, *, rel_tol: float = 1e-12,
         raise LostBracket(
             f"omega has the same sign at both ends of [{la[k]}, {lb[k]}]")
     sa = np.sign(fa)
-    level = magnus_levels(vp, la.size > 1)  # 0: omega is exact, or no level
+    level = magnus_levels(vp)  # 0: omega is exact, or no level
     for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (la + lb)
         ms = None
         while level and ms is None:
-            ms, ratio = omega_sign(vp, mid, level) or (None, 0.0)
-            if ratio < KEEP_RATIO:
+            ms = omega_sign(vp, mid, level)
+            if ms is None:
                 level -= 1
         if ms is None:
             ms = np.sign(np.asarray(omega(vp, mid, rtol=rtol)))

@@ -29,6 +29,9 @@ from .propagator import (_GAUSS_OFFSETS, NonFiniteState, _product, chain,
 from .quadrature import _gauss_rule, panel_nodes
 
 CSV_SAMPLES = 200  # points per subinterval in PiecewiseSolution.to_csv
+PICARD_ITERATIONS = 30  # picard_phi's Picard iterations per subinterval, at most
+PICARD_TOL = 1e-9  # picard_phi's bound on the last update, relative
+PICARD_NODES = 12  # Gauss-Legendre nodes of each of picard_phi's panels
 
 
 class NonConvergence(RuntimeError):
@@ -264,14 +267,14 @@ class _PanelGL:
     (barycentric, same reference nodes for every panel).
     """
 
-    def __init__(self, a: float, b: float, n_panels: int, n_nodes: int = 12):
+    def __init__(self, a: float, b: float, n_panels: int):
         self.a = a
         self.b = b
         self.edges = np.linspace(a, b, n_panels + 1)
-        self.ref_x, self.ref_w = _gauss_rule(n_nodes)
-        x, w = panel_nodes(a, b, n_panels, n_nodes)
-        self.nodes = x.reshape(n_panels, n_nodes)   # (P, g)
-        self.node_w = w.reshape(n_panels, n_nodes)
+        self.ref_x, self.ref_w = _gauss_rule(PICARD_NODES)
+        x, w = panel_nodes(a, b, n_panels, PICARD_NODES)
+        self.nodes = x.reshape(n_panels, PICARD_NODES)   # (P, g)
+        self.node_w = w.reshape(n_panels, PICARD_NODES)
         # Barycentric weights for the reference nodes.
         diff = self.ref_x[:, None] - self.ref_x[None, :]
         np.fill_diagonal(diff, 1.0)
@@ -360,8 +363,7 @@ class PicardSegment:
         return u, du
 
 
-def picard_phi(problem, lam: float, iterations: int = 30, *,
-               tol: float = 1e-9, nodes_per_panel: int = 12) -> PiecewiseSolution:
+def picard_phi(problem, lam: float) -> PiecewiseSolution:
     """Left solution by successive approximation of the integral equations.
 
     Independent of the differential integrators: each subinterval solves
@@ -369,10 +371,11 @@ def picard_phi(problem, lam: float, iterations: int = 30, *,
         u(x) = u(a) cos(s(x-a)) + (u'(a)/s) sin(s(x-a))
                + (1/s) int_a^x sin(s(x-y)) q(y) u(y) dy
 
-    by Picard iteration on composite Gauss-Legendre panels (panel count tied
-    to |s|), chaining interface values with the 1/delta jumps. Requires
+    by at most PICARD_ITERATIONS Picard iterations on composite
+    Gauss-Legendre panels of PICARD_NODES nodes (panel count tied to |s|),
+    chaining interface values with the 1/delta jumps. Requires
     lambda = s^2 > 0. Raises NonConvergence if the final update is still
-    above tol relative to the solution size.
+    above PICARD_TOL relative to the solution size.
     """
     vp = as_validated(problem)
     lam = float(lam)
@@ -387,7 +390,7 @@ def picard_phi(problem, lam: float, iterations: int = 30, *,
     for j, piece in enumerate(vp.pieces):
         a, b = bp[j], bp[j + 1]
         n_panels = max(2, int(np.ceil((b - a) * (abs(s) + 4.0) / np.pi)))
-        grid = _PanelGL(a, b, n_panels, nodes_per_panel)
+        grid = _PanelGL(a, b, n_panels)
         xs = grid.nodes
         t = xs - a
         A, B = u0, du0
@@ -397,7 +400,7 @@ def picard_phi(problem, lam: float, iterations: int = 30, *,
         sin_sx = np.sin(s * xs)
         u_nodes = base.copy()
         update = np.inf
-        for _ in range(iterations):
+        for _ in range(PICARD_ITERATIONS):
             gc = cos_sx * q_nodes * u_nodes
             gs = sin_sx * q_nodes * u_nodes
             cum_c = grid.cumulative_at_edges(gc)
@@ -424,8 +427,8 @@ def picard_phi(problem, lam: float, iterations: int = 30, *,
         if j < vp.m:
             u0 /= vp.jumps[j]
             du0 /= vp.jumps[j]
-    if worst_update > tol:
+    if worst_update > PICARD_TOL:
         raise NonConvergence(
-            f"picard update still {worst_update:.3e} after {iterations} iterations"
+            f"picard update still {worst_update:.3e} after {PICARD_ITERATIONS} iterations"
         )
     return PiecewiseSolution(vp, lam, segments, left_states, right_states)

@@ -19,11 +19,11 @@ Each :class:`PotentialPiece` also keeps data it derives from its fields
 and its use: a sampled piece builds its cubic spline
 (:class:`sltrans.spline.CubicSpline`, numpy only) once, on first use;
 :attr:`PotentialPiece.memo` holds the potential at the Magnus nodes of each
-step count the propagator has used, and :attr:`PotentialPiece.settled` the
-step count its ladders last settled on. :attr:`ValidatedProblem.memo` keeps
-the sample points of eigenpair assembly. All of them live in the instance
-and die with it; they are not fields, so equality, hashing and the JSON
-form ignore them.
+step count the propagator has used, and the propagator reads its Magnus
+warm start off the largest of those counts. :attr:`ValidatedProblem.memo`
+keeps the sample points of eigenpair assembly. All of them live in the
+instance and die with it; they are not fields, so equality, hashing and
+the JSON form ignore them.
 """
 
 from __future__ import annotations
@@ -91,13 +91,14 @@ class PotentialPiece:
     powers of x, global coordinate); 'sampled' uses the grid `x`/`values`
     with the not-a-knot cubic spline of :mod:`sltrans.spline`, which gives
     SciPy's ``CubicSpline`` bits without SciPy. The sample grid must cover
-    the piece.
+    the subinterval the piece serves (:func:`validate_problem` checks it).
 
     The spline is built on first use and kept. :attr:`memo` keeps the
-    potential at the Magnus nodes per (x0, x1, n_steps), and
-    :attr:`settled` the step count of the last accepted Magnus pass. All
-    are per-instance caches outside the fields, so ``==``, ``hash`` and
-    :func:`problem_to_json` do not see them.
+    potential at the Magnus nodes per (x0, x1, n_steps); the largest
+    n_steps on (x0, x1) is where the propagator's next ladder there starts
+    (:func:`sltrans.propagator.memo_steps`). Both are per-instance caches
+    outside the fields, so ``==``, ``hash`` and :func:`problem_to_json` do
+    not see them.
     """
 
     kind: str
@@ -136,12 +137,6 @@ class PotentialPiece:
         """Magnus node potentials of this piece, filled by the propagator."""
         return {}
 
-    @cached_property
-    def settled(self) -> dict:
-        """Magnus step count of the ladder's last accepted pass, per
-        (x0, x1, batch); where the propagator's next ladder starts."""
-        return {}
-
     @property
     def is_constant(self) -> bool:
         return self.kind == "constant" or (
@@ -164,28 +159,15 @@ class PotentialPiece:
             return npoly.polyval(x, np.asarray(self.coeffs, float))
         return self._spline(x)
 
-    def integral(self, a: float, b: float) -> tuple[float, float]:
-        """Integral over [a, b] and an error estimate.
-
-        Exact (zero estimate) for constant and polynomial pieces. For
-        sampled pieces the spline is integrated exactly and the estimate is
-        the gap to the trapezoid rule on the sample grid, a proxy for the
-        interpolation uncertainty.
-        """
+    def integral(self, a: float, b: float) -> float:
+        """Integral over [a, b]: exact for constant and polynomial pieces,
+        and the spline's exact integral for sampled ones."""
         if self.kind == "constant":
-            return float(self.value) * (b - a), 0.0
+            return float(self.value) * (b - a)
         if self.kind == "polynomial":
             anti = npoly.polyint(np.asarray(self.coeffs, float))
-            return float(npoly.polyval(b, anti) - npoly.polyval(a, anti)), 0.0
-        val = self._spline.integrate(a, b)
-        xs = np.asarray(self.x, float)
-        vs = np.asarray(self.values, float)
-        mask = (xs >= a - 1e-12) & (xs <= b + 1e-12)
-        if mask.sum() >= 2:
-            trap = float(np.trapezoid(vs[mask], xs[mask]))
-        else:
-            trap = val
-        return val, abs(val - trap)
+            return float(npoly.polyval(b, anti) - npoly.polyval(a, anti))
+        return self._spline.integrate(a, b)
 
     def magnitude_bound(self, a: float, b: float) -> float:
         """Upper bound for max |q| on [a, b].
@@ -354,7 +336,9 @@ def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
     """Check all structural assumptions and cache derived quantities.
 
     Raises the error naming the violated assumption: RhoNotPositive,
-    ZeroJumpFactor, DegenerateLeftBC, or UnorderedInterfaces.
+    ZeroJumpFactor, DegenerateLeftBC, or UnorderedInterfaces; and
+    ProblemError for a sampled piece whose grid does not cover its
+    subinterval, where the spline would extrapolate.
     """
     a1, a2 = spec.alpha
     if a1 == 0.0 and a2 == 0.0:
@@ -389,6 +373,10 @@ def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
 
     breakpoints = (-1.0, *hs, 1.0)
     pieces = spec.potential.resolve(len(hs) + 1)
+    for a, b, piece in zip(breakpoints[:-1], breakpoints[1:], pieces):
+        if piece.kind == "sampled" and (piece.x[0] > a or piece.x[-1] < b):
+            raise ProblemError(f"sampled piece grid [{piece.x[0]}, {piece.x[-1]}] "
+                               f"does not cover its subinterval [{a}, {b}]")
     return ValidatedProblem(
         spec=spec,
         rho=float(rho),
@@ -416,19 +404,13 @@ def classify_case(problem) -> AsymptoticCase:
 
 
 def potential_moments(problem) -> dict:
-    """Integral of q over [-1, 1] with an error estimate.
-
-    Exact piecewise integration for constant/polynomial pieces; spline
-    integration with a reported estimate for sampled pieces.
-    """
+    """{"I0": the integral of q over [-1, 1]}, piece by piece
+    (:meth:`PotentialPiece.integral`)."""
     vp = as_validated(problem)
     total = 0.0
-    err = 0.0
     for (a, b), piece in zip(vp.subintervals(), vp.pieces):
-        v, e = piece.integral(a, b)
-        total += v
-        err += e
-    return {"I0": total, "I0_error": err}
+        total += piece.integral(a, b)
+    return {"I0": total}
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,11 @@ at many lambda. States are propagated with 2x2 transfer matrices:
   (see :attr:`sltrans.problem.PotentialPiece.memo`), so every ladder, N(lambda)
   call and dense shot on the same problem reuses them.
 * the step count a piece settles on hardly moves from one call to the
-  next, so the ladder starts two levels below the piece's last settled
-  count (:attr:`sltrans.problem.PotentialPiece.settled`) and falls back to
-  the cold start when that could settle coarser; see :func:`magnus_ladder`
-  for what stays bit-identical and for the fallback when no pair settles.
+  next, so the ladder starts two levels below the largest count whose
+  node potentials the memo already holds (:func:`memo_steps`, read off the
+  memo itself) and falls back to the cold start when that could settle
+  coarser; see :func:`magnus_ladder` for what stays bit-identical and for
+  the fallback when no pair settles.
 
 The kernel is lambda-major. :func:`magnus_steps` gives the step matrices
 as one (2, 2, n_lam, n_steps) array, so every ufunc's inner loop runs
@@ -525,6 +526,14 @@ def _piece_node_q(piece, x0: float, x1: float, n_steps: int):
     return hit
 
 
+def memo_steps(piece, x0: float, x1: float) -> int:
+    """The largest step count n among ``piece.memo``'s (x0, x1, n) keys, 0
+    if none: where :func:`magnus_ladder` starts warm and the count
+    :func:`level_chain` halves. It reads a snapshot of the keys, since
+    another thread may add nodes meanwhile."""
+    return max((n for a, b, n in list(piece.memo) if a == x0 and b == x1), default=0)
+
+
 def _cold_steps(x0: float, x1: float) -> int:
     """The step count the cold ladder starts from on [x0, x1]."""
     return max(8, int(np.ceil(16 * abs(x1 - x0))))
@@ -540,12 +549,12 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
     accepted pass.
 
     The cold ladder starts at n0 = max(8, ceil(16 |x1 - x0|)) steps and
-    doubles up to 2**9 n0. The ladder keeps the step count M of its last
-    accepted pass in ``piece.settled``, per (x0, x1) and per batch or
-    single lambda, and starts the next call at M/4 instead (when that is
-    above n0). If the passes at M/4 and M/2 already agree, the cold ladder
-    might have stopped at M/2 or lower, so it starts over from n0, reusing
-    the passes it has. So the warm ladder returns the cold ladder's pass
+    doubles up to 2**9 n0. A warm ladder reads M, the largest step count
+    whose node potentials ``piece.memo`` holds on [x0, x1]
+    (:func:`memo_steps`), and starts at M/4 instead (when that is above
+    n0). If the passes at M/4 and M/2 already agree, the cold ladder might
+    have stopped at M/2 or lower, so it starts over from n0, reusing the
+    passes it has. So the warm ladder returns the cold ladder's pass
     whenever the cold gaps exceed the tolerance at every level below M/2;
     otherwise it settles finer than cold, never coarser.
 
@@ -557,8 +566,7 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
     """
     n_cold = _cold_steps(x0, x1)
     n_max = n_cold << 9
-    key = (x0, x1, np.size(lam) > 1)
-    start = max(piece.settled.get(key, 0) // 4, n_cold)
+    start = max(memo_steps(piece, x0, x1) // 4, n_cold)
     passes = {}
 
     def run(n):
@@ -574,7 +582,7 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
         scale = np.maximum(np.maximum(np.abs(nxt[0]), np.abs(nxt[1])), scale_floor)
         gap = np.maximum(np.abs(nxt[0] - cur[0]), np.abs(nxt[1] - cur[1]))
         if np.all(gap <= rtol * scale):
-            if n == 2 * start > 2 * n_cold:  # warm start settled at once
+            if n == 2 * start > 2 * n_cold:  # the warm start agreed at once
                 n = start = n_cold
                 continue
             break
@@ -593,7 +601,6 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
     out = passes[n]
     if not (np.all(np.isfinite(out[0])) and np.all(np.isfinite(out[1]))):
         raise NonFiniteState("propagation produced non-finite values")
-    piece.settled[key] = n
     return qv, h, out
 
 
@@ -711,13 +718,14 @@ def endpoint_chain(problem, lam, *, backward=False, rtol: float = 1e-12):
     return chain(problem, lam, cross, backward=backward)[1:]
 
 
-def magnus_levels(problem, batch: bool) -> int:
-    """The coarsest level of :func:`level_chain` for a batch (batch=True) or
-    one lambda: the largest s with M / 2**s at least the cold count on some
-    variable piece, M its settled count; 0 if none, or one has no M."""
+def magnus_levels(problem) -> int:
+    """The coarsest level of :func:`level_chain`: the largest s with
+    M / 2**s at least the cold count on some variable piece, M the largest
+    step count the piece's memo holds (:func:`memo_steps`); 0 if there is
+    no variable piece, or one has no nodes yet."""
     vp = as_validated(problem)
     bp = vp.breakpoints
-    ratios = [piece.settled.get((x0, x1, batch), 0) // _cold_steps(x0, x1)
+    ratios = [memo_steps(piece, x0, x1) // _cold_steps(x0, x1)
               for piece, x0, x1 in zip(vp.pieces, bp[:-1], bp[1:]) if not piece.is_constant]
     return 0 if 0 in ratios else max(ratios, default=1).bit_length() - 1
 
@@ -730,14 +738,13 @@ def level_chain(problem, lam, level: int):
     pieces take their one exact step. None where magnus_levels is 0."""
     vp = as_validated(problem)
     lam = np.asarray(lam, dtype=float)
-    batch = lam.size > 1
-    if not magnus_levels(vp, batch):
+    if not magnus_levels(vp):
         return None
 
     def cross(piece, x0, x1, u, du):
         if piece.is_constant:
             return (None, *constant_step(piece.constant_value - lam, x1 - x0, u, du))
-        n = max(piece.settled[x0, x1, batch] >> level, _cold_steps(x0, x1))
+        n = max(memo_steps(piece, x0, x1) >> level, _cold_steps(x0, x1))
         ends = [_magnus_pass(*_piece_node_q(piece, x0, x1, k), lam, u[i], du[i])
                 for i, k in enumerate((n, 2 * n))]
         return (None, *(np.stack(col) for col in zip(*ends)))

@@ -424,8 +424,11 @@ class TestFailureModes:
         (lambda obj: {**obj, "interfaces": 5}, "must hold a list"),
         (lambda obj: {**obj, "potential": {"kind": "constant", "value": "abc"}},
          "'abc'"),
+        (lambda obj: {**obj, "potential": {"kind": "sampled", "x": [-0.2, 0.05, 0.3],
+                                           "values": [-3.0, 1.0, -8.0]}},
+         "does not cover its subinterval [-1.0, 0.0]"),
     ], ids=["top-level-number", "piece-not-object", "missing-value",
-            "missing-pieces", "interfaces-not-list", "text-value"])
+            "missing-pieces", "interfaces-not-list", "text-value", "grid-short"])
     def test_malformed_problem_is_an_invalid_problem(self, tmp_path, capsys,
                                                      edit, message):
         path = tmp_path / "malformed.json"

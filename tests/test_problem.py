@@ -67,6 +67,26 @@ class TestValidation:
         assert vp.subintervals() == [(-1.0, 1.0)]
         assert vp.delta_sq_prod == 1.0
 
+    @pytest.mark.parametrize("ends", [(-0.2, 0.3), (-1.0, 0.3), (-0.2, 1.0)])
+    def test_sampled_grid_must_cover_the_domain(self, ends):
+        # Outside its grid the spline extrapolates: q(-1) would read -99 here.
+        xs = np.linspace(*ends, 11)
+        piece = PotentialPiece("sampled", x=tuple(xs), values=tuple(1.0 - 100.0 * xs ** 2))
+        with pytest.raises(st.ProblemError, match="does not cover"):
+            st.validate_problem(spec_with(potential=st.PiecewisePotential((piece,)),
+                                          interfaces=(), jumps=()))
+
+    def test_sampled_grid_must_cover_its_own_subinterval(self):
+        left, right = (PotentialPiece("sampled", x=tuple(np.linspace(a, b, 9)),
+                                      values=tuple(np.ones(9)))
+                       for a, b in ((-1.0, 0.0), (0.0, 0.9)))
+        with pytest.raises(st.ProblemError, match=r"\[0.0, 1.0\]"):
+            st.validate_problem(spec_with(potential=st.PiecewisePotential((left, right))))
+        # A grid wider than its subinterval covers it.
+        wide = PotentialPiece("sampled", x=tuple(np.linspace(-1.0, 1.0, 9)),
+                              values=tuple(np.ones(9)))
+        st.validate_problem(spec_with(potential=st.PiecewisePotential((left, wide))))
+
     def test_weights_follow_squared_jumps(self):
         vp = st.validate_problem(make_two_interface())
         assert np.allclose(vp.weights, (1.0, 4.0, 1.0))

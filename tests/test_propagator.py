@@ -6,10 +6,11 @@ tests pin that the caches are built once, stay invisible to equality,
 hashing and serialization, and give the same bits as a fresh evaluation.
 They also pin that cos_sinc gives the same bits, in arrays of its input's
 shape, whether a branch runs on the whole array or on a masked part, that
-NaN in gives NaN out, that a ladder started from a piece's last settled
-step count returns the cold ladder's pass, that a ladder which cannot
-settle says where and at which lambda, and that the ladder's fallback to
-its closest pair carries a variable-q problem to n = 100.
+NaN in gives NaN out, that a ladder started from the largest step count
+in a piece's memo returns the cold ladder's pass, that a piece shared by
+two problems gives the second its cold-solve bits, that a ladder which
+cannot settle says where and at which lambda, and that the ladder's
+fallback to its closest pair carries a variable-q problem to n = 100.
 
 The Magnus kernel runs lambda-major, in one array of step matrices. A
 step-major copy of the kernel as it was before that layout lives here, and
@@ -33,6 +34,7 @@ by e^200, and where u vanishes exactly at a node, the two count the same
 zeros, and on random problems they give the same N(lambda).
 """
 
+import dataclasses
 import importlib.util
 import sys
 import tracemalloc
@@ -50,8 +52,8 @@ from sltrans.problem import PotentialPiece, load_problem, problem_to_json, save_
 from sltrans.propagator import (_COUNT, _GAUSS_OFFSETS, _SLOPE_SERIES, BLOCK_ENTRIES,
                                 StepSizeUnderflow, _magnus_pass, _piece_node_q,
                                 _tangent_pass, cos_sinc, count_pass, magnus_ladder,
-                                propagate_piece, row_blocks)
-from conftest import make_sampled
+                                memo_steps, propagate_piece, row_blocks)
+from conftest import make_case1_linear, make_sampled
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +77,10 @@ def warm(problem_file):
 def test_fresh_problem_starts_with_empty_caches(problem_file):
     vp = _fresh(problem_file)
     assert vp.memo == {}
-    for piece in vp.pieces:
+    for piece, (a, b) in zip(vp.pieces, vp.subintervals()):
         assert "_spline" not in vars(piece)
         assert piece.memo == {}
-        assert piece.settled == {}
+        assert memo_steps(piece, a, b) == 0
 
 
 def test_one_spline_per_sampled_piece(problem_file, monkeypatch):
@@ -123,6 +125,28 @@ def test_memoised_nodes_are_read_only_and_exact(warm):
 def test_warm_solve_repeats_cold_solve(warm):
     vp, cold = warm
     assert [e.lam for e in find_eigenvalues(vp, 3)] == cold
+
+
+def _eigen_hex(eigs):
+    xs = np.linspace(-1.0, 1.0, 41)
+    return [[float(x).hex() for x in (e.lam, e.omega_prime, e.k_ratio, e.k_spread,
+                                      e.norm_constant, *e.residuals.values(),
+                                      *np.concatenate(e.phi.eval(xs)))]
+            for e in eigs]
+
+
+@pytest.mark.parametrize("make", [make_case1_linear, make_sampled])
+def test_a_shared_piece_gives_the_second_problem_its_cold_bits(make):
+    # sltrans sweep solves every parameter value on the same pieces, so the
+    # second problem's ladders start from the nodes the first one left. The
+    # first solves to a higher n, so they start above where cold ones settle.
+    first = make()
+    second = dataclasses.replace(first, jumps=tuple(-2.0 * d for d in first.jumps))
+    fresh = problem.problem_from_json(problem_to_json(second))
+    cold = find_eigenvalues(st.validate_problem(fresh), 4)
+    find_eigenvalues(st.validate_problem(first), 20)
+    assert all(piece.memo for piece in second.potential.pieces)
+    assert _eigen_hex(find_eigenvalues(st.validate_problem(second), 4)) == _eigen_hex(cold)
 
 
 # ----------------------------------------------------------------------
@@ -249,12 +273,12 @@ def test_warm_ladder_returns_the_cold_pass(monkeypatch):
 
     monkeypatch.setattr(propagator, "_magnus_pass", counting)
     warm = _cubic_piece()
-    for lam in ([1e4, 1e5], [1e5]):  # warm both keys high
+    for lam in ([1e4, 1e5], [1e5]):  # warm the memo high
         _ladder_bytes(warm, np.array(lam))
     branches = set()
     for lam in ([-3.0, 40.0, 900.0], [-3.0], [5.0], [1e4, 1e5], [1e6], [40.0, 900.0]):
         lam = np.array(lam)
-        start = warm.settled[(-1.0, 0.2, lam.size > 1)] // 4
+        start = memo_steps(warm, -1.0, 0.2) // 4
         del counts[:]
         got = _ladder_bytes(warm, lam)
         runs = counts[:]
@@ -625,7 +649,7 @@ def test_eigenvalue_count_is_the_same_alone_and_in_a_batch():
                                        (wide, [*range(8), *range(1, 9), 0], True)):
         batch = eigenvalue_count(vp, batch_lam)
         assert batch[:len(counts)].tolist() == counts
-        n_steps = max(piece.settled[(a, b, True)]
+        n_steps = max(memo_steps(piece, a, b)
                       for piece, (a, b) in zip(vp.pieces, vp.subintervals()))
         blocks = row_blocks(batch_lam.size, _COUNT[3] * n_steps)
         assert (len(blocks) == 1) != blocked
@@ -655,7 +679,7 @@ def test_a_wide_batch_has_a_bounded_working_set():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert vp.pieces[0].settled[(-1.0, 0.2, True)] >= 1280
+        assert memo_steps(vp.pieces[0], -1.0, 0.2) >= 1280
         assert peak < 6 * 2 ** 20, (f.__name__, peak)
 
 
