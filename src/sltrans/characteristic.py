@@ -23,7 +23,7 @@ chain's end state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,13 +40,15 @@ class CharacteristicSample:
     omega_i[i] is the Wronskian of the two shot solutions on subinterval i
     (at its left end). chain_residuals[i] = omega - (prod of the first i
     delta^2 factors) * omega_i, which vanishes in exact arithmetic.
+    omega_boundary_form is :func:`omega` at lam, read from the left
+    solution's end state.
     """
 
     lam: float
     omega: float
     omega_i: list[float]
     chain_residuals: list[float]
-    metadata: dict = field(default_factory=dict)
+    omega_boundary_form: float
 
     @property
     def chain_residual_max(self) -> float:
@@ -68,7 +70,7 @@ def real_lambda(lam) -> np.ndarray:
     return arr
 
 
-def omega(problem, lam, *, rtol: float = 1e-12):
+def omega(problem, lam):
     """Characteristic function via the left solution only.
 
     Vectorized over a real scalar or an array of any shape (:func:`real_lambda`).
@@ -77,7 +79,7 @@ def omega(problem, lam, *, rtol: float = 1e-12):
     """
     vp = as_validated(problem)
     lam_arr = real_lambda(lam)
-    end = propagator.endpoint_chain(vp, lam_arr, rtol=rtol)[1][-1]
+    end = propagator.endpoint_chain(vp, lam_arr)[1][-1]
     out = vp.delta_sq_prod * propagator.boundary_form(vp, lam_arr, *end)
     return float(out) if np.ndim(lam) == 0 else out
 
@@ -100,7 +102,7 @@ def omega_sign(problem, lam, level: int):
     return np.sign(fine)
 
 
-def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
+def eigenvalue_count(problem, lam):
     """N(lambda), the number of eigenvalues strictly below lambda (vectorized).
 
     The Pruefer angle Theta of the line through (u', u) of the left solution
@@ -120,7 +122,7 @@ def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
         if piece.is_constant:  # one exact step, the Magnus step of constant q
             qv, h = np.full((1, 2), piece.constant_value), x1 - x0
         else:
-            qv, h, _ = propagator.magnus_ladder(piece, x0, x1, lam_arr, u, du, rtol=rtol)
+            qv, h, _ = propagator.magnus_ladder(piece, x0, x1, lam_arr, u, du)
         return propagator.count_pass(qv, h, lam_arr, u, du)
 
     piece_zeros, _, right = propagator.chain(vp, lam_arr, cross)
@@ -137,7 +139,7 @@ def eigenvalue_count(problem, lam, *, rtol: float = 1e-12):
     return int(n[0]) if np.ndim(lam) == 0 else n.reshape(np.shape(lam))
 
 
-def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicSample]:
+def omega_samples(problem, lams) -> list[CharacteristicSample]:
     """Every per-subinterval Wronskian and the chain residuals, one
     CharacteristicSample per lambda, in ``np.ravel`` order for a lams of
     any shape.
@@ -149,8 +151,8 @@ def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicS
     """
     vp = as_validated(problem)
     lam_arr = real_lambda(lams).ravel()
-    phi_left, phi_right = propagator.endpoint_chain(vp, lam_arr, rtol=rtol)
-    chi_left = propagator.endpoint_chain(vp, lam_arr, backward=True, rtol=rtol)[0]
+    phi_left, phi_right = propagator.endpoint_chain(vp, lam_arr)
+    chi_left = propagator.endpoint_chain(vp, lam_arr, backward=True)[0]
     # omega() of the batch, read from phi's end state.
     omega_fast = vp.delta_sq_prod * propagator.boundary_form(vp, lam_arr,
                                                             *phi_right[-1])
@@ -160,12 +162,12 @@ def omega_samples(problem, lams, *, rtol: float = 1e-12) -> list[CharacteristicS
     resid = w[0] - prefix[:, None] * w
     return [CharacteristicSample(
                 lam=lamk, omega=wk[0], omega_i=wk, chain_residuals=rk,
-                metadata={"rtol": rtol, "omega_boundary_form": fk})
+                omega_boundary_form=fk)
             for lamk, wk, rk, fk in zip(lam_arr.tolist(), w.T.tolist(),
                                         resid.T.tolist(), omega_fast.tolist())]
 
 
-def omega_derivative(problem, lam, *, rtol: float = 1e-12):
+def omega_derivative(problem, lam):
     """d omega / d lambda, vectorized over lam as :func:`omega` is.
 
     The left solution and its lambda-derivative travel together along
@@ -179,7 +181,7 @@ def omega_derivative(problem, lam, *, rtol: float = 1e-12):
     lam_arr = real_lambda(lam).ravel()
 
     def cross(piece, x0, x1, u, du):
-        return (None, *propagator.tangent_piece(piece, x0, x1, lam_arr, u, du, rtol=rtol))
+        return (None, *propagator.tangent_piece(piece, x0, x1, lam_arr, u, du))
 
     u, du = propagator.chain(vp, lam_arr, cross, tangent=True)[2][-1]
     # d/dlambda of boundary_form: the state's derivative, then the form's own.

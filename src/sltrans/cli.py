@@ -59,8 +59,6 @@ class RunConfig:
     command: str
     problem: str
     n_max: int = 10
-    ode_tol: float = 1e-12
-    root_tol: float = 1e-14
     format: str = "json"
     out: str | None = None
     seed: int = 0
@@ -73,9 +71,6 @@ class RunConfig:
     dump_eigenfunctions: str | None = None
 
     def __post_init__(self):
-        for name in ("ode_tol", "root_tol"):
-            if getattr(self, name) <= 0:
-                raise CliError(f"tolerance {name} must be positive")
         if self.n_max < 1:
             raise CliError("n_max must be at least 1")
         if self.format not in ("json", "csv"):
@@ -84,9 +79,6 @@ class RunConfig:
             if c not in CHECK_NAMES:
                 raise CliError(f"unknown check {c!r}; choose from {CHECK_NAMES}")
         # Checked after the errors above, so their messages keep precedence.
-        for name in ("ode_tol", "root_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise CliError(f"tolerance {name} must be finite")
         if not (math.isfinite(self.s_max) and self.s_max > 0):
             raise CliError("s_max must be finite and positive")
         if self.lam_floor is not None and not (math.isfinite(self.lam_floor)
@@ -121,9 +113,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--problem", required=True, help="problem JSON file")
         sp.add_argument("--nmax", dest="n_max", metavar="NMAX", type=int,
                         default=10)
-        sp.add_argument("--ode-tol", type=float, default=1e-12,
-                        help="Magnus step-doubling tolerance (relative)")
-        sp.add_argument("--root-tol", type=float, default=1e-14)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--seed", type=int, default=0)
@@ -209,8 +198,7 @@ def _load(config: RunConfig):
 
 
 def _solve(problem, config: RunConfig, n: int | None = None):
-    return find_eigenvalues(problem, config.n_max if n is None else n,
-                            rtol=config.ode_tol, root_rel_tol=config.root_tol)
+    return find_eigenvalues(problem, config.n_max if n is None else n)
 
 
 # ----------------------------------------------------------------------
@@ -233,9 +221,9 @@ def run_solve(config: RunConfig) -> int:
     return 0
 
 
-def _check_chain(vp, config, rng) -> dict:
+def _check_chain(vp, rng) -> dict:
     lams = np.sort(rng.uniform(-20.0, 400.0, size=30))
-    samples = omega_samples(vp, lams, rtol=config.ode_tol)
+    samples = omega_samples(vp, lams)
     measured = max(float(s.chain_residual_rel()) for s in samples)
     return {"measured": measured, "count": len(samples)}
 
@@ -287,12 +275,11 @@ def _check_norm_identity(eigs) -> dict:
             "substitution": worst("k_substitution")}
 
 
-def _check_greens(vp, config, rng) -> dict:
+def _check_greens(vp, rng) -> dict:
     worst = 0.0
     for _ in range(5):
         la, lb = rng.uniform(-10.0, 300.0, size=2)
-        res = greens_identity_residual(vp, float(la), float(lb),
-                                       rtol=config.ode_tol)
+        res = greens_identity_residual(vp, float(la), float(lb))
         worst = max(worst, float(res["residual"]))
     return {"measured": worst, "pairs": 5}
 
@@ -324,11 +311,11 @@ def run_verify(config: RunConfig) -> int:
         n = max(config.n_max, 25) if "asymptotics" in config.checks else config.n_max
         eigs = _solve(vp, config, n)
     checks = {
-        "chain": lambda: _check_chain(vp, config, rng),
+        "chain": lambda: _check_chain(vp, rng),
         "orthogonality": lambda: _check_orthogonality(vp, eigs[:config.n_max]),
         "asymptotics": lambda: _check_asymptotics(vp, eigs),
         "norm-identity": lambda: _check_norm_identity(eigs[:config.n_max]),
-        "greens": lambda: _check_greens(vp, config, rng),
+        "greens": lambda: _check_greens(vp, rng),
         "delta-invariance": lambda: _check_delta_invariance(vp, config),
     }
 
@@ -470,10 +457,10 @@ def run_expand(config: RunConfig) -> int:
 def run_scan(config: RunConfig) -> int:
     vp = _load(config)
     lams = scan_grid(config.s_max, config.lam_floor or default_lambda_floor(vp))
-    samples = omega_samples(vp, lams, rtol=config.ode_tol)
+    samples = omega_samples(vp, lams)
     # The samples' omega has omega()'s bits: one forward chain serves both.
-    oms = np.array([s.metadata["omega_boundary_form"] for s in samples])
-    scan = sift_scan(vp, lams, oms, rtol=config.ode_tol)
+    oms = np.array([s.omega_boundary_form for s in samples])
+    scan = sift_scan(vp, lams, oms)
     header = ["lambda", "s_if_nonneg", "omega",
               *(f"omega{j + 1}" for j in range(vp.m + 1)), "chain_residual_max"]
     rows = [[repr(s.lam), repr(float(np.sqrt(s.lam))) if s.lam >= 0 else "",

@@ -50,6 +50,11 @@ NEG_SCAN_STEP = 0.5
 K_SAMPLES = 24  # k_ratio's interior sample points per subinterval
 SCALE_WINDOW = 16  # scan samples behind ScanResult.local_scale
 MAX_BISECTIONS = 90  # bisection steps of one refinement batch, at most
+# Refinement stops once every bracket is this narrow relative to
+# max(1, |lambda|): well below the documented 1e-12 contract, because the
+# boundary-condition residuals of the eigenfunctions inherit the root
+# error; the extra bisection steps are cheap.
+ROOT_REL_TOL = 1e-14
 
 
 class LostBracket(RuntimeError):
@@ -105,9 +110,9 @@ def default_lambda_floor(problem) -> float:
     return -(2.0 * vp.max_potential_bound() + bc * bc + 10.0)
 
 
-def validate_floor(problem, lam_floor: float, *, rtol: float = 1e-12) -> bool:
+def validate_floor(problem, lam_floor: float) -> bool:
     """True when no eigenvalue lies below lam_floor."""
-    return eigenvalue_count(problem, lam_floor, rtol=rtol) == 0
+    return eigenvalue_count(problem, lam_floor) == 0
 
 
 def scan_grid(s_max: float, lam_floor: float) -> np.ndarray:
@@ -119,8 +124,7 @@ def scan_grid(s_max: float, lam_floor: float) -> np.ndarray:
     return np.concatenate([neg, pos])
 
 
-def bracket_scan(problem, s_max: float, lam_floor: float | None = None, *,
-                 rtol: float = 1e-12) -> ScanResult:
+def bracket_scan(problem, s_max: float, lam_floor: float | None = None) -> ScanResult:
     """Find all sign-change brackets of omega on [lam_floor, s_max^2].
 
     The positive side is sampled uniformly in s with step pi/16 (four
@@ -137,10 +141,10 @@ def bracket_scan(problem, s_max: float, lam_floor: float | None = None, *,
         raise ValueError("lam_floor must be negative")
 
     lams = scan_grid(s_max, lam_floor)
-    return sift_scan(vp, lams, np.asarray(omega(vp, lams, rtol=rtol)), rtol=rtol)
+    return sift_scan(vp, lams, np.asarray(omega(vp, lams)))
 
 
-def sift_scan(vp, lams, oms, *, rtol: float = 1e-12) -> ScanResult:
+def sift_scan(vp, lams, oms) -> ScanResult:
     """The ScanResult of omega's values oms on lams: brackets and exact zeros."""
     sgn = np.sign(oms)
     brackets = []
@@ -154,7 +158,7 @@ def sift_scan(vp, lams, oms, *, rtol: float = 1e-12) -> ScanResult:
     for i in np.nonzero(sgn == 0)[0]:
         left = lams[i - 1] if i > 0 else lams[i] - 1e-6
         right = lams[i + 1] if i + 1 < len(lams) else lams[i] + 1e-6
-        fl, fr = omega(vp, np.array([left, right]), rtol=rtol)
+        fl, fr = omega(vp, np.array([left, right]))
         if fl * fr < 0:
             brackets.append((float(left), float(right)))
         else:
@@ -168,9 +172,9 @@ def sift_scan(vp, lams, oms, *, rtol: float = 1e-12) -> ScanResult:
 # Refinement
 # ----------------------------------------------------------------------
 
-def _refine_batch(vp, brackets, *, rel_tol: float = 1e-12,
-                  rtol: float = 1e-12) -> np.ndarray:
-    """Bisection on all brackets at once, one batched sign of omega per step.
+def _refine_batch(vp, brackets) -> np.ndarray:
+    """Bisection on all brackets at once, one batched sign of omega per
+    step, until each is ROOT_REL_TOL narrow.
 
     With a variable piece the signs come from the coarsest Magnus level
     that certifies them (:func:`sltrans.characteristic.omega_sign`), the
@@ -187,8 +191,8 @@ def _refine_batch(vp, brackets, *, rel_tol: float = 1e-12,
         return np.empty(0)
     la = np.array([b[0] for b in brackets], dtype=float)
     lb = np.array([b[1] for b in brackets], dtype=float)
-    fa = np.asarray(omega(vp, la, rtol=rtol))
-    fb = np.asarray(omega(vp, lb, rtol=rtol))
+    fa = np.asarray(omega(vp, la))
+    fb = np.asarray(omega(vp, lb))
     bad = fa * fb > 0
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
@@ -204,19 +208,19 @@ def _refine_batch(vp, brackets, *, rel_tol: float = 1e-12,
             if ms is None:
                 level -= 1
         if ms is None:
-            ms = np.sign(np.asarray(omega(vp, mid, rtol=rtol)))
+            ms = np.sign(np.asarray(omega(vp, mid)))
         exact = ms == 0
         go_left = ms == sa
         la = np.where(go_left, mid, la)
         lb = np.where(go_left, lb, mid)
         la = np.where(exact, mid, la)
         lb = np.where(exact, mid, lb)
-        if np.all(lb - la <= rel_tol * np.maximum(1.0, np.abs(mid))):
+        if np.all(lb - la <= ROOT_REL_TOL * np.maximum(1.0, np.abs(mid))):
             break
     return 0.5 * (la + lb)
 
 
-def _isolate(vp, lo, hi, roots, expected, rtol):
+def _isolate(vp, lo, hi, roots, expected):
     """Halve the parts of [lo, hi] where the roots found disagree with N,
     one batched N call per level, until each holds at most one eigenvalue.
 
@@ -234,7 +238,7 @@ def _isolate(vp, lo, hi, roots, expected, rtol):
         if not parts:
             return void, brackets
         mids = np.array([0.5 * (a + b) for a, b, _, _ in parts])
-        n_mid = eigenvalue_count(vp, mids, rtol=rtol).tolist()
+        n_mid = eigenvalue_count(vp, mids).tolist()
         parts = [q for (a, b, na, nb), m, nm in zip(parts, mids, n_mid)
                  for q in ((a, m, na, nm), (m, b, nm, nb))]
     a, b, na, nb = parts[0]
@@ -316,7 +320,7 @@ def _ratio_from_values(vp, pv, cv):
 
 
 def build_eigenpair(problem, lam: float, *, n: int = -1,
-                    scan: ScanResult | None = None, rtol: float = 1e-12,
+                    scan: ScanResult | None = None,
                     omega_prime: float | None = None) -> Eigenpair:
     """Assemble the full Eigenpair record at lam, normally a refined root.
 
@@ -345,11 +349,11 @@ def build_eigenpair(problem, lam: float, *, n: int = -1,
     lam = float(real_lambda(lam))
     s = float(np.sqrt(lam)) if lam >= 0.0 else None
 
-    phi = shoot_phi(vp, lam, rtol=rtol)
-    chi = shoot_chi(vp, lam, rtol=rtol)
+    phi = shoot_phi(vp, lam)
+    chi = shoot_chi(vp, lam)
     xs = _ratio_points(vp)
     k, spread = _ratio_from_values(vp, phi.u(xs), chi.u(xs))
-    omp = omega_derivative(vp, lam, rtol=rtol) if omega_prime is None else omega_prime
+    omp = omega_derivative(vp, lam) if omega_prime is None else omega_prime
     u1, du1 = phi.boundary_state("right")
     r1p_phi = r1p_form(vp, u1, du1)
     lhs = weighted_square_integral(vp, phi)
@@ -405,17 +409,14 @@ def build_eigenpair(problem, lam: float, *, n: int = -1,
 # Top-level enumeration
 # ----------------------------------------------------------------------
 
-def find_eigenvalues(problem, n_max: int, *, rtol: float = 1e-12,
-                     root_rel_tol: float = 1e-14) -> list[Eigenpair]:
+def find_eigenvalues(problem, n_max: int) -> list[Eigenpair]:
     """First n_max eigenvalues in ascending order, fully diagnosed.
 
     The floor doubles from its formula seed until no eigenvalue lies below
     it (or the count overflows: NonFiniteState); the scan range starts from
     the asymptotic spacing and grows by 4 pi in s until N(top) >= n_max.
-
-    root_rel_tol defaults well below the documented 1e-12 contract because
-    the boundary-condition residuals of the eigenfunctions inherit the root
-    error; the extra bisection steps are cheap.
+    Each root is refined to ROOT_REL_TOL, and every Magnus ladder settles
+    at :data:`sltrans.propagator.RTOL`.
     """
     vp = as_validated(problem)
     if not isinstance(n_max, (int, np.integer)):
@@ -424,21 +425,20 @@ def find_eigenvalues(problem, n_max: int, *, rtol: float = 1e-12,
         raise ValueError("n_max must be at least 1")
 
     floor = default_lambda_floor(vp)
-    while not validate_floor(vp, floor, rtol=rtol):
+    while not validate_floor(vp, floor):
         floor *= 2.0
     s_max = asymptotics._base_angle(classify_case(vp), n_max + 2) / 2.0 + 1.0
     top = scan_grid(s_max, floor)[-1]
-    while (expected := eigenvalue_count(vp, top, rtol=rtol)) < n_max:
+    while (expected := eigenvalue_count(vp, top)) < n_max:
         s_max += 4.0 * np.pi
         top = scan_grid(s_max, floor)[-1]
 
-    scan = bracket_scan(vp, s_max, floor, rtol=rtol)
-    roots = np.sort(_refine_batch(vp, scan.brackets, rel_tol=root_rel_tol,
-                                  rtol=rtol))
+    scan = bracket_scan(vp, s_max, floor)
+    roots = np.sort(_refine_batch(vp, scan.brackets))
     if len(roots) != expected:
-        void, brackets = _isolate(vp, floor, top, roots, expected, rtol)
+        void, brackets = _isolate(vp, floor, top, roots, expected)
         keep = [lam for lam in roots if not any(a <= lam < b for a, b in void)]
-        extra = _refine_batch(vp, brackets, rel_tol=root_rel_tol, rtol=rtol)
+        extra = _refine_batch(vp, brackets)
         roots = np.sort(np.concatenate([keep, extra]))
         if len(roots) != expected:
             raise SuspectedMissedRoot(
@@ -448,6 +448,6 @@ def find_eigenvalues(problem, n_max: int, *, rtol: float = 1e-12,
                 interval=(floor, float(top)))
 
     roots = roots[:n_max]
-    slopes = omega_derivative(vp, roots, rtol=rtol)
-    return [build_eigenpair(vp, lam, n=i, scan=scan, rtol=rtol, omega_prime=float(omp))
+    slopes = omega_derivative(vp, roots)
+    return [build_eigenpair(vp, lam, n=i, scan=scan, omega_prime=float(omp))
             for i, (lam, omp) in enumerate(zip(roots, slopes))]

@@ -114,6 +114,8 @@ class HElement:
              f1: float = 0.0) -> "HElement":
         """Smooth bump supported on (center - halfwidth, center + halfwidth)."""
         c, hw, amp = float(center), float(halfwidth), float(amplitude)
+        if not np.isfinite([c, hw, amp]).all():
+            raise ValueError("bump center, halfwidth and amplitude must be finite")
         if hw <= 0:
             raise ValueError("halfwidth must be positive")
 
@@ -289,8 +291,7 @@ def gram_matrix(problem, elements) -> np.ndarray:
 # Symmetry (Green's identity) diagnostic
 # ----------------------------------------------------------------------
 
-def greens_identity_residual(problem, lam_a: float, lam_b: float, *,
-                             rtol: float = 1e-12) -> dict:
+def greens_identity_residual(problem, lam_a: float, lam_b: float) -> dict:
     """Symmetry defect of the operator on two shot left solutions.
 
     Builds F = (phi_a, R1'(phi_a)) and G likewise for lam_b; both satisfy
@@ -305,8 +306,8 @@ def greens_identity_residual(problem, lam_a: float, lam_b: float, *,
     boundary-form identity defect at x = 1.
     """
     vp = as_validated(problem)
-    pa = shoot_phi(vp, lam_a, rtol=rtol)
-    pb = shoot_phi(vp, lam_b, rtol=rtol)
+    pa = shoot_phi(vp, lam_a)
+    pb = shoot_phi(vp, lam_b)
     u1a, du1a = pa.boundary_state("right")
     u1b, du1b = pb.boundary_state("right")
     ra, rpa = r1_form(vp, u1a, du1a), r1p_form(vp, u1a, du1a)

@@ -9,9 +9,10 @@ Both run on :func:`sltrans.propagator.chain`, which holds the start states
 and the jump rule, and on its propagation kernel, so dense trajectories and
 the characteristic function share one chain and one integrator.
 Constant-q pieces get the exact closed-form transfer. Variable-q pieces take
-the step count the fourth-order Magnus ladder settles on (rtol 1e-12 by
-default), store the state at every step node as the running product of the
-step matrices, and reach a point between nodes with one partial Magnus step.
+the step count the fourth-order Magnus ladder settles on (at
+:data:`sltrans.propagator.RTOL`), store the state at every step node as the
+running product of the step matrices, and reach a point between nodes with
+one partial Magnus step.
 A Picard successive-approximation solver of the equivalent Volterra integral
 equations is included as an integrator-independent cross-check.
 """
@@ -81,9 +82,8 @@ class MagnusSegment:
     k step matrices applied to the start state.
     """
 
-    def __init__(self, piece, a: float, b: float, lam: float, u0: float,
-                 du0: float, rtol: float):
-        qv, h, _ = magnus_ladder(piece, a, b, lam, u0, du0, rtol=rtol,
+    def __init__(self, piece, a: float, b: float, lam: float, u0: float, du0: float):
+        qv, h, _ = magnus_ladder(piece, a, b, lam, u0, du0,
                                  scale_floor=max(1.0, abs(u0), abs(du0)))
         self.h = h
         self.piece = piece
@@ -119,12 +119,12 @@ class MagnusSegment:
         return u.reshape(xs.shape), du.reshape(xs.shape)
 
 
-def _integrate_dense(piece, a: float, b: float, lam: float, init, rtol):
+def _integrate_dense(piece, a: float, b: float, lam: float, init):
     """Dense trajectory over [a, b] (either direction) within one piece."""
     u0, du0 = init
     if piece.is_constant:
         return ConstantSegment(a, b, piece.constant_value - lam, u0, du0)
-    return MagnusSegment(piece, a, b, lam, u0, du0, rtol)
+    return MagnusSegment(piece, a, b, lam, u0, du0)
 
 
 # ----------------------------------------------------------------------
@@ -212,46 +212,48 @@ class PiecewiseSolution:
 
     def to_csv(self, path) -> None:
         """Dump the trajectory as CSV columns (x, u, du), CSV_SAMPLES
-        points per subinterval, both ends included."""
+        points per subinterval, both ends included, each end from its own
+        subinterval: so an interface appears twice, with u(h-0) = delta u(h+0)."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "u", "du"])
             for a, b in self.problem.subintervals():
                 xs = np.linspace(a, b, CSV_SAMPLES)
                 u, du = self.eval(xs)
+                u[0], du[0] = self.eval(a, side="right")
                 for xi, ui, dui in zip(xs, u, du):
                     writer.writerow([repr(float(xi)), repr(float(ui)), repr(float(dui))])
 
 
-def _shoot(problem, lam, rtol, backward):
+def _shoot(problem, lam, backward):
     vp = as_validated(problem)
     lam = float(lam)
 
     def cross(piece, x0, x1, u, du):
-        seg = _integrate_dense(piece, x0, x1, lam, (u, du), rtol)
+        seg = _integrate_dense(piece, x0, x1, lam, (u, du))
         u1, du1 = seg.eval(x1)
         return seg, float(u1), float(du1)
 
     return PiecewiseSolution(vp, lam, *chain(vp, lam, cross, backward=backward))
 
 
-def shoot_phi(problem, lam: float, *, rtol: float = 1e-12) -> PiecewiseSolution:
+def shoot_phi(problem, lam: float) -> PiecewiseSolution:
     """Left solution: starts at x=-1 with (alpha_2, -alpha_1).
 
     Crossing interface i divides the state by delta_i, which enforces the
     transmission conditions; see :func:`sltrans.propagator.chain`.
     """
-    return _shoot(problem, lam, rtol, backward=False)
+    return _shoot(problem, lam, backward=False)
 
 
-def shoot_chi(problem, lam: float, *, rtol: float = 1e-12) -> PiecewiseSolution:
+def shoot_chi(problem, lam: float) -> PiecewiseSolution:
     """Right solution: starts at x=1 with (b2'*lam + b2, b1'*lam + b1).
 
     Integrates right to left; crossing interface i multiplies the state by
     delta_i. By construction it satisfies the lambda-dependent right
     boundary condition for every lambda.
     """
-    return _shoot(problem, lam, rtol, backward=True)
+    return _shoot(problem, lam, backward=True)
 
 
 # ----------------------------------------------------------------------

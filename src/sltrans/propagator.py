@@ -75,6 +75,9 @@ BLOCK_ENTRIES = 1 << 16
 # and a scratch, then a level of eight entries and two scratch, at most
 # seven arrays in all (fewer in the count, whose nodes hold seven).
 _WS_ARRAYS = 8
+# The relative change of a piece's endpoint state at which the Magnus
+# ladder stops doubling; magnus_ladder reads it at call time.
+RTOL = 1e-12
 
 
 class NonFiniteState(RuntimeError):
@@ -84,9 +87,9 @@ class NonFiniteState(RuntimeError):
 class StepSizeUnderflow(RuntimeError):
     """Step refinement hit its budget without stabilizing: on the piece
     `interval` the passes with n_steps / 2 and `n_steps` steps still
-    disagree, and no consecutive pair came within 100 rtol. `lam` is the
+    disagree, and no consecutive pair came within 100 RTOL. `lam` is the
     worst-off lambda of the batch, whose endpoint state moved by `gap`
-    where the stop test allowed rtol * `scale`."""
+    where the stop test allowed RTOL * `scale`."""
 
     def __init__(self, message: str, *, interval=None, n_steps=None,
                  lam=None, gap=None, scale=None):
@@ -540,11 +543,11 @@ def _cold_steps(x0: float, x1: float) -> int:
 
 
 def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
-                  rtol: float = 1e-12, scale_floor: float = 1.0):
+                  scale_floor: float = 1.0):
     """Double the Magnus step count on a variable piece until it settles.
 
     Passes go from x0 to x1 (x1 < x0 integrates backwards) and stop once the
-    endpoint state moves by at most rtol * max(|u(x1)|, |u'(x1)|,
+    endpoint state moves by at most RTOL * max(|u(x1)|, |u'(x1)|,
     scale_floor) at every lambda. Returns (qvals, h, (u1, du1)) of the
     accepted pass.
 
@@ -560,8 +563,8 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
 
     When no pair settles, the finer pass of the consecutive pair with the
     smallest worst gap / scale is taken for the whole batch, provided that
-    is at most 100 rtol: the gap falls 16x per doubling until it reaches
-    round-off, and one lambda left on that floor above rtol must not fail
+    is at most 100 RTOL: the gap falls 16x per doubling until it reaches
+    round-off, and one lambda left on that floor above RTOL must not fail
     the batch. Otherwise :class:`StepSizeUnderflow` reports the last pair.
     """
     n_cold = _cold_steps(x0, x1)
@@ -581,14 +584,14 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
         n *= 2
         scale = np.maximum(np.maximum(np.abs(nxt[0]), np.abs(nxt[1])), scale_floor)
         gap = np.maximum(np.abs(nxt[0] - cur[0]), np.abs(nxt[1] - cur[1]))
-        if np.all(gap <= rtol * scale):
+        if np.all(gap <= RTOL * scale):
             if n == 2 * start > 2 * n_cold:  # the warm start agreed at once
                 n = start = n_cold
                 continue
             break
         closest = min(closest, (float(np.max(gap / scale)), n))
     else:
-        if not closest[0] <= 100.0 * rtol:
+        if not closest[0] <= 100.0 * RTOL:
             k = int(np.argmax(np.ravel(gap / scale)))
             worst = np.ravel(np.broadcast_to(lam, np.shape(gap)))[k].item()
             raise StepSizeUnderflow(
@@ -604,12 +607,12 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
     return qv, h, out
 
 
-def propagate_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e-12):
+def propagate_piece(piece, x0: float, x1: float, lam, u, du):
     """Propagate a state across one potential piece from x0 to x1.
 
     x1 < x0 integrates backwards. Constant pieces are exact in one step;
     otherwise the Magnus step count doubles until the endpoint state moves
-    by less than rtol (relative to the state magnitude, floored at 1).
+    by at most RTOL (relative to the state magnitude, floored at 1).
     """
     if x1 == x0:
         return u, du
@@ -617,10 +620,10 @@ def propagate_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e
     if piece.is_constant:
         w = piece.constant_value - lam
         return constant_step(w, x1 - x0, u, du)
-    return magnus_ladder(piece, x0, x1, lam, u, du, rtol=rtol)[2]
+    return magnus_ladder(piece, x0, x1, lam, u, du)[2]
 
 
-def tangent_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e-12):
+def tangent_piece(piece, x0: float, x1: float, lam, u, du):
     """:func:`propagate_piece` with lambda-derivatives: lam is 1-D, and u,
     du and the end states returned are (2, n_lam) stacks of a state and its
     derivative in lambda (see :func:`_carry`).
@@ -643,7 +646,7 @@ def tangent_piece(piece, x0: float, x1: float, lam, u, du, *, rtol: float = 1e-1
         dC = S * (-0.5 * t * t)
         return _carry([[C, t * S], [w * t * S, C]],
                       [[dC, t * dS], [w * t * dS - t * S, dC]], u, du)
-    qv, h, _ = magnus_ladder(piece, x0, x1, lam, u[0], du[0], rtol=rtol)
+    qv, h, _ = magnus_ladder(piece, x0, x1, lam, u[0], du[0])
     return _tangent_pass(qv, h, lam, u, du)
 
 
@@ -706,14 +709,14 @@ def chain(problem, lam, cross, *, backward=False, tangent=False):
     return segments, starts, ends
 
 
-def endpoint_chain(problem, lam, *, backward=False, rtol: float = 1e-12):
+def endpoint_chain(problem, lam, *, backward=False):
     """(left, right): the states of a shot solution at the two ends of every
     subinterval, each (u, du) an array over the lambda batch; see :func:`chain`.
     """
     lam = np.asarray(lam, dtype=float)
 
     def cross(piece, x0, x1, u, du):
-        return (None, *propagate_piece(piece, x0, x1, lam, u, du, rtol=rtol))
+        return (None, *propagate_piece(piece, x0, x1, lam, u, du))
 
     return chain(problem, lam, cross, backward=backward)[1:]
 

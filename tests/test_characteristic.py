@@ -205,7 +205,7 @@ class TestChain:
             sample = omega_samples(two_interface, [lam])[0]
             assert len(sample.omega_i) == 3
             assert sample.chain_residual_rel() <= 1e-9
-            assert sample.metadata["omega_boundary_form"] == pytest.approx(
+            assert sample.omega_boundary_form == pytest.approx(
                 sample.omega, rel=1e-9, abs=1e-12)
 
     def test_wronskian_constant_inside_a_subinterval(self, two_interface):

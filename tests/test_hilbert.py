@@ -139,6 +139,18 @@ class TestExpansion:
         assert result.parseval_ratio <= 1.0 + 1e-9
         assert result.parseval_ratio >= 0.9
 
+    @pytest.mark.parametrize("kwargs", [
+        {"center": 0.0, "halfwidth": math.nan},
+        {"center": 0.0, "halfwidth": math.inf},
+        {"center": math.nan, "halfwidth": 0.5},
+        {"center": -math.inf, "halfwidth": 0.5},
+        {"center": 0.0, "halfwidth": 0.5, "amplitude": math.nan},
+        {"center": 0.0, "halfwidth": 0.5, "amplitude": math.inf},
+    ])
+    def test_bump_rejects_non_finite_parameters(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
+            HElement.bump(**kwargs)
+
     def test_jumped_problem_expansion(self, two_interface, two_interface_eigs):
         poly = HElement.polynomial((0.2, 1.0, -0.5), f1=-0.3)
         result = expand(two_interface, poly, two_interface_eigs)

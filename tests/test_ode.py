@@ -43,9 +43,9 @@ class TestSegments:
     def test_backward_integration_inverts_forward(self):
         piece = st.validate_problem(make_case1_linear()).pieces[1]
         lam = 11.0
-        fwd = _integrate_dense(piece, 0.2, 1.0, lam, (0.4, -0.9), 1e-12)
+        fwd = _integrate_dense(piece, 0.2, 1.0, lam, (0.4, -0.9))
         u1, du1 = fwd.eval(1.0)
-        back = _integrate_dense(piece, 1.0, 0.2, lam, (u1, du1), 1e-12)
+        back = _integrate_dense(piece, 1.0, 0.2, lam, (u1, du1))
         u0, du0 = back.eval(0.2)
         assert u0 == pytest.approx(0.4, abs=1e-9)
         assert du0 == pytest.approx(-0.9, abs=1e-9)
@@ -168,6 +168,25 @@ class TestShooting:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,u,du"
         assert len(lines) == 1 + 2 * CSV_SAMPLES
+
+    @pytest.mark.parametrize("make", [make_case1_linear, make_two_interface])
+    def test_csv_interface_rows_are_one_sided(self, make, tmp_path):
+        # Each interface appears twice: the row closing subinterval i holds
+        # u(h_i - 0), the row opening subinterval i + 1 holds u(h_i + 0).
+        spec = make()
+        phi = shoot_phi(spec, 9.0)
+        path = tmp_path / "phi.csv"
+        phi.to_csv(path)
+        rows = [tuple(map(float, line.split(",")))
+                for line in path.read_text().splitlines()[1:]]
+        for i, (h, d) in enumerate(zip(spec.interfaces, spec.jumps)):
+            (xl, ul, dul), (xr, ur, dur) = rows[(i + 1) * CSV_SAMPLES - 1:
+                                                (i + 1) * CSV_SAMPLES + 1]
+            assert xl == xr == h
+            assert (ul, dul) == phi.eval(h)
+            assert (ur, dur) == phi.eval(h, side="right")
+            assert ul == pytest.approx(d * ur, rel=1e-12)
+            assert dul == pytest.approx(d * dur, rel=1e-12)
 
 
 class TestPicard:
