@@ -19,8 +19,8 @@ from .hilbert import (ExpansionResult, HElement, expand, gram_matrix,
                       greens_identity_residual, h_inner_product, r1_form,
                       r1p_form, r_form_identity_residual,
                       weighted_square_integral)
-from .ode import (NonConvergence, PiecewiseSolution, StateVector, picard_phi,
-                  shoot_chi, shoot_phi)
+from .ode import (NonConvergence, PiecewiseSolution, picard_phi, shoot_chi,
+                  shoot_phi)
 from .problem import (AsymptoticCase, DegenerateLeftBC, OutOfDomain,
                       PiecewisePotential, PotentialPiece, ProblemError,
                       ProblemSpec, RhoNotPositive, UnorderedInterfaces,
@@ -39,7 +39,7 @@ __all__ = [
     "HElement", "LostBracket", "NonConvergence", "NonFiniteState",
     "OutOfDomain", "PiecewisePotential", "PiecewiseSolution", "PotentialPiece",
     "ProblemError", "ProblemSpec", "QuadratureNotConverged", "RhoNotPositive",
-    "ScanResult", "StateVector", "StepSizeUnderflow", "SuspectedMissedRoot",
+    "ScanResult", "StepSizeUnderflow", "SuspectedMissedRoot",
     "UnorderedInterfaces", "ValidatedProblem", "ZeroJumpFactor",
     "as_validated", "asymptotics_report", "bracket_scan", "build_eigenpair",
     "classify_case", "default_lambda_floor", "eigenfunction_estimate",

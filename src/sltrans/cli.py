@@ -111,12 +111,13 @@ def _build_parser() -> _Parser:
     for name in ("solve", "verify", "sweep", "expand", "scan"):
         sp = sub.add_parser(name)
         sp.add_argument("--problem", required=True, help="problem JSON file")
-        sp.add_argument("--nmax", dest="n_max", metavar="NMAX", type=int,
-                        default=10)
+        if name != "scan":
+            sp.add_argument("--nmax", dest="n_max", metavar="NMAX", type=int,
+                            default=10)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
         if name == "verify":
+            sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--checks", default=",".join(CHECK_NAMES),
                             help="comma-separated subset of " + ",".join(CHECK_NAMES))
         if name == "sweep":
@@ -197,17 +198,13 @@ def _load(config: RunConfig):
     return as_validated(spec)
 
 
-def _solve(problem, config: RunConfig, n: int | None = None):
-    return find_eigenvalues(problem, config.n_max if n is None else n)
-
-
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
 
 def run_solve(config: RunConfig) -> int:
     vp = _load(config)
-    eigs = _solve(vp, config)
+    eigs = find_eigenvalues(vp, config.n_max)
     if config.dump_eigenfunctions:
         os.makedirs(config.dump_eigenfunctions, exist_ok=True)
         for eig in eigs:
@@ -285,18 +282,16 @@ def _check_greens(vp, rng) -> dict:
 
 
 def _check_delta_invariance(vp, config) -> dict:
-    if not vp.spec.potential.is_identically_zero:
-        return {"skipped": "potential is not identically zero"}
     if vp.m == 0:
         return {"skipped": "no interfaces"}
     n = min(config.n_max, 10)
-    base = _solve(dataclasses.replace(vp.spec, jumps=tuple(1.0 for _ in vp.jumps)),
-                  config, n)
+    base = find_eigenvalues(
+        dataclasses.replace(vp.spec, jumps=tuple(1.0 for _ in vp.jumps)), n)
     base_lams = np.array([e.lam for e in base])
     worst = 0.0
     for d1 in (0.5, 2.0, 3.0, vp.jumps[0]):
         jumps = (d1,) + vp.jumps[1:]
-        eigs = _solve(dataclasses.replace(vp.spec, jumps=jumps), config, n)
+        eigs = find_eigenvalues(dataclasses.replace(vp.spec, jumps=jumps), n)
         lams = np.array([e.lam for e in eigs])
         worst = max(worst, float(np.max(np.abs(lams - base_lams)
                                         / np.maximum(1.0, np.abs(base_lams)))))
@@ -309,7 +304,7 @@ def run_verify(config: RunConfig) -> int:
     eigs = None
     if {"orthogonality", "asymptotics", "norm-identity"} & set(config.checks):
         n = max(config.n_max, 25) if "asymptotics" in config.checks else config.n_max
-        eigs = _solve(vp, config, n)
+        eigs = find_eigenvalues(vp, n)
     checks = {
         "chain": lambda: _check_chain(vp, rng),
         "orthogonality": lambda: _check_orthogonality(vp, eigs[:config.n_max]),
@@ -371,7 +366,7 @@ def run_sweep(config: RunConfig) -> int:
     rows = []
     for v in config.values:
         try:
-            eigs = _solve(_set_param(base, config.param, v), config)
+            eigs = find_eigenvalues(_set_param(base, config.param, v), config.n_max)
             rows += [{"param_value": v, "n": e.n, "lambda": e.lam, "error": None}
                      for e in eigs]
         except CliError:
@@ -390,7 +385,7 @@ def run_sweep(config: RunConfig) -> int:
 def _target_element(obj: dict, n_max: int) -> HElement | int:
     """The expansion target of a --target file, checked before any solve:
     an HElement, or the index n of an eigenfunction target, which is below
-    n_max. Every number must be finite."""
+    n_max. HElement rejects a number that is not finite."""
     if not isinstance(obj, dict):
         raise CliError(f"target must be a JSON object with a 'kind', got {obj!r}")
     kind = obj.get("kind")
@@ -402,24 +397,15 @@ def _target_element(obj: dict, n_max: int) -> HElement | int:
         if n >= n_max:
             raise CliError(f"target eigenfunction {n} needs nmax > {n}")
         return n
-
-    def finite(key, value):
-        value = float(value)
-        if not math.isfinite(value):
-            raise CliError(f"{kind} target {key} must be finite, got {value!r}")
-        return value
-
     try:
         if kind == "polynomial":
-            coeffs = [finite("coeffs", c) for c in obj.get("coeffs", [1.0])]
-            return HElement.polynomial(coeffs, f1=finite("f1", obj.get("f1", 0.0)))
+            return HElement.polynomial(obj.get("coeffs", [1.0]), f1=obj.get("f1", 0.0))
         if kind == "bump":
-            return HElement.bump(finite("center", obj["center"]),
-                                 finite("halfwidth", obj["halfwidth"]),
-                                 amplitude=finite("amplitude", obj.get("amplitude", 1.0)),
-                                 f1=finite("f1", obj.get("f1", 0.0)))
+            return HElement.bump(obj["center"], obj["halfwidth"],
+                                 amplitude=obj.get("amplitude", 1.0),
+                                 f1=obj.get("f1", 0.0))
         if kind == "scalar":
-            return HElement.scalar_only(finite("f1", obj["f1"]))
+            return HElement.scalar_only(obj["f1"])
     except KeyError as exc:
         raise CliError(f"{kind} target is missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -437,7 +423,7 @@ def run_expand(config: RunConfig) -> int:
     except json.JSONDecodeError as exc:
         raise CliError(f"target file is not valid JSON: {exc}") from None
     target = _target_element(target_obj, config.n_max)
-    eigs = _solve(vp, config)
+    eigs = find_eigenvalues(vp, config.n_max)
     if isinstance(target, int):
         target = HElement.from_eigenpair(eigs[target])
     result = expand(vp, target, eigs)

@@ -77,6 +77,15 @@ def r_form_identity_residual(problem, fu, fdu, gu, gdu) -> float:
 # Elements
 # ----------------------------------------------------------------------
 
+def _finite(**fields) -> None:
+    """Raise ValueError for the first field, a float or a tuple of them,
+    holding a value that is not finite."""
+    for name, value in fields.items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class HElement:
     """A space element: function part f (vectorized callable) plus scalar f1.
@@ -102,20 +111,21 @@ class HElement:
     @classmethod
     def polynomial(cls, coeffs, f1: float = 0.0) -> "HElement":
         coeffs = tuple(float(c) for c in coeffs)
+        f1 = float(f1)
+        _finite(coeffs=coeffs, f1=f1)
 
         def f(x):
             return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
 
-        return cls(f=f, f1=float(f1), freq_hint=float(len(coeffs)),
+        return cls(f=f, f1=f1, freq_hint=float(len(coeffs)),
                    label=f"poly{coeffs}")
 
     @classmethod
     def bump(cls, center: float, halfwidth: float, amplitude: float = 1.0,
              f1: float = 0.0) -> "HElement":
         """Smooth bump supported on (center - halfwidth, center + halfwidth)."""
-        c, hw, amp = float(center), float(halfwidth), float(amplitude)
-        if not np.isfinite([c, hw, amp]).all():
-            raise ValueError("bump center, halfwidth and amplitude must be finite")
+        c, hw, amp, f1 = float(center), float(halfwidth), float(amplitude), float(f1)
+        _finite(center=c, halfwidth=hw, amplitude=amp, f1=f1)
         if hw <= 0:
             raise ValueError("halfwidth must be positive")
 
@@ -127,11 +137,13 @@ class HElement:
             out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - ti * ti))
             return out
 
-        return cls(f=f, f1=float(f1), freq_hint=8.0 / hw,
+        return cls(f=f, f1=f1, freq_hint=8.0 / hw,
                    label=f"bump({c},{hw})")
 
     @classmethod
     def scalar_only(cls, f1: float) -> "HElement":
+        _finite(f1=float(f1))
+
         def f(x):
             return np.zeros_like(np.asarray(x, dtype=float))
 

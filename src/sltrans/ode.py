@@ -10,9 +10,11 @@ and the jump rule, and on its propagation kernel, so dense trajectories and
 the characteristic function share one chain and one integrator.
 Constant-q pieces get the exact closed-form transfer. Variable-q pieces take
 the step count the fourth-order Magnus ladder settles on (at
-:data:`sltrans.propagator.RTOL`), store the state at every step node as the
-running product of the step matrices, and reach a point between nodes with
-one partial Magnus step.
+:data:`sltrans.propagator.RTOL`, from the start state divided by its size),
+store the state at every step node as the running product of the step
+matrices, and reach a point between nodes with one partial Magnus step.
+Every segment computes its end state once, when it is built, and the chain
+carries that state across the next interface.
 A Picard successive-approximation solver of the equivalent Volterra integral
 equations is included as an integrator-independent cross-check.
 """
@@ -39,27 +41,12 @@ class NonConvergence(RuntimeError):
     """Successive approximation failed to contract within the iteration budget."""
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Solution value and first derivative at a point."""
-
-    u: float
-    du: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.u) and np.isfinite(self.du)):
-            raise NonFiniteState(f"state ({self.u}, {self.du}) is not finite")
-
-    def __iter__(self):
-        return iter((self.u, self.du))
-
-
 # ----------------------------------------------------------------------
 # Dense segments
 # ----------------------------------------------------------------------
 
 class ConstantSegment:
-    """Exact trajectory on a piece where q is constant."""
+    """Exact trajectory on a piece where q is constant; end is its state at b."""
 
     def __init__(self, a: float, b: float, w: float, u0: float, du0: float):
         self.a = a
@@ -67,30 +54,29 @@ class ConstantSegment:
         self.w = w
         self.u0 = u0
         self.du0 = du0
-
-    def eval(self, x):
-        t = np.asarray(x, dtype=float) - self.a
-        return constant_step(self.w, t, self.u0, self.du0)
+        self.end = constant_step(w, b - a, u0, du0)
 
 
 class MagnusSegment:
     """Dense fourth-order Magnus trajectory on a piece with variable q.
 
-    The step count is the one the Magnus ladder accepts for this start
-    state, with the stop test scaled by at least the start state's size.
-    The state at node k (x = a + k h) is the running product of the first
-    k step matrices applied to the start state.
+    The step count is the one the Magnus ladder accepts from the start
+    state divided by s = max(1, |u0|, |du0|), so the stop test is relative
+    to the start state's size. Only that count's (qvals, h) is kept: the
+    state at node k (x = a + k h) is the running product of the first k
+    step matrices applied to the unscaled start state, so its bits depend
+    on the settled count alone. end is the last node, at b.
     """
 
     def __init__(self, piece, a: float, b: float, lam: float, u0: float, du0: float):
-        qv, h, _ = magnus_ladder(piece, a, b, lam, u0, du0,
-                                 scale_floor=max(1.0, abs(u0), abs(du0)))
+        s = max(1.0, abs(u0), abs(du0))
+        qv, h, _ = magnus_ladder(piece, a, b, lam, u0 / s, du0 / s)
         self.h = h
         self.piece = piece
         self.lam_f = np.full((1, 1), lam)
         n = qv.shape[0]
         self.nodes = a + h * np.arange(n + 1)
-        # The last node is b itself, so eval(b) returns the chained end state.
+        # The last node is b itself, so eval(b) returns end.
         self.nodes[-1] = b
         us, dus = [u0], [du0]
         u, du = u0, du0
@@ -103,6 +89,7 @@ class MagnusSegment:
         self.node_du = np.array(dus)
         if not (np.all(np.isfinite(self.node_u)) and np.all(np.isfinite(self.node_du))):
             raise NonFiniteState("propagation produced non-finite values")
+        self.end = u, du
 
     def eval(self, x):
         xs = np.asarray(x, dtype=float)
@@ -117,14 +104,6 @@ class MagnusSegment:
         steps = [e[:, 0] for e in magnus_steps(qv, t, self.lam_f)]
         u, du = _product(steps, (self.node_u[k], self.node_du[k]))
         return u.reshape(xs.shape), du.reshape(xs.shape)
-
-
-def _integrate_dense(piece, a: float, b: float, lam: float, init):
-    """Dense trajectory over [a, b] (either direction) within one piece."""
-    u0, du0 = init
-    if piece.is_constant:
-        return ConstantSegment(a, b, piece.constant_value - lam, u0, du0)
-    return MagnusSegment(piece, a, b, lam, u0, du0)
 
 
 # ----------------------------------------------------------------------
@@ -190,10 +169,14 @@ class PiecewiseSolution:
     def u(self, x, side: str | None = None):
         return self.eval(x, side)[0]
 
-    def boundary_state(self, which: str) -> StateVector:
-        """State at x=-1 ('left') or x=+1 ('right')."""
+    def boundary_state(self, which: str) -> tuple:
+        """(u, u') at x=-1 ('left') or x=+1 ('right'), scale applied.
+        Raises NonFiniteState if either is not finite."""
         state = self.left_states[0] if which == "left" else self.right_states[-1]
-        return StateVector(*(self.scale * np.asarray(state)))
+        u, du = self.scale * np.asarray(state)
+        if not (np.isfinite(u) and np.isfinite(du)):
+            raise NonFiniteState(f"state ({u}, {du}) is not finite")
+        return u, du
 
     def transmission_residual(self) -> float:
         """Max relative violation of u(h-0) = delta u(h+0) (and u')."""
@@ -230,9 +213,11 @@ def _shoot(problem, lam, backward):
     lam = float(lam)
 
     def cross(piece, x0, x1, u, du):
-        seg = _integrate_dense(piece, x0, x1, lam, (u, du))
-        u1, du1 = seg.eval(x1)
-        return seg, float(u1), float(du1)
+        if piece.is_constant:
+            seg = ConstantSegment(x0, x1, piece.constant_value - lam, u, du)
+        else:
+            seg = MagnusSegment(piece, x0, x1, lam, u, du)
+        return seg, float(seg.end[0]), float(seg.end[1])
 
     return PiecewiseSolution(vp, lam, *chain(vp, lam, cross, backward=backward))
 

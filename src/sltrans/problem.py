@@ -224,10 +224,6 @@ class PiecewisePotential:
             )
         return self.pieces
 
-    @property
-    def is_identically_zero(self) -> bool:
-        return all(p.is_constant and p.constant_value == 0.0 for p in self.pieces)
-
 
 # ----------------------------------------------------------------------
 # Problem spec and validation

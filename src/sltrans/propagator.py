@@ -89,7 +89,10 @@ class StepSizeUnderflow(RuntimeError):
     `interval` the passes with n_steps / 2 and `n_steps` steps still
     disagree, and no consecutive pair came within 100 RTOL. `lam` is the
     worst-off lambda of the batch, whose endpoint state moved by `gap`
-    where the stop test allowed RTOL * `scale`."""
+    where the stop test allowed RTOL * `scale`. A dense shot's ladder
+    runs from its start state divided by max(1, |u0|, |u0'|) (see
+    :class:`sltrans.ode.MagnusSegment`), so there `gap` and `scale` are
+    relative to that normalised start."""
 
     def __init__(self, message: str, *, interval=None, n_steps=None,
                  lam=None, gap=None, scale=None):
@@ -542,14 +545,12 @@ def _cold_steps(x0: float, x1: float) -> int:
     return max(8, int(np.ceil(16 * abs(x1 - x0))))
 
 
-def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
-                  scale_floor: float = 1.0):
+def magnus_ladder(piece, x0: float, x1: float, lam, u, du):
     """Double the Magnus step count on a variable piece until it settles.
 
     Passes go from x0 to x1 (x1 < x0 integrates backwards) and stop once the
-    endpoint state moves by at most RTOL * max(|u(x1)|, |u'(x1)|,
-    scale_floor) at every lambda. Returns (qvals, h, (u1, du1)) of the
-    accepted pass.
+    endpoint state moves by at most RTOL * max(|u(x1)|, |u'(x1)|, 1) at
+    every lambda. Returns (qvals, h, (u1, du1)) of the accepted pass.
 
     The cold ladder starts at n0 = max(8, ceil(16 |x1 - x0|)) steps and
     doubles up to 2**9 n0. A warm ladder reads M, the largest step count
@@ -582,7 +583,7 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du, *,
     while n < n_max:
         cur, nxt = run(n), run(2 * n)
         n *= 2
-        scale = np.maximum(np.maximum(np.abs(nxt[0]), np.abs(nxt[1])), scale_floor)
+        scale = np.maximum(np.maximum(np.abs(nxt[0]), np.abs(nxt[1])), 1.0)
         gap = np.maximum(np.abs(nxt[0] - cur[0]), np.abs(nxt[1] - cur[1]))
         if np.all(gap <= RTOL * scale):
             if n == 2 * start > 2 * n_cold:  # the warm start agreed at once

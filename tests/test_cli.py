@@ -148,6 +148,30 @@ class TestVerify:
         assert result["status"] == "pass"
         assert result["measured"] <= 1e-10
 
+    def test_delta_invariance_runs_on_variable_potential(self, tmp_path, capsys):
+        # The jumps scale u and u' alike, so no q lets them move an eigenvalue.
+        path = tmp_path / "case1.json"
+        path.write_text(json.dumps(problem_to_json(make_case1_linear())))
+        code, out, err = run_cli(
+            ["verify", "--problem", str(path), "--checks", "delta-invariance",
+             "--nmax", "4"], capsys)
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert (result["status"], result["count"]) == ("pass", 4)
+        assert result["measured"] <= 1e-10
+        assert "delta-invariance: pass" in err
+
+    def test_delta_invariance_skips_a_problem_without_interfaces(self, tmp_path, capsys):
+        spec = dataclasses.replace(make_case1_linear(), interfaces=(), jumps=(),
+                                   potential=PiecewisePotential.polynomial((1.0, 1.0)))
+        path = tmp_path / "plain.json"
+        path.write_text(json.dumps(problem_to_json(spec)))
+        code, out, _ = run_cli(
+            ["verify", "--problem", str(path), "--checks", "delta-invariance"], capsys)
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert (result["status"], result["reason"]) == ("skipped", "no interfaces")
+
 
     def test_asymptotics_check_passes_in_case_2(self, tmp_path, capsys):
         # beta_2' != 0, alpha_2 = 0 and int q != 0: the second-order
@@ -330,7 +354,7 @@ class TestExpand:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the target was checked")
 
-        monkeypatch.setattr(cli, "_solve", no_solve)
+        monkeypatch.setattr(cli, "find_eigenvalues", no_solve)
         path = tmp_path / "target.json"
         # Python's json writes and reads NaN and Infinity.
         path.write_text(json.dumps(target))
@@ -443,12 +467,16 @@ class TestFailureModes:
         assert code == 1
         assert "n_max" in err
 
-    @pytest.mark.parametrize("flag", ["--ode-tol", "--root-tol"])
-    def test_tolerance_flags_are_unrecognized(self, problem_file, capsys, flag):
+    @pytest.mark.parametrize("command, flag, value", [
+        ("solve", "--ode-tol", "1e-10"), ("solve", "--root-tol", "1e-10"),
+        ("solve", "--seed", "1"), ("scan", "--nmax", "3")],
+        ids=["--ode-tol", "--root-tol", "solve --seed", "scan --nmax"])
+    def test_tolerance_flags_are_unrecognized(self, problem_file, capsys, command,
+                                              flag, value):
         code, out, err = run_cli(
-            ["solve", "--problem", problem_file, flag, "1e-10"], capsys)
+            [command, "--problem", problem_file, flag, value], capsys)
         assert (code, out) == (1, "")
-        assert err == f"error: unrecognized arguments: {flag} 1e-10\n"
+        assert err == f"error: unrecognized arguments: {flag} {value}\n"
 
     def test_suspected_missed_root_exits_two(self, problem_file, capsys,
                                              monkeypatch):

@@ -20,8 +20,9 @@ from sltrans.hilbert import (
     r_form_identity_residual,
     weighted_square_integral,
 )
-from sltrans.ode import ConstantSegment, shoot_chi, shoot_phi
+from sltrans.ode import shoot_chi, shoot_phi
 from sltrans.problem import PotentialPiece
+from sltrans.propagator import constant_step
 from sltrans.quadrature import panel_nodes, subinterval_rules, weighted_sum
 from conftest import make_barrier, make_canonical, make_two_interface
 
@@ -151,6 +152,19 @@ class TestExpansion:
         with pytest.raises(ValueError, match="must be finite"):
             HElement.bump(**kwargs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: HElement.bump(0.0, 0.5, f1=v), "f1"),
+        (lambda v: HElement.polynomial((1.0, 2.0), f1=v), "f1"),
+        (lambda v: HElement.polynomial((1.0, v, 2.0)), "coeffs"),
+        (lambda v: HElement.polynomial((v,), f1=math.nan), "coeffs"),
+        (lambda v: HElement.scalar_only(v), "f1"),
+    ], ids=["bump-f1", "polynomial-f1", "polynomial-coeff", "coeff-before-f1",
+            "scalar-f1"])
+    def test_constructors_reject_non_finite_f1_and_coeffs(self, make, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r}$"):
+            make(bad)
+
     def test_jumped_problem_expansion(self, two_interface, two_interface_eigs):
         poly = HElement.polynomial((0.2, 1.0, -0.5), f1=-0.3)
         result = expand(two_interface, poly, two_interface_eigs)
@@ -184,7 +198,7 @@ class TestSquareIntegral:
     def test_closed_form_matches_composite_gauss(self, seg):
         a, b, w, u0, du0 = seg
         x, wts = panel_nodes(min(a, b), max(a, b), 4096, 12)
-        u, _ = ConstantSegment(*seg).eval(x)
+        u, _ = constant_step(w, x - a, u0, du0)
         want = math.fsum(wts * u * u)
         got = constant_square_integrals(a, b, w, u0, du0)
         assert got.shape == (1,)

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as hst
 import sltrans as st
 from sltrans.ode import (
     CSV_SAMPLES,
+    ConstantSegment,
+    MagnusSegment,
     NonConvergence,
-    StateVector,
-    _integrate_dense,
     picard_phi,
     shoot_chi,
     shoot_phi,
@@ -43,9 +43,9 @@ class TestSegments:
     def test_backward_integration_inverts_forward(self):
         piece = st.validate_problem(make_case1_linear()).pieces[1]
         lam = 11.0
-        fwd = _integrate_dense(piece, 0.2, 1.0, lam, (0.4, -0.9))
+        fwd = MagnusSegment(piece, 0.2, 1.0, lam, 0.4, -0.9)
         u1, du1 = fwd.eval(1.0)
-        back = _integrate_dense(piece, 1.0, 0.2, lam, (u1, du1))
+        back = MagnusSegment(piece, 1.0, 0.2, lam, u1, du1)
         u0, du0 = back.eval(0.2)
         assert u0 == pytest.approx(0.4, abs=1e-9)
         assert du0 == pytest.approx(-0.9, abs=1e-9)
@@ -105,6 +105,33 @@ class TestPiecewiseEval:
         for phi in (shoot_phi(make(), lam), shoot_phi(make(), lam).scaled(-2.5)):
             got = [float(v).hex() for v in phi.boundary_state("left")]
             assert got == [float(v).hex() for v in phi.eval(-1.0)]
+
+    @pytest.mark.parametrize("lam", [17.3, 0.2, -6.0])
+    def test_segment_end_is_eval_at_its_far_end(self, lam):
+        # phi's segments run forward and end at their right ends, chi's
+        # backward to their left ends; the interface side picks segment j.
+        vp = st.validate_problem(make_mixed())
+        bp = vp.breakpoints
+        for sol, ends, side in ((shoot_phi(vp, lam), bp[1:], "left"),
+                                (shoot_chi(vp, lam), bp[:-1], "right")):
+            assert [type(seg) for seg in sol.segments] == [
+                ConstantSegment, MagnusSegment, ConstantSegment]
+            for seg, b in zip(sol.segments, ends):
+                want = [float(v).hex() for v in sol.eval(b, side=side)]
+                assert [float(v).hex() for v in seg.end] == want
+                if isinstance(seg, MagnusSegment):
+                    assert [float(v).hex() for v in seg.eval(b)] == want
+
+    @pytest.mark.parametrize("u0, du0", [(1.0, -0.3), (0.2, 3.0), (-7.5, 40.0)])
+    def test_magnus_step_count_ignores_the_start_state_size(self, u0, du0):
+        # The ladder sees the start state divided by max(1, |u0|, |du0|),
+        # which is the same state for every c once that size is at least 1.
+        # Each segment gets a fresh piece, so no node memo warm-starts it.
+        for a, b in ((0.2, 1.0), (1.0, 0.2)):
+            counts = {len(MagnusSegment(st.validate_problem(make_case1_linear()).pieces[1],
+                                        a, b, 61.0, c * u0, c * du0).nodes)
+                      for c in (1.0, 10.0, 1e3, 1e6)}
+            assert len(counts) == 1
 
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, 1.5, [0.0, np.nan]])
     def test_non_finite_or_outside_x_is_out_of_domain(self, x):
@@ -209,13 +236,6 @@ class TestPicard:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises((ValueError, NonConvergence)):
             picard_phi(make_canonical(), -1.0)
-
-
-class TestStateVector:
-    def test_fields(self):
-        sv = StateVector(1.5, -2.0)
-        assert sv.u == 1.5
-        assert sv.du == -2.0
 
 
 @given(hst.floats(-600.0, 600.0))

@@ -155,10 +155,6 @@ class TestPotential:
         # int_{-1}^{1} (1 + 0.5 x - 0.3 x^2) dx = 2 - 0.2
         assert moments["I0"] == pytest.approx(1.8, rel=1e-12)
 
-    def test_identically_zero_flag(self):
-        assert st.PiecewisePotential.constant(0.0).is_identically_zero
-        assert not st.PiecewisePotential.constant(1e-3).is_identically_zero
-
     def test_max_potential_bound_dominates(self):
         vp = st.validate_problem(make_two_interface())
         xs = np.linspace(-1, 1, 1001)
