@@ -30,8 +30,6 @@ import numpy as np
 from . import propagator
 from .problem import as_validated
 
-SIGN_MARGIN = 4.0  # omega_sign's bound on |omega_2n| over |omega_2n - omega_n|
-
 
 @dataclass
 class CharacteristicSample:
@@ -82,24 +80,6 @@ def omega(problem, lam):
     end = propagator.endpoint_chain(vp, lam_arr)[1][-1]
     out = vp.delta_sq_prod * propagator.boundary_form(vp, lam_arr, *end)
     return float(out) if np.ndim(lam) == 0 else out
-
-
-def omega_sign(problem, lam, level: int):
-    """omega's signs at lam from omega_n and omega_2n of
-    :func:`sltrans.propagator.level_chain`, whose n is read off the node
-    memo's largest step count, or None unless |omega_2n| > SIGN_MARGIN
-    |omega_2n - omega_n| at every lambda. The difference is about 15 times
-    omega_2n's error (fourth order), and the ladder's omega, at 2n steps or
-    more, is closer still."""
-    vp = as_validated(problem)
-    lam_arr = real_lambda(lam)
-    ends = propagator.level_chain(vp, lam_arr, level)
-    if ends is None:
-        return None
-    coarse, fine = vp.delta_sq_prod * propagator.boundary_form(vp, lam_arr, *ends)
-    if not np.all(np.abs(fine) > SIGN_MARGIN * np.abs(fine - coarse)):
-        return None
-    return np.sign(fine)
 
 
 def eigenvalue_count(problem, lam):

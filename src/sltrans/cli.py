@@ -46,6 +46,10 @@ THRESHOLDS = {
     "delta-invariance": 1e-8,
 }
 CHECK_NAMES = tuple(THRESHOLDS)
+# Roots the asymptotics check solves at least: over the first 25 (or 48)
+# the error envelope of healthy problems is often still pre-asymptotic and
+# reads above the 0.05 bound; over 64 it has settled.
+ASYMPTOTICS_ROOTS = 64
 
 
 class CliError(Exception):
@@ -303,7 +307,8 @@ def run_verify(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     eigs = None
     if {"orthogonality", "asymptotics", "norm-identity"} & set(config.checks):
-        n = max(config.n_max, 25) if "asymptotics" in config.checks else config.n_max
+        n = (max(config.n_max, ASYMPTOTICS_ROOTS) if "asymptotics" in config.checks
+             else config.n_max)
         eigs = find_eigenvalues(vp, n)
     checks = {
         "chain": lambda: _check_chain(vp, rng),
@@ -325,8 +330,8 @@ def run_verify(config: RunConfig) -> int:
             results.append({"check": name, "status": "pass" if passed else "fail",
                             "threshold": THRESHOLDS[name], **detail})
     all_pass = all(r["status"] != "fail" for r in results)
-    rows = [[r["check"], r["status"], repr(r.get("measured", "")),
-             repr(r.get("threshold", ""))] for r in results]
+    rows = [[r["check"], r["status"], str(r.get("measured", "")),
+             str(r.get("threshold", ""))] for r in results]
     _emit(config, {"results": results, "passed": all_pass},
           ["check", "status", "measured", "threshold"], rows)
     for r in results:

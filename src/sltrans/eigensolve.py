@@ -10,7 +10,8 @@ That shapes the solver:
    lambda >= 0 (roots space out like pi/2 in s) and uniform in lambda on
    the negative tail, and refine all sign-change brackets together by
    vectorized bisection (one batched sign of omega per iteration, from
-   the coarsest Magnus level that certifies it or else from omega),
+   :func:`_omega_signs`: the coarsest Magnus level that certifies it, or
+   else omega),
 3. if the roots found do not number N(top), bisect on N where they disagree
    until each part holds one eigenvalue (a close pair in one scan cell
    shows no sign change), and refine those parts the same way,
@@ -35,12 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics
-from .characteristic import (eigenvalue_count, omega, omega_derivative, omega_sign,
-                             real_lambda)
+from .characteristic import eigenvalue_count, omega, omega_derivative, real_lambda
 from .hilbert import r1_form, r1p_form, weighted_square_integral
 from .ode import PiecewiseSolution, shoot_chi, shoot_phi
 from .problem import as_validated, classify_case
-from .propagator import boundary_form, magnus_levels
+from .propagator import boundary_form, level_chain, magnus_levels
 # fixed_quad is no longer called here, but perfbench/tracing.py wraps
 # eigensolve.fixed_quad by name, so the name stays importable.
 from .quadrature import fixed_quad  # noqa: F401
@@ -55,6 +55,7 @@ MAX_BISECTIONS = 90  # bisection steps of one refinement batch, at most
 # boundary-condition residuals of the eigenfunctions inherit the root
 # error; the extra bisection steps are cheap.
 ROOT_REL_TOL = 1e-14
+SIGN_MARGIN = 4.0  # _omega_signs' bound on |omega_2n| over |omega_2n - omega_n|
 
 
 class LostBracket(RuntimeError):
@@ -172,17 +173,28 @@ def sift_scan(vp, lams, oms) -> ScanResult:
 # Refinement
 # ----------------------------------------------------------------------
 
+def _omega_signs(vp, lam, level: int):
+    """(sign(omega_2n), k) for the first k from level down to 1 where
+    |omega_2n| > SIGN_MARGIN |omega_2n - omega_n| at every lambda, omega_n
+    and omega_2n from :func:`sltrans.propagator.level_chain` at k; else
+    (sign(omega), 0). The difference is about 15 times omega_2n's error
+    (fourth order), and omega, at 2n steps or more, is closer still."""
+    for k in range(level, 0, -1):
+        coarse, fine = vp.delta_sq_prod * boundary_form(vp, lam, *level_chain(vp, lam, k))
+        if np.all(np.abs(fine) > SIGN_MARGIN * np.abs(fine - coarse)):
+            return np.sign(fine), k
+    return np.sign(omega(vp, lam)), 0
+
+
 def _refine_batch(vp, brackets) -> np.ndarray:
     """Bisection on all brackets at once, one batched sign of omega per
     step, until each is ROOT_REL_TOL narrow.
 
-    With a variable piece the signs come from the coarsest Magnus level
-    that certifies them (:func:`sltrans.characteristic.omega_sign`), the
-    levels counted down from the largest step count each piece's node
-    memo holds; whenever a level fails, the same midpoints go to the next
-    finer one. Once the finest fails, each step calls omega, so the steps
-    near the roots get omega's own signs; a certified sign is omega's too,
-    so no step moves.
+    Every sign, both bracket ends included, comes from :func:`_omega_signs`,
+    from :func:`sltrans.propagator.magnus_levels` (0 on constant q) on and
+    each call at the level the last one returned. Once no level certifies,
+    the steps near the roots take omega's own signs; a certified sign is
+    omega's too, so no step moves.
 
     Raises LostBracket if a bracket's endpoints no longer straddle a sign
     change (integrator noise near a tangential dip can do that).
@@ -191,24 +203,16 @@ def _refine_batch(vp, brackets) -> np.ndarray:
         return np.empty(0)
     la = np.array([b[0] for b in brackets], dtype=float)
     lb = np.array([b[1] for b in brackets], dtype=float)
-    fa = np.asarray(omega(vp, la))
-    fb = np.asarray(omega(vp, lb))
-    bad = fa * fb > 0
+    sa, level = _omega_signs(vp, la, magnus_levels(vp))
+    sb, level = _omega_signs(vp, lb, level)
+    bad = sa * sb > 0
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
         raise LostBracket(
             f"omega has the same sign at both ends of [{la[k]}, {lb[k]}]")
-    sa = np.sign(fa)
-    level = magnus_levels(vp)  # 0: omega is exact, or no level
     for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (la + lb)
-        ms = None
-        while level and ms is None:
-            ms = omega_sign(vp, mid, level)
-            if ms is None:
-                level -= 1
-        if ms is None:
-            ms = np.sign(np.asarray(omega(vp, mid)))
+        ms, level = _omega_signs(vp, mid, level)
         exact = ms == 0
         go_left = ms == sa
         la = np.where(go_left, mid, la)

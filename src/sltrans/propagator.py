@@ -726,7 +726,8 @@ def magnus_levels(problem) -> int:
     """The coarsest level of :func:`level_chain`: the largest s with
     M / 2**s at least the cold count on some variable piece, M the largest
     step count the piece's memo holds (:func:`memo_steps`); 0 if there is
-    no variable piece, or one has no nodes yet."""
+    no variable piece, or one has no nodes yet: where root refinement's
+    sign certificates start (:func:`sltrans.eigensolve._omega_signs`)."""
     vp = as_validated(problem)
     bp = vp.breakpoints
     ratios = [memo_steps(piece, x0, x1) // _cold_steps(x0, x1)
@@ -737,13 +738,14 @@ def magnus_levels(problem) -> int:
 def level_chain(problem, lam, level: int):
     """The left solution's end states with no ladder: (u, du), each
     (2, *lam.shape), row 0 from n = max(M / 2**level, cold count) steps on
-    each variable piece (see :func:`magnus_levels`), row 1 from 2n: passes
-    the ladder runs, on node potentials from ``piece.memo``. Constant
-    pieces take their one exact step. None where magnus_levels is 0."""
+    each variable piece, M the largest step count the piece's memo holds,
+    row 1 from 2n: passes the ladder runs, on node potentials from
+    ``piece.memo``. Constant pieces take their one exact step.
+
+    Requires 1 <= level <= :func:`magnus_levels`, so every variable piece
+    has nodes."""
     vp = as_validated(problem)
     lam = np.asarray(lam, dtype=float)
-    if not magnus_levels(vp):
-        return None
 
     def cross(piece, x0, x1, u, du):
         if piece.is_constant:

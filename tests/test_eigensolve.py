@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 import sltrans as st
 from sltrans import eigensolve, ode, propagator
-from sltrans.characteristic import eigenvalue_count, omega, omega_sign
+from sltrans.characteristic import eigenvalue_count, omega
 from sltrans.eigensolve import (
     Eigenpair,
     LostBracket,
@@ -113,7 +113,7 @@ FILTERED = {
     "barrier-100": (lambda: _stiff_barrier(100.0), 10),
 }
 # eigensolve.omega calls in one find_eigenvalues before refinement took
-# its signs from omega_sign: the scan, both bracket ends and every step.
+# its signs from certificates: the scan, both bracket ends and every step.
 FULL_OMEGA_CALLS = {"case1_linear": 49, "sampled": 48}
 
 
@@ -124,7 +124,7 @@ class TestSignFilter:
         # midpoint, the bisection without the filter.
         make, n = FILTERED[name]
         got = find_eigenvalues(st.validate_problem(make()), n)
-        monkeypatch.setattr(eigensolve, "omega_sign", lambda *args: None)
+        monkeypatch.setattr(eigensolve, "magnus_levels", lambda *args: 0)
         want = find_eigenvalues(st.validate_problem(make()), n)
         assert ([(e.lam.hex(), e.omega_prime.hex()) for e in got]
                 == [(e.lam.hex(), e.omega_prime.hex()) for e in want])
@@ -142,18 +142,18 @@ class TestSignFilter:
                 lam = roots * (1.0 + side * 10.0 ** -j)
                 want = np.sign(omega(vp, lam))
                 for level in range(1, magnus_levels(vp) + 1):
-                    cert = omega_sign(vp, lam, level)
-                    if cert is not None:
+                    signs, got = eigensolve._omega_signs(vp, lam, level)
+                    if got > 0:
                         certified += 1
-                        assert np.array_equal(cert, want), (j, side, level)
+                    assert np.array_equal(signs, want), (j, side, level)
         assert certified >= 4
 
     @pytest.mark.parametrize("make", [make_canonical, make_barrier])
     def test_constant_q_asks_for_no_certificate(self, make, monkeypatch):
         def no_filter(*args):
-            raise AssertionError("omega_sign called on constant q")
+            raise AssertionError("level_chain called on constant q")
 
-        monkeypatch.setattr(eigensolve, "omega_sign", no_filter)
+        monkeypatch.setattr(eigensolve, "level_chain", no_filter)
         assert len(find_eigenvalues(st.validate_problem(make()), 10)) == 10
 
     @pytest.mark.parametrize("name", list(FULL_OMEGA_CALLS))
@@ -221,6 +221,57 @@ class TestEnumeration:
             lam_min=-400.0)
         got = [e.lam for e in eigs]
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    def test_scan_range_grows_until_the_count_is_reached(self, monkeypatch):
+        # Below q = 400 only lambda_0 lies under the first top, s = 10.42,
+        # so s_max grows by 4 pi before the scan.
+        spec = st.ProblemSpec(
+            potential=st.PiecewisePotential.constant(400.0),
+            interfaces=(0.3,), jumps=(1.7,),
+            alpha=(1.0, 0.5), beta=(0.0, 1.0), beta_prime=(1.0, 0.3))
+        seen = []
+        grid = eigensolve.scan_grid
+
+        def recording(s_max, lam_floor):
+            seen.append(s_max)
+            return grid(s_max, lam_floor)
+
+        monkeypatch.setattr(eigensolve, "scan_grid", recording)
+        got = np.array([e.lam for e in find_eigenvalues(spec, 5)])
+        assert seen[0] == pytest.approx(10.42, abs=0.01)
+        assert seen[-1] == pytest.approx(seen[0] + 4.0 * np.pi)
+        # The oracle's grid stops at s = (count + 3) pi / 2: ask it for 20.
+        want = np.array(oracles.constant_q_eigenvalues(
+            20, 400.0, (0.3,), (1.7,), (1.0, 0.5), (0.0, 1.0), (1.0, 0.3),
+            lam_min=-400.0)[:5])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+    def test_an_exact_zero_on_the_grid_is_bracketed(self, monkeypatch):
+        # omega(0) is exactly 0.0, a grid point: sift_scan brackets the
+        # root between the point's two neighbors.
+        spec = st.ProblemSpec(
+            potential=st.PiecewisePotential.constant(0.0),
+            interfaces=(0.2,), jumps=(1.5,),
+            alpha=(0.0, 1.0), beta=(0.0, 1.0), beta_prime=(1.0, 0.0))
+        scans = []
+        sift = eigensolve.sift_scan
+
+        def recording(vp, lams, oms):
+            scans.append((lams, oms, sift(vp, lams, oms)))
+            return scans[-1][2]
+
+        monkeypatch.setattr(eigensolve, "sift_scan", recording)
+        got = np.array([e.lam for e in find_eigenvalues(spec, 4)])
+        lams, oms, scan = scans[0]
+        i = int(np.flatnonzero(oms == 0.0)[0])
+        assert lams[i] == 0.0
+        assert scan.brackets[0] == (lams[i - 1], lams[i + 1])
+        assert scan.suspicious == []
+        want = np.array(oracles.constant_q_eigenvalues(
+            4, 0.0, (0.2,), (1.5,), (0.0, 1.0), (0.0, 1.0), (1.0, 0.0),
+            lam_min=-400.0))
+        assert abs(got[0]) <= 1e-14
+        assert np.max(np.abs(got[1:] - want[1:]) / want[1:]) <= 1e-14
 
 
 class TestEigenpairRecords:

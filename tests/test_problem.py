@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,47 @@ class TestValidation:
         assert np.allclose(vp.weights, (1.0, 4.0, 1.0))
         assert vp.delta_prod == pytest.approx(1.0)
         assert vp.delta_sq_prod == pytest.approx(1.0)
+
+
+def _json_with(**kw):
+    obj = problem_to_json(make_canonical())
+    obj.update(kw)
+    return lambda: problem_from_json(obj)
+
+
+_LINEAR = PotentialPiece("polynomial", coeffs=(1.0, 2.0))
+BAD_PROBLEMS = {
+    "unknown-piece-kind": (lambda: PotentialPiece("cubic"),
+                           "unknown potential piece kind 'cubic'"),
+    "sampled-length-mismatch": (
+        lambda: PotentialPiece("sampled", x=(-1.0, 0.0, 1.0), values=(1.0, 2.0)),
+        "sampled piece needs matching x/values grids"),
+    "sampled-not-increasing": (
+        lambda: PotentialPiece("sampled", x=(-1.0, 0.5, 0.2, 1.0), values=(1.0,) * 4),
+        "sampled piece grid must be strictly increasing"),
+    "constant-value-of-variable-piece": (lambda: _LINEAR.constant_value,
+                                         "piece is not constant"),
+    "three-pieces-on-two-subintervals": (
+        lambda: st.validate_problem(spec_with(potential=st.PiecewisePotential((_LINEAR,) * 3))),
+        "potential has 3 pieces but the problem has 2 subintervals"),
+    "nan-jump": (lambda: st.validate_problem(spec_with(jumps=(math.nan,))),
+                 "all problem parameters must be finite"),
+    "one-interface-two-jumps": (lambda: st.validate_problem(spec_with(jumps=(1.0, 2.0))),
+                                "1 interfaces but 2 jump factors"),
+    "json-unknown-kind": (_json_with(potential={"kind": "cubic"}),
+                          "unknown potential kind 'cubic'"),
+    "json-untagged-potential": (_json_with(potential={"value": "1.0"}),
+                                "key 'potential' must be a tagged object with a 'kind'"),
+    "json-three-alphas": (_json_with(alpha=["1.0", "0.0", "2.0"]),
+                          "keys 'alpha', 'beta', 'beta_prime' must each hold two numbers"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PROBLEMS))
+def test_malformed_problems_raise_problem_error(case):
+    make, message = BAD_PROBLEMS[case]
+    with pytest.raises(st.ProblemError, match=re.escape(message)):
+        make()
 
 
 class TestNonFinitePotential:
