@@ -88,7 +88,8 @@ def eigenvalue_count(problem, lam):
     The Pruefer angle Theta of the line through (u', u) of the left solution
     is continuous across the jumps, which scale u and u' alike, and
     Theta(1) = pi Z + atan2(u, u') mod pi with Z the zeros of u on (-1, 1],
-    counted per piece on the Magnus product tree (:func:`propagator.count_pass`).
+    counted per piece on the Magnus product tree (:func:`propagator.count_pass`)
+    of the steps :func:`propagator.magnus_ladder` crosses it with.
     The right condition asks for the line through (A, B) = (lambda b1' + b1,
     lambda b2' + b2), which turns back by pi at the rate rho / (A^2 + B^2)
     as lambda grows. So G = Theta(1) + atan2(rho, -(A b1' + B b2')) rises
@@ -99,10 +100,7 @@ def eigenvalue_count(problem, lam):
     lam_arr = real_lambda(lam).ravel()
 
     def cross(piece, x0, x1, u, du):
-        if piece.is_constant:  # one exact step, the Magnus step of constant q
-            qv, h = np.full((1, 2), piece.constant_value), x1 - x0
-        else:
-            qv, h, _ = propagator.magnus_ladder(piece, x0, x1, lam_arr, u, du)
+        qv, h, _ = propagator.magnus_ladder(piece, x0, x1, lam_arr, u, du)
         return propagator.count_pass(qv, h, lam_arr, u, du)
 
     piece_zeros, _, right = propagator.chain(vp, lam_arr, cross)

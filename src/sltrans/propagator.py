@@ -4,8 +4,8 @@ This module powers characteristic-function scans and root refinement, where
 only boundary/interface states are needed and the same problem is evaluated
 at many lambda. States are propagated with 2x2 transfer matrices:
 
-* constant-q pieces use the exact trigonometric/hyperbolic matrix in a
-  single step;
+* constant-q pieces take the exact trigonometric/hyperbolic matrix in a
+  single step, which :func:`magnus_ladder` gives as it gives any other;
 * variable-q pieces use a fourth-order Magnus scheme on two-point Gauss
   nodes with step doubling until the endpoint state stabilizes. The scheme
   reduces to the exact matrix when q is constant, and its error constant
@@ -238,18 +238,24 @@ def _exponent_into(qvals, h, lam_f, wbar, z):
     return d
 
 
+def _entries_into(C, S, h, wbar, d, e11, e12, e21, e22):
+    """The entries of E = C I + S Omega, Omega = [[d, h], [h * wbar, -d]],
+    written into e11, e12, e21 and e22. e12 and e21 are formed before e22,
+    which may take wbar's slot, and e11 may take S's."""
+    np.multiply(S, h, out=e12)
+    np.multiply(e12, wbar, out=e21)
+    np.multiply(S, d, out=e22)
+    np.add(C, e22, out=e11)
+    np.subtract(C, e22, out=e22)
+
+
 def _steps_into(qvals, h, lam_f, slots):
     """:func:`magnus_steps` written into slots, a (5, n_lam, n_steps) array:
     the step matrices take its first four entries, the fifth is scratch."""
     S, r, z, wbar, C = slots
     d = _exponent_into(qvals, h, lam_f, wbar, z)
     _cos_sinc_into(z, C, S, r)
-    e11, e12, e21, e22 = slots[:4]
-    np.multiply(S, h, out=e12)
-    np.multiply(e12, wbar, out=e21)
-    np.multiply(S, d, out=e22)
-    np.add(C, e22, out=e11)
-    np.subtract(C, e22, out=e22)
+    _entries_into(C, S, h, wbar, d, *slots[:4])
     return slots[:4].reshape(2, 2, *C.shape)
 
 
@@ -269,19 +275,11 @@ def _tangent_steps_into(qvals, h, lam_f, slots):
     d = _exponent_into(qvals, h, lam_f, wbar, z)
     _cos_sinc_into(z, C, S, e22)
     _slope_into(z, C, S, dS)
-    np.multiply(S, h, out=e12)
-    np.multiply(e12, wbar, out=e21)
-    np.multiply(S, d, out=e22)
-    np.add(C, e22, out=e11)
-    np.subtract(C, e22, out=e22)
+    _entries_into(C, S, h, wbar, d, e11, e12, e21, e22)
     np.multiply(S, -0.5 * h * h, out=dC)
     np.multiply(dS, -(h * h), out=dS)
-    np.multiply(dS, h, out=f12)
-    np.multiply(f12, wbar, out=f21)
+    _entries_into(dC, dS, h, wbar, d, f11, f12, f21, f22)
     np.subtract(f21, e12, out=f21)
-    np.multiply(dS, d, out=f22)
-    np.add(dC, f22, out=f11)
-    np.subtract(dC, f22, out=f22)
     return slots[:8].reshape(2, 2, 2, *z.shape)
 
 
@@ -300,16 +298,18 @@ def _count_steps_into(qvals, h, lam_f, slots):
     """The count's leaves written into slots, (8, n_lam, n_steps), as a
     (7, n_lam, n_steps) view: each step matrix E (the bits of
     :func:`magnus_steps`), the zeros K of u in (0, 1] along exp(t Omega) v0
-    from v0 = (u, u') = (0, 1), the line angle of E v0 and det E = 1.
+    from v0 = (u, u') = (0, 1), the line angle of E v0 and det E = 1. z,
+    formed once, waits in K's slot, and C and S in det's and the angle's.
 
     For z < 0 the phase of (sqrt(-z) u, d u + h u') turns by exactly
     sqrt(-z) from 0 to (sqrt(-z) e12, h C), so K is the whole half-turns;
     a zero at the end of the step falls to it. For z >= 0, K = 0.
     """
-    _steps_into(qvals, h, lam_f, slots[:5])
-    e12, e22, k, phi, det, r = slots[1], slots[3], *slots[4:]
-    np.multiply(k, h, out=det)  # k holds C
-    _exponent_into(qvals, h, lam_f, r, k)
+    r, e12, e21, e22, k, phi, det, wbar = slots
+    d = _exponent_into(qvals, h, lam_f, wbar, k)
+    _cos_sinc_into(k, det, phi, r)
+    _entries_into(det, phi, h, wbar, d, r, e12, e21, e22)
+    np.multiply(det, h, out=det)  # h C
     np.sqrt(np.maximum(np.negative(k, out=k), 0.0, out=k), out=k)
     line_angle(np.multiply(k, e12, out=phi), det, out=phi)
     np.subtract(k, phi, out=k)
@@ -546,11 +546,13 @@ def _cold_steps(x0: float, x1: float) -> int:
 
 
 def magnus_ladder(piece, x0: float, x1: float, lam, u, du):
-    """Double the Magnus step count on a variable piece until it settles.
+    """The Magnus steps that cross a piece from x0 to x1 (backwards if
+    x1 < x0) and the end state: (qvals, h, (u1, du1)).
 
-    Passes go from x0 to x1 (x1 < x0 integrates backwards) and stop once the
-    endpoint state moves by at most RTOL * max(|u(x1)|, |u'(x1)|, 1) at
-    every lambda. Returns (qvals, h, (u1, du1)) of the accepted pass.
+    A constant piece c takes one exact step, qvals = [[c, c]] and
+    h = x1 - x0, and (u1, du1) is its :func:`constant_step`. On a variable
+    piece the step count doubles until the end state moves by at most
+    RTOL * max(|u(x1)|, |u'(x1)|, 1) at every lambda.
 
     The cold ladder starts at n0 = max(8, ceil(16 |x1 - x0|)) steps and
     doubles up to 2**9 n0. A warm ladder reads M, the largest step count
@@ -568,6 +570,9 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du):
     round-off, and one lambda left on that floor above RTOL must not fail
     the batch. Otherwise :class:`StepSizeUnderflow` reports the last pair.
     """
+    if piece.is_constant:
+        c = piece.constant_value
+        return np.full((1, 2), c), x1 - x0, constant_step(c - lam, x1 - x0, u, du)
     n_cold = _cold_steps(x0, x1)
     n_max = n_cold << 9
     start = max(memo_steps(piece, x0, x1) // 4, n_cold)
@@ -609,19 +614,10 @@ def magnus_ladder(piece, x0: float, x1: float, lam, u, du):
 
 
 def propagate_piece(piece, x0: float, x1: float, lam, u, du):
-    """Propagate a state across one potential piece from x0 to x1.
-
-    x1 < x0 integrates backwards. Constant pieces are exact in one step;
-    otherwise the Magnus step count doubles until the endpoint state moves
-    by at most RTOL (relative to the state magnitude, floored at 1).
-    """
-    if x1 == x0:
-        return u, du
-    lam = np.asarray(lam, dtype=float)
-    if piece.is_constant:
-        w = piece.constant_value - lam
-        return constant_step(w, x1 - x0, u, du)
-    return magnus_ladder(piece, x0, x1, lam, u, du)[2]
+    """Propagate a state across one potential piece from x0 to x1: the end
+    state of :func:`magnus_ladder`, one exact step on a constant piece.
+    x1 < x0 integrates backwards."""
+    return magnus_ladder(piece, x0, x1, np.asarray(lam, dtype=float), u, du)[2]
 
 
 def tangent_piece(piece, x0: float, x1: float, lam, u, du):

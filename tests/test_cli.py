@@ -252,6 +252,21 @@ class TestVerify:
         assert norm["jump_scaled_variant"] >= 0.0
         assert norm["substitution"] >= 0.0
 
+    @pytest.mark.parametrize("check", ["orthogonality", "norm-identity"])
+    def test_check_reads_the_same_roots_with_asymptotics(self, check, tmp_path, capsys):
+        # On variable q a root's bits depend on the batch it is solved in:
+        # the check takes its own --nmax roots, not the first of the 64
+        # that asymptotics solves.
+        path = tmp_path / "case1.json"
+        path.write_text(json.dumps(problem_to_json(make_case1_linear())))
+        measured = []
+        for checks in (check, check + ",asymptotics"):
+            code, out, err = run_cli(["verify", "--problem", str(path), "--checks", checks,
+                                      "--nmax", "8"], capsys)
+            assert code == 0, err
+            measured.append(json.loads(out)["results"][0]["measured"])
+        assert measured[0] == measured[1]
+
 
 class TestSweep:
     def test_jump_sweep_leaves_spectrum_alone(self, problem_file, capsys):
@@ -281,12 +296,16 @@ class TestSweep:
             assert lams[0] < lams[1] < lams[2]
 
     def test_bad_parameter_paths(self, problem_file, capsys):
-        for param in ("nonsense[0]", "alpha", "jumps[5]"):
+        for param, message in (("nonsense[0]", "unknown parameter field"),
+                               ("alpha", "needs an index"),
+                               ("jumps[5]", "out of range"),
+                               ("jumps[", "cannot parse parameter path"),
+                               ("potential[0]", "potential path takes no index")):
             code, _, err = run_cli(
                 ["sweep", "--problem", problem_file, "--param", param,
                  "--values", "1.0", "--nmax", "1"], capsys)
             assert code == 1, param
-            assert "error:" in err
+            assert "error:" in err and message in err, param
 
     def test_empty_values_rejected(self, problem_file, capsys):
         code, _, err = run_cli(
@@ -294,6 +313,13 @@ class TestSweep:
              "--values", " , ", "--nmax", "1"], capsys)
         assert code == 1
         assert "empty value list" in err
+
+    def test_unparsable_value_rejected(self, problem_file, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--problem", problem_file, "--param", "jumps[0]",
+             "--values", "1,x", "--nmax", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert "bad sweep value" in err
 
     def test_invalid_value_rows_are_reported_not_fatal(self, problem_file,
                                                        capsys):
@@ -337,6 +363,20 @@ class TestExpand:
         lines = out.strip().splitlines()
         assert lines[0] == "N,coefficient,residual"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "target file not found"),
+        ("{not json", "target file is not valid JSON"),
+    ], ids=["missing", "not-json"])
+    def test_unreadable_target_file(self, problem_file, tmp_path, capsys, text, message):
+        target = tmp_path / "target.json"
+        if text is not None:
+            target.write_text(text)
+        code, out, err = run_cli(
+            ["expand", "--problem", problem_file, "--target", str(target),
+             "--nmax", "2"], capsys)
+        assert (code, out) == (1, "")
+        assert message in err
 
     def test_unknown_target_kind(self, problem_file, tmp_path, capsys):
         target = tmp_path / "target.json"

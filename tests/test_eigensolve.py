@@ -63,6 +63,15 @@ class TestScan:
         with pytest.raises(ValueError):
             bracket_scan(canonical, s_max=5.0, lam_floor=3.0)
 
+    def test_an_exact_zero_without_a_sign_change_is_suspicious(self, canonical_vp):
+        # omega has one sign on [-5, -3]: a zero put at -4 brackets nothing.
+        lams = np.array([-5.0, -4.0, -3.0])
+        oms = np.array([omega(canonical_vp, -5.0), 0.0, omega(canonical_vp, -3.0)])
+        scan = eigensolve.sift_scan(canonical_vp, lams, oms)
+        assert scan.brackets == []
+        assert scan.suspicious == [{"lam": -4.0, "omega": 0.0,
+                                    "note": "exact zero on grid, no sign change around"}]
+
 
 BAD_NUMBERS = {
     "n_max-float": (find_eigenvalues, {"n_max": 2.5}, TypeError, "n_max must be an integer"),
@@ -103,6 +112,10 @@ class TestRefine:
         # omega keeps one sign on [1, 2] (the roots sit at 0.29 and 3.32)
         with pytest.raises(LostBracket):
             _refine_batch(canonical_vp, [(1.0, 2.0)])
+
+    def test_no_brackets_give_no_roots(self, canonical_vp):
+        got = _refine_batch(canonical_vp, [])
+        assert got.shape == (0,) and got.dtype == float
 
 
 # Problems with Magnus pieces for the sign filter, and the n solved.

@@ -152,6 +152,10 @@ class TestExpansion:
         with pytest.raises(ValueError, match="must be finite"):
             HElement.bump(**kwargs)
 
+    def test_bump_rejects_a_zero_halfwidth(self):
+        with pytest.raises(ValueError, match="halfwidth must be positive"):
+            HElement.bump(0.0, 0.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("make, field", [
         (lambda v: HElement.bump(0.0, 0.5, f1=v), "f1"),

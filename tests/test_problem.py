@@ -177,6 +177,11 @@ class TestClassification:
 
 
 class TestPotential:
+    def test_empty_polynomial_is_zero(self):
+        piece = PotentialPiece("polynomial", coeffs=())
+        assert piece.coeffs == (0.0,)
+        assert piece.is_constant and piece.constant_value == 0.0
+
     def test_polynomial_evaluation(self):
         spec = spec_with(potential=st.PiecewisePotential.polynomial((1.0, 0.5, -0.3)))
         vp = st.validate_problem(spec)
