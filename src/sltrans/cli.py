@@ -37,6 +37,7 @@ from .eigensolve import (SuspectedMissedRoot, default_lambda_floor, find_eigenva
 from .hilbert import HElement, expand, gram_matrix, greens_identity_residual
 from .problem import (PiecewisePotential, ProblemError, ProblemSpec,
                       as_validated, load_problem, problem_to_json)
+from .quadrature import QuadratureNotConverged
 
 THRESHOLDS = {
     "chain": 1e-7,
@@ -482,7 +483,7 @@ def main(argv=None) -> int:
         print(f"config: {json.dumps(config.as_dict(), sort_keys=True)}",
               file=sys.stderr)
         return _RUNNERS[config.command](config)
-    except (CliError, OSError) as exc:
+    except (CliError, OSError, QuadratureNotConverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SuspectedMissedRoot as exc:

@@ -11,11 +11,11 @@ family after normalization.
 The module provides the inner product (with a quadrature error estimate),
 the weighted square integral of a shot solution, the two right-boundary
 forms R1 and R1', Gram matrices, a symmetry (Green's identity) diagnostic,
-and the expansion / completeness check. Its sums over subintervals use the
-one rule of :mod:`sltrans.quadrature`, except where a shot solution is
-known in closed form: on a constant-q piece the square integral of
-A cos kt + B sin kt (or its hyperbolic twin) is exact in O(1)
-(:func:`constant_square_integrals`).
+and the expansion / completeness check; :func:`_gram` gives every inner
+product of elements. Its sums over subintervals use the one rule of
+:mod:`sltrans.quadrature`, except where a shot solution is known in closed
+form: on a constant-q piece the square integral of A cos kt + B sin kt (or
+its hyperbolic twin) is exact in O(1) (:func:`constant_square_integrals`).
 """
 
 from __future__ import annotations
@@ -28,12 +28,17 @@ import numpy as np
 from .ode import ConstantSegment, shoot_phi
 from .problem import as_validated
 from .propagator import cos_sinc
-from .quadrature import (QuadratureNotConverged, fixed_quad, panels_for,
-                         subinterval_rules, weighted_sum)
+# fixed_quad is not called here; perfbench/tracing.py wraps it by this name.
+from .quadrature import fixed_quad  # noqa: F401
+from .quadrature import (QUAD_NODES, QuadratureNotConverged, panel_nodes,
+                         panels_for, subinterval_rules, weighted_sum)
 
 MAX_QUAD_DOUBLINGS = 8
 QUAD_REL_TOL = 1e-11
 QUAD_ABS_TOL = 1e-14
+# The most element values one Gram grid may hold (8 bytes each); a finer
+# grid is refused before it is sampled.
+MAX_GRAM_VALUES = 2 ** 24
 # R(z) = (1 - S(4z)) / (-z) is summed as its series for |z| up to
 # _SERIES_Z, where the closed form would lose digits to cancellation;
 # above _EVANESCENT_Z a constant segment integrates its exponential form.
@@ -111,6 +116,8 @@ class HElement:
     @classmethod
     def polynomial(cls, coeffs, f1: float = 0.0) -> "HElement":
         coeffs = tuple(float(c) for c in coeffs)
+        if not coeffs:
+            raise ValueError("coeffs must hold at least one coefficient")
         f1 = float(f1)
         _finite(coeffs=coeffs, f1=f1)
 
@@ -157,38 +164,12 @@ class HElement:
 def h_inner_product(problem, F: HElement, G: HElement):
     """<F, G>: weighted integrals over every subinterval plus the scalar term.
 
-    Returns (value, error_estimate). Each subinterval integral starts from a
-    panel count seeded by the frequency hints and doubles until two counts
-    agree within QUAD_REL_TOL relative or QUAD_ABS_TOL absolute; raises
-    QuadratureNotConverged if any integral refuses to settle.
+    Returns (value, error_estimate), entry [0, 1] of the Gram routine on
+    (F, G). Its grid must settle on <F, F> and <G, G> as well as on
+    <F, G>; raises QuadratureNotConverged if any of them refuses to.
     """
-    vp = as_validated(problem)
-    freq = F.freq_hint + G.freq_hint
-    total = 0.0
-    err_total = 0.0
-    for j, (a, b) in enumerate(vp.subintervals()):
-        def fg(x):
-            return F.values(x) * G.values(x)
-
-        panels = panels_for(a, b, freq)
-        prev = fixed_quad(fg, a, b, panels)
-        converged = False
-        for _ in range(MAX_QUAD_DOUBLINGS):
-            panels *= 2
-            cur = fixed_quad(fg, a, b, panels)
-            gap = abs(cur - prev)
-            if gap <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(cur)):
-                converged = True
-                break
-            prev = cur
-        if not converged:
-            raise QuadratureNotConverged(
-                f"inner-product integral on [{a}, {b}] still moving by "
-                f"{gap:.3e} at {panels} panels")
-        total += vp.weights[j] * cur
-        err_total += vp.weights[j] * gap
-    total += (vp.delta_sq_prod / vp.rho) * F.f1 * G.f1
-    return total, err_total
+    gram, err = _gram(as_validated(problem), [F, G])
+    return float(gram[0, 1]), float(err[0, 1])
 
 
 def weighted_square_integral(problem, sol) -> float:
@@ -280,23 +261,51 @@ def _evanescent_square(L, w, u0, du0):
 def gram_matrix(problem, elements) -> np.ndarray:
     """All pairwise inner products.
 
-    Accepts eigenpairs or HElements (eigenpairs are wrapped). Every element
-    is sampled once on a shared grid fine enough for the fastest pair, so
-    the cost is linear in the element count plus one matrix product.
+    Accepts eigenpairs or HElements (eigenpairs are wrapped). They share
+    :func:`_gram`'s grids, so each grid costs one sample per element and
+    one matrix product.
     """
-    vp = as_validated(problem)
     elems = [e if isinstance(e, HElement) else HElement.from_eigenpair(e)
              for e in elements]
     if not elems:
         return np.zeros((0, 0))
+    return _gram(as_validated(problem), elems)[0]
+
+
+def _gram(vp, elems):
+    """The Gram matrix of elems and an elementwise error estimate.
+
+    Each subinterval doubles :func:`panels_for`'s grid for twice the top
+    frequency hint until every entry of its partial Gram matrix moves less
+    than QUAD_REL_TOL relative or QUAD_ABS_TOL absolute; the estimate sums
+    the weighted last moves. A grid past MAX_GRAM_VALUES values is refused."""
     freq = 2.0 * max(e.freq_hint for e in elems)
-    x, rules = subinterval_rules(vp.subintervals(), freq)
-    w = np.concatenate([wj * rule for wj, rule in zip(vp.weights, rules)])
-    vals = np.vstack([e.values(x) for e in elems])
+    if not freq < math.inf:
+        raise QuadratureNotConverged(f"no finite grid resolves frequency {freq}")
+    gram, err = np.zeros((2, len(elems), len(elems)))
+    for (a, b), wj in zip(vp.subintervals(), vp.weights):
+        panels, prev = panels_for(a, b, freq), np.inf  # nothing to agree with yet
+        for _ in range(MAX_QUAD_DOUBLINGS + 1):
+            if len(elems) * panels * QUAD_NODES > MAX_GRAM_VALUES:
+                raise QuadratureNotConverged(
+                    f"a Gram grid of {panels:.3g} panels on [{a}, {b}] would "
+                    f"hold more than {MAX_GRAM_VALUES} element values")
+            x, w = panel_nodes(a, b, panels, QUAD_NODES)
+            vals = np.vstack([e.values(x) for e in elems])
+            cur = (vals * w) @ vals.T
+            gap = np.abs(cur - prev)
+            if (gap <= np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(cur))).all():
+                break
+            prev, panels = cur, 2 * panels
+        else:
+            raise QuadratureNotConverged(
+                f"Gram entries on [{a}, {b}] still moving by up to "
+                f"{gap.max():.3e} after {MAX_QUAD_DOUBLINGS} doublings")
+        gram += wj * cur
+        err += wj * gap
     scal = np.array([e.f1 for e in elems])
-    gram = (vals * w) @ vals.T
     gram += (vp.delta_sq_prod / vp.rho) * np.outer(scal, scal)
-    return gram
+    return gram, err
 
 
 # ----------------------------------------------------------------------
@@ -409,16 +418,15 @@ class ExpansionResult:
 def expand(problem, F: HElement, eigenpairs) -> ExpansionResult:
     """Expand F over normalized eigenvectors and track the residual curve.
 
-    c_n = <F, Phi_n>; the distance to the partial sum through N terms is
-    sqrt(||F||^2 - 2 sum c_n^2 + c^T G c) with G the computed Gram matrix,
-    clamped at zero against quadrature noise.
+    One Gram matrix of [F, Phi_0, ...] gives ||F||^2, c_n = <F, Phi_n> and
+    the eigenvectors' G; the distance to the partial sum through N terms,
+    sqrt(||F||^2 - 2 sum c_n^2 + c^T G c), is clamped at zero against rounding.
     """
     vp = as_validated(problem)
     elems = [e if isinstance(e, HElement) else HElement.from_eigenpair(e)
              for e in eigenpairs]
-    norm_sq, _ = h_inner_product(vp, F, F)
-    coeffs = np.array([h_inner_product(vp, F, el)[0] for el in elems])
-    gram = gram_matrix(vp, elems)
+    full, _ = _gram(vp, [F, *elems])
+    norm_sq, coeffs, gram = float(full[0, 0]), full[0, 1:], full[1:, 1:]
 
     residuals = np.empty(len(elems))
     for k in range(1, len(elems) + 1):

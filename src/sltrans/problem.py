@@ -333,8 +333,9 @@ def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
 
     Raises the error naming the violated assumption: RhoNotPositive,
     ZeroJumpFactor, DegenerateLeftBC, or UnorderedInterfaces; and
-    ProblemError for a sampled piece whose grid does not cover its
-    subinterval, where the spline would extrapolate.
+    ProblemError for jump factors whose weights w_j overflow or underflow,
+    and for a sampled piece whose grid does not cover its subinterval,
+    where the spline would extrapolate.
     """
     a1, a2 = spec.alpha
     if a1 == 0.0 and a2 == 0.0:
@@ -366,6 +367,9 @@ def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
     weights = [1.0]
     for d in spec.jumps:
         weights.append(weights[-1] * d * d)
+    if not all(0.0 < w < np.inf for w in weights):
+        raise ProblemError(f"jump factors {spec.jumps} give an interval weight "
+                           "that is not a finite nonzero double")
 
     breakpoints = (-1.0, *hs, 1.0)
     pieces = spec.potential.resolve(len(hs) + 1)

@@ -378,6 +378,17 @@ class TestExpand:
         assert (code, out) == (1, "")
         assert message in err
 
+    def test_a_target_too_narrow_to_resolve_is_an_error(self, problem_file,
+                                                        tmp_path, capsys):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(
+            {"kind": "bump", "center": 0.0, "halfwidth": 1e-300}))
+        code, out, err = run_cli(
+            ["expand", "--problem", problem_file, "--target", str(target),
+             "--nmax", "2"], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("error: a Gram grid of ")
+
     def test_unknown_target_kind(self, problem_file, tmp_path, capsys):
         target = tmp_path / "target.json"
         target.write_text(json.dumps({"kind": "wavelet"}))
@@ -404,6 +415,7 @@ class TestExpand:
         ({"kind": "bump", "center": -0.2}, "'halfwidth'"),
         ({"kind": "polynomial", "coeffs": ["abc"]}, "bad polynomial target"),
         ({"kind": "polynomial", "coeffs": 5}, "bad polynomial target"),
+        ({"kind": "polynomial", "coeffs": []}, "bad polynomial target"),
         ({"kind": "eigenfunction", "n": -1}, "non-negative integer"),
         ({"kind": "eigenfunction", "n": 1.5}, "non-negative integer"),
         ({"kind": "eigenfunction", "n": "1"}, "non-negative integer"),
@@ -420,7 +432,7 @@ class TestExpand:
         ({"kind": "polynomial", "f1": float("inf")}, "f1 must be finite"),
         ({"kind": "scalar", "f1": float("nan")}, "f1 must be finite"),
     ], ids=["number", "list", "no-center", "no-halfwidth", "text-coeff",
-            "coeffs-not-list", "negative-index", "fractional-index",
+            "coeffs-not-list", "empty-coeffs", "negative-index", "fractional-index",
             "string-index", "no-index", "index-beyond-nmax", "nan-center",
             "infinite-halfwidth", "infinite-amplitude", "nan-coeff",
             "infinite-polynomial-f1", "nan-scalar"])

@@ -66,6 +66,14 @@ class TestInnerProduct:
         with pytest.raises(QuadratureNotConverged):
             h_inner_product(canonical, jumpy, one)
 
+    def test_is_an_entry_of_the_gram_matrix(self, two_interface,
+                                            two_interface_eigs):
+        F = HElement.bump(center=-0.2, halfwidth=0.3, f1=0.4)
+        G = HElement.from_eigenpair(two_interface_eigs[3])
+        val, err = h_inner_product(two_interface, F, G)
+        assert val == gram_matrix(two_interface, [F, G])[0, 1]
+        assert 0.0 <= err < 1e-10
+
 
 class TestGram:
     def test_eigenpairs_and_elements_agree(self, canonical, canonical_eigs):
@@ -78,6 +86,25 @@ class TestGram:
 
     def test_empty_input(self, canonical):
         assert gram_matrix(canonical, []).shape == (0, 0)
+
+    def test_discontinuous_element_refuses_to_converge(self, canonical):
+        jumpy = HElement(f=lambda x: np.sign(x - 0.12345678), f1=0.0)
+        one = HElement.polynomial((1.0,))
+        with pytest.raises(QuadratureNotConverged, match="still moving"):
+            gram_matrix(canonical, [jumpy, one])
+
+    def test_a_grid_over_the_size_limit_is_refused_unsampled(self, canonical):
+        def unsampled(x):
+            raise AssertionError("sampled a grid over the limit")
+
+        narrow = HElement.bump(0.0, 1e-300)
+        wide = HElement(f=unsampled, freq_hint=narrow.freq_hint)
+        with pytest.raises(QuadratureNotConverged, match="element values"):
+            gram_matrix(canonical, [wide])
+
+    def test_an_infinite_frequency_hint_is_refused(self, canonical):
+        with pytest.raises(QuadratureNotConverged, match="no finite grid"):
+            gram_matrix(canonical, [HElement(f=np.cos, freq_hint=math.inf)])
 
 
 class TestBoundaryForms:
@@ -118,6 +145,15 @@ class TestExpansion:
         assert np.allclose(result.coefficients, want, atol=5e-11)
         assert result.residuals[-1] <= 1e-8
         assert result.parseval_ratio == pytest.approx(1.0, abs=1e-9)
+
+    def test_reads_every_value_from_one_gram_matrix(self, two_interface,
+                                                    two_interface_eigs):
+        bump = HElement.bump(center=-0.2, halfwidth=0.3, f1=0.4)
+        result = expand(two_interface, bump, two_interface_eigs)
+        full = gram_matrix(two_interface, [bump, *two_interface_eigs])
+        assert result.norm_sq == full[0, 0]
+        assert result.coefficients.tolist() == full[0, 1:].tolist()
+        assert result.gram.tolist() == full[1:, 1:].tolist()
 
     def test_reconstruction_recovers_the_function_part(self, canonical,
                                                        canonical_eigs):

@@ -118,6 +118,10 @@ BAD_PROBLEMS = {
         "potential has 3 pieces but the problem has 2 subintervals"),
     "nan-jump": (lambda: st.validate_problem(spec_with(jumps=(math.nan,))),
                  "all problem parameters must be finite"),
+    "jump-weight-overflows": (lambda: st.validate_problem(spec_with(jumps=(1e200,))),
+                              "give an interval weight that is not a finite nonzero double"),
+    "jump-weight-underflows": (lambda: st.validate_problem(spec_with(jumps=(1e-200,))),
+                               "give an interval weight that is not a finite nonzero double"),
     "one-interface-two-jumps": (lambda: st.validate_problem(spec_with(jumps=(1.0, 2.0))),
                                 "1 interfaces but 2 jump factors"),
     "json-unknown-kind": (_json_with(potential={"kind": "cubic"}),
