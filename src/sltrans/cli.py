@@ -52,6 +52,12 @@ CHECK_NAMES = tuple(THRESHOLDS)
 # the error envelope of healthy problems is often still pre-asymptotic and
 # reads above the 0.05 bound; over 64 it has settled.
 ASYMPTOTICS_ROOTS = 64
+# A tall piece stays pre-asymptotic for longer, so the check doubles its
+# roots until the top one reaches s >= ASYMPTOTICS_REACH * int |q|: on
+# barriers and steps 400 to 2500 high and 0.1 to 1.8 wide, every window that
+# failed had s <= 0.63 int |q|, every one with s >= 0.71 int |q| passed.
+ASYMPTOTICS_REACH = 1.0
+ASYMPTOTICS_MAX_ROOTS = 1024  # a problem that needs more is an error
 
 
 class CliError(Exception):
@@ -269,6 +275,29 @@ def _check_asymptotics(vp, eigs) -> dict:
             "slope_second": slope2, "rows": len(rows)}
 
 
+def _asymptotics_roots(vp, roots, n_max: int):
+    """The solve the asymptotics check reads: roots(n) from
+    n = max(n_max, ASYMPTOTICS_ROOTS), doubled until the top root's s
+    reaches ASYMPTOTICS_REACH times the bound on int |q|. A problem whose
+    first-order root count for that s, or whose doubling, passes
+    ASYMPTOTICS_MAX_ROOTS is refused."""
+    reach = ASYMPTOTICS_REACH * sum(
+        piece.magnitude_bound(a, b) * (b - a)
+        for (a, b), piece in zip(vp.subintervals(), vp.pieces))
+    need = asymptotics.nearest_index(vp, reach) or 0
+    refusal = (f"asymptotics check needs about {need} roots to reach "
+               f"s = {reach:.4g}, the bound on int |q|; it solves at most "
+               f"{ASYMPTOTICS_MAX_ROOTS}")
+    if need > ASYMPTOTICS_MAX_ROOTS:
+        raise CliError(refusal)
+    n = max(n_max, ASYMPTOTICS_ROOTS)
+    while (roots(n)[-1].s or 0.0) < reach:
+        n *= 2
+        if n > ASYMPTOTICS_MAX_ROOTS:
+            raise CliError(refusal)
+    return roots(n)
+
+
 def _check_norm_identity(eigs) -> dict:
     def worst(key):
         return max(float(e.residuals[key]) for e in eigs)
@@ -314,7 +343,7 @@ def run_verify(config: RunConfig) -> int:
         "chain": lambda: _check_chain(vp, rng),
         "orthogonality": lambda: _check_orthogonality(vp, roots(config.n_max)),
         "asymptotics": lambda: _check_asymptotics(
-            vp, roots(max(config.n_max, ASYMPTOTICS_ROOTS))),
+            vp, _asymptotics_roots(vp, roots, config.n_max)),
         "norm-identity": lambda: _check_norm_identity(roots(config.n_max)),
         "greens": lambda: _check_greens(vp, rng),
         "delta-invariance": lambda: _check_delta_invariance(vp, config),
@@ -428,12 +457,16 @@ def run_expand(config: RunConfig) -> int:
     if isinstance(target, int):
         target = HElement.from_eigenpair(eigs[target])
     result = expand(vp, target, eigs)
+    try:
+        parseval = result.parseval_ratio
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     report = {
         "target": target_obj,
         "coefficients": [float(c) for c in result.coefficients],
         "residuals": [float(r) for r in result.residuals],
         "norm_sq": result.norm_sq,
-        "parseval_ratio": result.parseval_ratio,
+        "parseval_ratio": parseval,
     }
     rows = [[k + 1, c, r] for k, (c, r) in
             enumerate(zip(report["coefficients"], report["residuals"]))]

@@ -19,8 +19,8 @@ That shapes the solver:
    builds the left solution, the ratio linking it to the right solution,
    the derivative of omega, the norm-identity diagnostics (the
    weighted square integral of phi, :func:`sltrans.hilbert.weighted_square_integral`:
-   exact in O(1) on each constant piece, :mod:`sltrans.quadrature`'s rule
-   on the others), and a normalized eigenvector. That takes two
+   exact in O(1) on each constant piece, the Gram matrix's self-checking
+   grid on the others), and a normalized eigenvector. That takes two
    transmission chains per root (the dense phi and chi); omega at the root
    is read from phi's end state, and omega' of all roots comes from one
    batched tangent chain (:func:`sltrans.characteristic.omega_derivative`).
@@ -336,7 +336,10 @@ def build_eigenpair(problem, lam: float, *, n: int = -1,
     only (K_SAMPLES interior points of each subinterval); the weighted
     square integral of phi is
     :func:`sltrans.hilbert.weighted_square_integral`, exact on constant
-    pieces. omega_at_root comes from phi's end state (omega()'s bits on
+    pieces and taken on every other piece on the grid that
+    :func:`sltrans.hilbert.gram_matrix` refines until it settles, so the
+    eigenvector is normalised in the inner product its Gram matrix uses.
+    omega_at_root comes from phi's end state (omega()'s bits on
     constant q).
 
     The norm identity: at an eigenvalue, sum_j w_j int phi^2 equals

@@ -12,10 +12,12 @@ The module provides the inner product (with a quadrature error estimate),
 the weighted square integral of a shot solution, the two right-boundary
 forms R1 and R1', Gram matrices, a symmetry (Green's identity) diagnostic,
 and the expansion / completeness check; :func:`_gram` gives every inner
-product of elements. Its sums over subintervals use the one rule of
-:mod:`sltrans.quadrature`, except where a shot solution is known in closed
-form: on a constant-q piece the square integral of A cos kt + B sin kt (or
-its hyperbolic twin) is exact in O(1) (:func:`constant_square_integrals`).
+product of elements. Every integral over a subinterval, in a Gram matrix
+and in the eigenvector normalisation alike, comes from one self-checking
+grid, :func:`_settled_gram`: the rule of :mod:`sltrans.quadrature`, doubled
+until every entry settles. The one exception is a shot solution on a
+constant-q piece, whose square integral of A cos kt + B sin kt (or its
+hyperbolic twin) is exact in O(1) (:func:`constant_square_integrals`).
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from .problem import as_validated
 from .propagator import cos_sinc
 # fixed_quad is not called here; perfbench/tracing.py wraps it by this name.
 from .quadrature import fixed_quad  # noqa: F401
-from .quadrature import (QUAD_NODES, QuadratureNotConverged, panel_nodes,
-                         panels_for, subinterval_rules, weighted_sum)
+from .quadrature import QUAD_NODES, QuadratureNotConverged, panel_nodes, panels_for
 
 MAX_QUAD_DOUBLINGS = 8
 QUAD_REL_TOL = 1e-11
@@ -176,23 +177,19 @@ def weighted_square_integral(problem, sol) -> float:
     """sum_j w_j int_j u^2 for a piecewise solution, scale included.
 
     Constant segments integrate in closed form, all of them in one
-    :func:`constant_square_integrals` call. Every other segment takes the
-    composite Gauss rule with panels set for frequency 2 sqrt|lambda|, u
-    evaluated once at the nodes of all those subintervals together and
-    summed by :func:`sltrans.quadrature.weighted_sum`. A shot solution
-    has a :class:`~sltrans.ode.ConstantSegment` exactly on the pieces
-    where ``piece.is_constant``, as the propagator chooses.
+    :func:`constant_square_integrals` call. Every other subinterval takes
+    the Gram matrix's self-checking grid, :func:`_settled_gram` on u with
+    frequency hint sqrt|lambda|. A shot solution has a
+    :class:`~sltrans.ode.ConstantSegment` exactly on the pieces where
+    ``piece.is_constant``, as the propagator chooses.
     """
     vp = as_validated(problem)
     const = [isinstance(seg, ConstantSegment) for seg in sol.segments]
+    u = [HElement(f=sol.u, freq_hint=np.sqrt(abs(sol.lam)))]
     total = 0.0
-    if not all(const):
-        rest = [j for j, c in enumerate(const) if not c]
-        subs = vp.subintervals()
-        nodes, rules = subinterval_rules([subs[j] for j in rest],
-                                         2.0 * np.sqrt(abs(sol.lam)))
-        total = weighted_sum([vp.weights[j] for j in rest], rules,
-                             sol.u(nodes) ** 2)
+    for (a, b), wj, c in zip(vp.subintervals(), vp.weights, const):
+        if not c:
+            total += wj * float(_settled_gram(a, b, u)[0][0, 0])
     if any(const):
         a, b, w, u0, du0 = np.array([(seg.a, seg.b, seg.w, seg.u0, seg.du0)
                                      for seg, c in zip(sol.segments, const)
@@ -273,39 +270,47 @@ def gram_matrix(problem, elements) -> np.ndarray:
 
 
 def _gram(vp, elems):
-    """The Gram matrix of elems and an elementwise error estimate.
-
-    Each subinterval doubles :func:`panels_for`'s grid for twice the top
-    frequency hint until every entry of its partial Gram matrix moves less
-    than QUAD_REL_TOL relative or QUAD_ABS_TOL absolute; the estimate sums
-    the weighted last moves. A grid past MAX_GRAM_VALUES values is refused."""
-    freq = 2.0 * max(e.freq_hint for e in elems)
-    if not freq < math.inf:
-        raise QuadratureNotConverged(f"no finite grid resolves frequency {freq}")
+    """The Gram matrix of elems, :func:`_settled_gram` summed over the
+    weighted subintervals plus the scalar slot, and an elementwise error
+    estimate, the same sum of its last moves."""
     gram, err = np.zeros((2, len(elems), len(elems)))
     for (a, b), wj in zip(vp.subintervals(), vp.weights):
-        panels, prev = panels_for(a, b, freq), np.inf  # nothing to agree with yet
-        for _ in range(MAX_QUAD_DOUBLINGS + 1):
-            if len(elems) * panels * QUAD_NODES > MAX_GRAM_VALUES:
-                raise QuadratureNotConverged(
-                    f"a Gram grid of {panels:.3g} panels on [{a}, {b}] would "
-                    f"hold more than {MAX_GRAM_VALUES} element values")
-            x, w = panel_nodes(a, b, panels, QUAD_NODES)
-            vals = np.vstack([e.values(x) for e in elems])
-            cur = (vals * w) @ vals.T
-            gap = np.abs(cur - prev)
-            if (gap <= np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(cur))).all():
-                break
-            prev, panels = cur, 2 * panels
-        else:
-            raise QuadratureNotConverged(
-                f"Gram entries on [{a}, {b}] still moving by up to "
-                f"{gap.max():.3e} after {MAX_QUAD_DOUBLINGS} doublings")
+        cur, gap = _settled_gram(a, b, elems)
         gram += wj * cur
         err += wj * gap
     scal = np.array([e.f1 for e in elems])
     gram += (vp.delta_sq_prod / vp.rho) * np.outer(scal, scal)
     return gram, err
+
+
+def _settled_gram(a, b, elems):
+    """(int_a^b e_i e_k) of elems on its first settled grid, and the last
+    move of each entry.
+
+    The grid starts at :func:`panels_for`'s count for twice the top
+    frequency hint and doubles until every entry moves less than
+    QUAD_REL_TOL relative or QUAD_ABS_TOL absolute, at most
+    MAX_QUAD_DOUBLINGS times; a grid past MAX_GRAM_VALUES values is refused
+    before it is sampled."""
+    freq = 2.0 * max(e.freq_hint for e in elems)
+    if not freq < math.inf:
+        raise QuadratureNotConverged(f"no finite grid resolves frequency {freq}")
+    panels, prev = panels_for(a, b, freq), np.inf  # nothing to agree with yet
+    for _ in range(MAX_QUAD_DOUBLINGS + 1):
+        if len(elems) * panels * QUAD_NODES > MAX_GRAM_VALUES:
+            raise QuadratureNotConverged(
+                f"a Gram grid of {panels:.3g} panels on [{a}, {b}] would "
+                f"hold more than {MAX_GRAM_VALUES} element values")
+        x, w = panel_nodes(a, b, panels, QUAD_NODES)
+        vals = np.vstack([e.values(x) for e in elems])
+        cur = (vals * w) @ vals.T
+        gap = np.abs(cur - prev)
+        if (gap <= np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(cur))).all():
+            return cur, gap
+        prev, panels = cur, 2 * panels
+    raise QuadratureNotConverged(
+        f"Gram entries on [{a}, {b}] still moving by up to "
+        f"{gap.max():.3e} after {MAX_QUAD_DOUBLINGS} doublings")
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +397,7 @@ class ExpansionResult:
     residuals[k] is the space-norm distance between F and the partial sum
     through the first k+1 eigenvectors, computed through the Gram quadratic
     form so near-orthonormality errors are accounted for rather than assumed
-    away. parseval_ratio is sum c_n^2 / ||F||^2.
+    away. parseval_ratio is sum c_n^2 / ||F||^2, a ValueError when ||F|| = 0.
     """
 
     coefficients: np.ndarray
@@ -403,6 +408,9 @@ class ExpansionResult:
 
     @property
     def parseval_ratio(self) -> float:
+        if not self.norm_sq > 0.0:
+            raise ValueError(f"the target has norm^2 {self.norm_sq!r}, so it "
+                             "has no Parseval ratio")
         return float(np.sum(self.coefficients ** 2) / self.norm_sq)
 
     def reconstruct(self, x, n_terms: int | None = None):

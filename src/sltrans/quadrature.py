@@ -1,5 +1,6 @@
-"""The one composite Gauss-Legendre rule: panel count, nodes, and
-per-subinterval weights for the sums sum_j w_j int_j of the weighted space.
+"""The one composite Gauss-Legendre rule of the weighted space: the first
+panel count for a frequency, and the nodes and weights of a grid.
+:func:`sltrans.hilbert._settled_gram` doubles the grid until it settles.
 """
 
 from __future__ import annotations
@@ -43,24 +44,3 @@ def panel_nodes(a: float, b: float, n_panels: int, n_nodes: int):
 def fixed_quad(f, a: float, b: float, n_panels: int = 1) -> float:
     x, w = panel_nodes(a, b, n_panels, QUAD_NODES)
     return float(np.dot(w, np.asarray(f(x), dtype=float)))
-
-
-def subinterval_rules(subintervals, freq: float):
-    """Every subinterval's nodes, concatenated, and each one's weights.
-
-    Subinterval (a, b) gets :func:`panels_for`'s count at freq.
-    """
-    rules = [panel_nodes(a, b, panels_for(a, b, freq), QUAD_NODES)
-             for a, b in subintervals]
-    return np.concatenate([x for x, _ in rules]), [w for _, w in rules]
-
-
-def weighted_sum(space_weights, rule_weights, values) -> float:
-    """sum_j w_j int_j f from f's values at the nodes of
-    :func:`subinterval_rules`: one dot product per subinterval."""
-    total = 0.0
-    start = 0
-    for wj, w in zip(space_weights, rule_weights):
-        total += wj * float(np.dot(w, values[start:start + len(w)]))
-        start += len(w)
-    return total

@@ -13,8 +13,8 @@ import pytest
 import sltrans.cli as cli
 from sltrans import asymptotics, propagator
 from sltrans.eigensolve import SuspectedMissedRoot, bracket_scan
-from sltrans.problem import PiecewisePotential, ProblemSpec, problem_to_json
-from conftest import make_canonical, make_case1_linear
+from sltrans.problem import PiecewisePotential, PotentialPiece, ProblemSpec, problem_to_json
+from conftest import make_barrier, make_canonical, make_case1_linear
 
 import oracles
 
@@ -223,6 +223,32 @@ class TestVerify:
         assert result["status"] == "pass"
         assert (result["slope_first"], result["slope_second"]) == pytest.approx(slopes, abs=1e-3)
 
+    def test_asymptotics_check_passes_a_tall_barrier(self, tmp_path, capsys):
+        # 0/400/0 reads +1.44 over 64 roots (top s = 98) and -0.022 over
+        # 256, where the top s = 399 first reaches int |q| = 240.
+        code, result, err = verify_asymptotics(problem_to_json(make_barrier()),
+                                               tmp_path, capsys)
+        assert code == 0, err
+        assert result["status"] == "pass"
+        assert result["rows"] > 128
+
+    def test_asymptotics_check_refuses_a_barrier_past_its_root_cap(self, tmp_path,
+                                                                   capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a problem past the root cap")
+
+        monkeypatch.setattr(cli, "find_eigenvalues", no_solve)
+        spec = dataclasses.replace(make_barrier(), potential=PiecewisePotential.from_pieces(
+            [PotentialPiece(kind="constant", value=v) for v in (0.0, 1e5, 0.0)]))
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem_to_json(spec)))
+        code, out, err = run_cli(["verify", "--problem", str(path), "--checks",
+                                  "asymptotics"], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            "error: asymptotics check needs about 38198 roots to reach s = 6e+04, "
+            "the bound on int |q|; it solves at most 1024")
+
     def test_asymptotics_check_fails_a_first_order_second_estimate(self, tmp_path, capsys,
                                                                    monkeypatch):
         # negative control: with s_first standing in for s_second,
@@ -388,6 +414,16 @@ class TestExpand:
              "--nmax", "2"], capsys)
         assert (code, out) == (1, "")
         assert err.splitlines()[-1].startswith("error: a Gram grid of ")
+
+    def test_a_zero_target_is_an_error(self, problem_file, tmp_path, capsys):
+        # ||F|| = 0 leaves the Parseval ratio 0/0.
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"kind": "scalar", "f1": 0.0}))
+        code, out, err = run_cli(
+            ["expand", "--problem", problem_file, "--target", str(target),
+             "--nmax", "2"], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("error: the target has norm^2 0.0")
 
     def test_unknown_target_kind(self, problem_file, tmp_path, capsys):
         target = tmp_path / "target.json"

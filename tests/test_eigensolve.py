@@ -534,3 +534,12 @@ def test_a_stiff_variable_barrier_solves():
     eigs = find_eigenvalues(st.validate_problem(_stiff_barrier(200.0)), 10)
     assert len(eigs) == 10
     assert eigs[0].lam == pytest.approx(-17.0537, abs=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect (ROADMAP, Known defects): a "
+                   "barrier eigenvector misses its right boundary condition")
+def test_barrier_eigenvectors_meet_the_right_boundary_condition():
+    # Roots 1 (lambda = -2.948) and 4 (34.074) read bc_right 2.2e-3 and
+    # 1.4e-6; roots 0, 2, 3 and 5 read at most 2.2e-15.
+    eigs = find_eigenvalues(make_barrier(), 6)
+    assert max(eigs[n].residuals["bc_right"] for n in (1, 4)) <= 1e-10

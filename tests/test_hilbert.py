@@ -23,8 +23,8 @@ from sltrans.hilbert import (
 from sltrans.ode import shoot_chi, shoot_phi
 from sltrans.problem import PotentialPiece
 from sltrans.propagator import constant_step
-from sltrans.quadrature import panel_nodes, subinterval_rules, weighted_sum
-from conftest import make_barrier, make_canonical, make_two_interface
+from sltrans.quadrature import panel_nodes, panels_for
+from conftest import make_barrier, make_canonical, make_sampled, make_two_interface
 
 
 class TestInnerProduct:
@@ -205,6 +205,12 @@ class TestExpansion:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r}$"):
             make(bad)
 
+    def test_a_zero_target_has_no_parseval_ratio(self, canonical, canonical_eigs):
+        result = expand(canonical, HElement.scalar_only(0.0), canonical_eigs[:3])
+        assert result.norm_sq == 0.0
+        with pytest.raises(ValueError, match="^the target has norm\\^2 0.0"):
+            result.parseval_ratio
+
     def test_jumped_problem_expansion(self, two_interface, two_interface_eigs):
         poly = HElement.polynomial((0.2, 1.0, -0.5), f1=-0.3)
         result = expand(two_interface, poly, two_interface_eigs)
@@ -250,13 +256,14 @@ class TestSquareIntegral:
                       for seg in CONSTANT_SEGMENTS.values()]
         assert constant_square_integrals(*table).tolist() == one_by_one
 
-    def test_variable_q_keeps_the_gauss_rule(self, case1_linear):
-        vp = st.as_validated(case1_linear)
-        for sol in (shoot_phi(vp, 11.0), shoot_chi(vp, -3.5).scaled(0.3)):
-            nodes, rules = subinterval_rules(vp.subintervals(),
-                                             2.0 * np.sqrt(abs(sol.lam)))
-            want = weighted_sum(vp.weights, rules, sol.u(nodes) ** 2)
-            assert weighted_square_integral(vp, sol) == want
+    def test_sampled_eigenvectors_are_normalised_on_the_settled_grid(self):
+        # The normalisation takes the Gram matrix's self-checking grid, so
+        # the two agree on ||Phi_n|| = 1; one unrefined grid left 3e-12.
+        vp = st.as_validated(make_sampled())
+        eigs = st.find_eigenvalues(vp, 10)
+        diag = np.diag(gram_matrix(vp, eigs))
+        assert np.abs(diag - 1.0).max() <= 5e-13
+        assert max(e.residuals["norm_identity"] for e in eigs) <= 5e-13
 
     def test_mixed_pieces_match_a_fine_gauss_rule(self):
         spec = st.ProblemSpec(
@@ -269,8 +276,10 @@ class TestSquareIntegral:
             alpha=(1.0, 0.5), beta=(0.2, 1.0), beta_prime=(1.0, 0.4))
         vp = st.as_validated(spec)
         for sol in (shoot_phi(vp, 30.0).scaled(-2.5), shoot_chi(vp, 75.0)):
-            nodes, rules = subinterval_rules(vp.subintervals(), 400.0)
-            want = weighted_sum(vp.weights, rules, sol.u(nodes) ** 2)
+            want = 0.0
+            for (a, b), wj in zip(vp.subintervals(), vp.weights):
+                x, w = panel_nodes(a, b, panels_for(a, b, 400.0), 12)
+                want += wj * float(w @ sol.u(x) ** 2)
             got = weighted_square_integral(vp, sol)
             assert got == pytest.approx(want, rel=1e-13)
 
